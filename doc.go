@@ -110,9 +110,10 @@
 // structures down to filtered single blocks, and Queue.Footprint reports
 // physical occupancy (which under filtering is the meaningful size —
 // logical Size drifts as merges drop items). These hooks are what the
-// timerq subsystem builds its lazy cancellation on: cancelled timers
-// become registry tombstones that merges reclaim for free (see the timerq
-// package and DESIGN.md "Timer subsystem").
+// timerq subsystem builds its lazy cancellation on: a cancelled timer's
+// queue entry becomes a tombstone that merges recognize with one load of
+// the timer's liveness cell and reclaim for free (see the timerq package
+// and DESIGN.md "Timer subsystem").
 //
 // # Durability
 //

@@ -175,7 +175,8 @@ type Policy struct {
 	// trigger).
 	MaxAge time.Duration
 	// Poll is the trigger evaluation cadence; 0 derives it from the other
-	// fields (a quarter of MaxAge, clamped to [10ms, 1s]).
+	// fields (a quarter of MaxAge, clamped to [10ms, 1s]). The first
+	// evaluation runs as the scheduler starts, not one Poll later.
 	Poll time.Duration
 	// GCEvery is the orphan-sweep cadence (0 = every 16th poll).
 	GCEvery time.Duration
@@ -274,12 +275,11 @@ func (s *Scheduler) loop() {
 	defer tick.Stop()
 	lastRun := time.Now()
 	lastGC := time.Now()
+	// Evaluate before the first wait: a queue reopened over a WAL already
+	// past MaxWALBytes checkpoints at once. A process that crashes again
+	// within one Poll of every start would otherwise never checkpoint, and
+	// each recovery would replay a longer frozen chain than the last.
 	for {
-		select {
-		case <-s.stop:
-			return
-		case <-tick.C:
-		}
 		work := s.hooks.WALBytes()
 		due := false
 		if s.policy.MaxWALBytes > 0 && work >= s.policy.MaxWALBytes {
@@ -306,6 +306,11 @@ func (s *Scheduler) loop() {
 		if time.Since(lastGC) >= s.policy.GCEvery {
 			lastGC = time.Now()
 			s.orphans.Add(int64(s.hooks.SweepOrphans()))
+		}
+		select {
+		case <-s.stop:
+			return
+		case <-tick.C:
 		}
 	}
 }

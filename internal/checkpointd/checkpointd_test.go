@@ -43,6 +43,22 @@ func TestSchedulerSizeTrigger(t *testing.T) {
 	}
 }
 
+// TestSchedulerEvaluatesAtStart: a backlog already past the size trigger
+// when the scheduler starts is checkpointed without waiting for a tick.
+func TestSchedulerEvaluatesAtStart(t *testing.T) {
+	var ckpts atomic.Int64
+	s := Start(Policy{MaxWALBytes: 64, Poll: time.Hour}, Hooks{
+		WALBytes: func() int64 { return 100 },
+		Checkpoint: func() error {
+			ckpts.Add(1)
+			return nil
+		},
+		SweepOrphans: func() int { return 0 },
+	})
+	defer s.Stop()
+	waitFor(t, "checkpoint at start", func() bool { return ckpts.Load() == 1 })
+}
+
 func TestSchedulerAgeTriggerNeedsWork(t *testing.T) {
 	var backlog atomic.Int64
 	var ckpts atomic.Int64

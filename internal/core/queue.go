@@ -1048,16 +1048,19 @@ func (h *Handle[V]) TryDeleteMinBoundedSeq(bound uint64) (key uint64, value V, s
 					haveShared = true
 				}
 			}
+			// candKey is the candidate's key as captured: a shared Snap is
+			// not validated until TryTakeAt, and its item may have been
+			// recycled since, so its live key must not be read here.
 			var it *item.Item[V]
-			var ver uint64
+			var ver, candKey uint64
 			fromShared := false
 			if local != nil {
-				it, ver = local, 0
+				it, ver, candKey = local, 0, local.Key()
 			}
-			if sharedOK && (local == nil || shared.Key < local.Key()) {
-				it, ver, fromShared = shared.It, shared.Ver, true
+			if sharedOK && (local == nil || shared.Key < candKey) {
+				it, ver, candKey, fromShared = shared.It, shared.Ver, shared.Key, true
 			}
-			if it == nil || it.Key() > bound {
+			if it == nil || candKey > bound {
 				// Both sides dry below the bound. (A candidate above the
 				// bound proves dryness the same way emptiness does: it is a
 				// relaxed minimum, so everything reachable from here is >=

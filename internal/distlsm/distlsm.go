@@ -429,21 +429,48 @@ func (d *Dist[V]) insertBlock(b *block.Block[V], overflow func(*block.Block[V]) 
 // been taken since the last scan (typically the one block a failed TryTake
 // hit); without it — or after a structural mutation invalidated the cache —
 // the call performs the full trimming scan and repopulates the cache.
+//
+// The returned item stays referenced by a published block of this Dist
+// until the owner's next mutation, so the caller may read its key and claim
+// it. That is why a scan that finds dead blocks is repeated after the
+// consolidation it triggers: Consolidate releases the references of items
+// taken or filter-claimed since the scan, and the scan's minimum may be one
+// of them — recycled by another handle's pool while the caller still
+// compares its key. The repeat scan does not trim, so it leaves no block
+// emptied after the consolidation; blocks that died meanwhile wait for the
+// next call.
 func (d *Dist[V]) FindMin() *item.Item[V] {
+	best, dead := d.scanMin(true)
+	if dead {
+		d.Consolidate()
+		best, _ = d.scanMin(false)
+	}
+	return best
+}
+
+// scanMin is FindMin's per-block pass: it returns the live minimum and
+// whether any block was found dead (owner only). With trim, blocks' taken
+// tails are trimmed on the way (scanBlockMin); without, blocks are only
+// read (LiveMin).
+func (d *Dist[V]) scanMin(trim bool) (best *item.Item[V], dead bool) {
 	sz := int(d.size.Load())
 	cached := d.cacheValid(sz)
-	var best *item.Item[V]
-	deadBlocks := 0
 	for i := 0; i < sz; i++ {
 		it := d.mins[i]
 		if !cached || it == nil || it.Taken() {
-			it = d.scanBlockMin(i)
+			if trim {
+				it = d.scanBlockMin(i)
+			} else if b := d.blocks[i].Load(); b != nil {
+				it, _ = b.LiveMin()
+			} else {
+				it = nil
+			}
 			if d.minCache {
 				d.mins[i] = it
 			}
 		}
 		if it == nil {
-			deadBlocks++
+			dead = true
 			continue
 		}
 		if best == nil || it.Key() < best.Key() {
@@ -453,10 +480,7 @@ func (d *Dist[V]) FindMin() *item.Item[V] {
 	if d.minCache {
 		d.cacheLen = sz
 	}
-	if deadBlocks > 0 {
-		d.Consolidate()
-	}
-	return best
+	return best, dead
 }
 
 // FillMin collects candidates for a per-handle deletion buffer (owner

@@ -229,6 +229,50 @@ func TestFindMinSkipsTaken(t *testing.T) {
 	}
 }
 
+// TestFindMinAfterConsolidateIsReferenced guards against a candidate
+// released under its caller. A dead block makes FindMin consolidate; when
+// the minimum its scan picked is filter-positive, that consolidation's
+// merge claims it and releases its last reference. Returning it would hand
+// out an item already back in the item pool — which a concurrent handle
+// could recycle while the caller compared its key and claimed it (a bounded
+// pop could then fire an item above its bound). The returned item must be
+// live and still referenced.
+func TestFindMinAfterConsolidateIsReferenced(t *testing.T) {
+	p := block.NewPool[int](nil) // nil guard: releases happen at once
+	ip := item.NewPool[int]()
+	p.SetItemPool(ip)
+	d := New[int](1, -1)
+	d.SetPool(p)
+	dead := map[uint64]bool{}
+	d.SetDrop(func(key uint64, _ int) bool { return dead[key] })
+
+	its := map[uint64]*item.Item[int]{}
+	for _, k := range []uint64{40, 30, 20, 10, 50, 1, 60} {
+		its[k] = ip.Get(k, int(k))
+		d.Insert(its[k], nil)
+	}
+	// Blocks now: level 2 {40 30 20 10}, level 1 {50 1}, level 0 {60}.
+	// Taking 10 and 20 makes the level-2 block shrink onto level 1, where
+	// consolidation merges it with {50 1} through the filter; taking 60
+	// makes the level-0 block dead, which triggers that consolidation.
+	for _, k := range []uint64{10, 20, 60} {
+		its[k].TryTake()
+	}
+	dead[1] = true // 1 is the live minimum the scan picks first
+
+	it := d.FindMin()
+	if it == nil {
+		t.Fatal("FindMin = nil, want key 30")
+	}
+	if it.Taken() || it.Refs() == 0 {
+		t.Fatalf("FindMin returned key %d taken=%v refs=%d: its last reference was released before the caller could use it",
+			it.Key(), it.Taken(), it.Refs())
+	}
+	if it.Key() != 30 {
+		t.Fatalf("FindMin key = %d, want 30", it.Key())
+	}
+}
+
 // TestConcurrentSpyWhileInserting: one owner keeps inserting and deleting;
 // several spies copy concurrently. Checks (under -race) that the publication
 // protocol has no races and that spies never crash on torn state; exact-once

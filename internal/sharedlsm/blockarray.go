@@ -21,7 +21,10 @@
 // Go-specific note: the paper stamps the shared pointer with truncated
 // version numbers to defeat ABA under manual memory reuse (§4.4). Go's GC
 // cannot recycle a BlockArray while any handle still references it as
-// `observed`, so the raw pointer CAS is ABA-safe here.
+// `observed`, so the raw pointer CAS is ABA-safe here. The one value that
+// does recur is nil: harmless to the CAS, since nil always means empty,
+// but a cursor must never take it as proof that the array it published
+// itself is still its private snapshot (Shared.stale).
 //
 // Memory reclamation (§4.4): blocks a winning CAS drops from the array
 // park in an epoch-tagged limbo list and recycle once every registered

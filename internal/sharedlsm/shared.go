@@ -292,6 +292,16 @@ func (s *Shared[V]) refresh(c *Cursor[V]) {
 	}
 }
 
+// stale reports whether c must refresh before using its snapshot: the
+// shared pointer moved since c observed it, or c's snapshot is an array c
+// published itself. The second case matters because the pointer can return
+// to a value c observed — nil, whenever the structure empties — and c would
+// otherwise consolidate, and even re-publish, an array other cursors may
+// still be copying: a published array is never written again.
+func (s *Shared[V]) stale(c *Cursor[V]) bool {
+	return s.ptr.Load() != c.observed || (c.snapshot != nil && c.snapshot.published)
+}
+
 // takeShell returns a private snapshot shell, reusing the spare one (a
 // superseded never-published snapshot) when available. The caller resets or
 // overwrites its contents.
@@ -572,7 +582,7 @@ func (s *Shared[V]) localID(c *Cursor[V]) int64 {
 // candWindow).
 func (s *Shared[V]) FindMinSnap(c *Cursor[V]) (item.Snap[V], bool) {
 	for {
-		if s.ptr.Load() != c.observed {
+		if s.stale(c) {
 			s.refresh(c)
 		}
 		if c.snapshot == nil {
@@ -740,7 +750,7 @@ func (s *Shared[V]) FillCandidates(c *Cursor[V], dst []item.Snap[V], max int) (_
 	base := len(dst)
 	repivoted := false
 	for {
-		if s.ptr.Load() != c.observed {
+		if s.stale(c) {
 			s.refresh(c)
 		}
 		if c.snapshot == nil {

@@ -281,3 +281,37 @@ func BenchmarkSharedInsertK256(b *testing.B) {
 		s.Insert(c, blk)
 	}
 }
+
+// TestPublishedSnapshotNeverReused guards against an ABA on the empty
+// shared pointer. A cursor that published an array into an empty structure
+// still observes nil; once another cursor empties the structure again, the
+// pointer equals that observation. FindMin must refresh anyway: otherwise it
+// consolidates the published array in place — while other cursors may
+// still be copying it — and may push it again.
+func TestPublishedSnapshotNeverReused(t *testing.T) {
+	s := New[int](4, true)
+	c1, c2 := newCursor(s, 1), newCursor(s, 2)
+	insertKeys(s, c1, 5) // c1 observed nil and published the array
+	pub := s.Snapshot()
+	if pub == nil || len(pub.blocks) != 1 {
+		t.Fatalf("published array after insert = %+v", pub)
+	}
+	if _, ok := deleteMin(s, c2); !ok {
+		t.Fatal("c2 found no key to delete")
+	}
+	if _, ok := deleteMin(s, c2); ok {
+		t.Fatal("c2 deleted from a drained queue")
+	}
+	if !s.Empty() {
+		t.Fatal("shared pointer not nil after draining")
+	}
+	if it := s.FindMin(c1); it != nil {
+		t.Fatalf("c1 FindMin on empty = key %d", it.Key())
+	}
+	if len(pub.blocks) != 1 {
+		t.Fatalf("c1 rewrote the array it had published: %d blocks, want 1", len(pub.blocks))
+	}
+	if !s.Empty() {
+		t.Fatal("c1 re-published a superseded array")
+	}
+}

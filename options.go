@@ -178,7 +178,9 @@ func WithWriteCoalesce(bytes int) Option {
 // exceeds maxWALBytes (0 disables the size trigger) or maxAge has passed
 // since the last checkpoint while unlogged-to-segment work exists (0
 // disables the age trigger), and sweeps orphaned files on a timer. Both
-// zero — the default — leaves checkpointing fully manual. Automatic
+// zero — the default — leaves checkpointing fully manual. The triggers are
+// first checked as Open returns, so a queue reopened over a WAL already
+// past maxWALBytes checkpoints at once. Automatic
 // checkpoints run concurrently with queue operations (see Checkpoint) and
 // bound recovery cost for long-running queues: replay work stays
 // proportional to the live items plus one WAL's worth of tail, not to the

@@ -2,8 +2,8 @@
 // k-LSM relaxed priority queue, with first-class cancellation.
 //
 // Timers are (deadline, payload) pairs identified by a TimerID. Schedule
-// inserts, Cancel and Reschedule are O(1) registry operations that never
-// touch the priority queue, and a tick-driven Expire batch-drains every
+// inserts, Cancel is an O(1) update of the timer's liveness cell that never
+// touches the priority queue, and a tick-driven Expire batch-drains every
 // timer due by "now" through the queue's bounded drain. Relaxation is a
 // feature here, not a compromise: firing a timer up to ρ = T·k ranks early
 // within one tick is invisible at tick granularity, and the relaxed queue's
@@ -14,19 +14,24 @@
 //
 // Cancellation is lazy, in three layers:
 //
-//  1. The sharded tombstone registry (ID → generation) is the source of
-//     truth. Cancel removes the registry record; the queue entry remains as
-//     a tombstone.
-//  2. Expiry consults the registry: a drained entry whose (ID, generation)
-//     no longer matches is discarded, never emitted. Removal under the
-//     registry shard lock makes fire-vs-cancel-vs-reschedule exactly-once.
+//  1. Every timer has a liveness cell holding its current generation (0
+//     once dead), and every queue entry points at its timer's cell and
+//     carries the generation it was enqueued under. The cell is the source
+//     of truth; a sharded ID index maps TimerID to cell for Cancel,
+//     Reschedule and Deadline. Cancel stores 0 into the cell, clears its
+//     payload and drops it from the index; the queue entry remains as a
+//     tombstone.
+//  2. Expiry checks the cell: a drained entry whose generation no longer
+//     matches is discarded, never emitted. Cell updates under the index
+//     shard lock make fire-vs-cancel-vs-reschedule exactly-once.
 //  3. Tombstones are physically reclaimed by the queue's merge filter
-//     (klsm.NewOrderedWithDrop): whenever a merge, delete or compaction
-//     pass copies over a tombstoned entry, it is dropped. A
+//     (klsm.NewOrderedWithDrop), one lock-free load of the cell per entry
+//     (none until the first Cancel or Reschedule): whenever a merge, delete
+//     or compaction pass copies over a tombstoned entry, it is dropped. A
 //     cancellation-pressure heuristic triggers a full Compact when the
-//     tombstone estimate outgrows the live count, so the structure's
-//     footprint stays bounded even under adversarial cancel-heavy load
-//     that never naturally merges the affected blocks.
+//     physical footprint outgrows the live count, so the structure stays
+//     bounded even under adversarial cancel-heavy load that never naturally
+//     merges the affected blocks.
 package timerq
 
 import (
@@ -37,12 +42,12 @@ import (
 	"klsm"
 )
 
-// tref is the queue payload: the timer's identity plus the generation it
-// was enqueued under. Two words — the actual payload lives in the registry.
-type tref struct {
-	id  TimerID
-	gen uint64
-}
+// pressureEvery is how many Cancel (or Reschedule) calls pass between two
+// compaction-pressure checks; Expire checks once per call. Each call adds
+// at most one tombstone, so the check lags the trigger by at most this many
+// entries, while the block walk behind Footprint stays off the per-call
+// path.
+const pressureEvery = 1024
 
 // expireBatch is the per-round drain size of Expire: large enough to
 // amortize the drain's window refills (it exceeds the default deletion
@@ -55,9 +60,9 @@ type config struct {
 	queueOpts []klsm.Option
 	// pressure is the garbage/live ratio beyond which a Compact triggers.
 	pressure float64
-	// minGarbage floors the trigger: below this many estimated tombstoned
-	// entries, compaction never runs (it would reclaim too little to pay
-	// for the pass).
+	// minGarbage floors the trigger: below this many garbage entries,
+	// compaction never runs (it would reclaim too little to pay for the
+	// pass).
 	minGarbage int64
 }
 
@@ -73,11 +78,11 @@ func WithQueueOptions(opts ...klsm.Option) Option {
 }
 
 // WithCompactionPressure tunes the cancellation-pressure heuristic: a
-// compaction pass triggers once the estimated tombstoned-entry count
-// exceeds both ratio × (live timers) and min. The defaults (ratio 1.0,
-// min 4096) compact when garbage outweighs live content; a ratio <= 0
-// disables ratio-based triggering entirely (compaction then only runs via
-// explicit Compact calls).
+// compaction pass triggers once the garbage entries still physically in the
+// queue (Footprint − Len) exceed both ratio × (live timers) and min. The
+// defaults (ratio 1.0, min 4096) compact when garbage outweighs live
+// content; a ratio <= 0 disables ratio-based triggering entirely
+// (compaction then only runs via explicit Compact calls).
 func WithCompactionPressure(ratio float64, min int) Option {
 	return func(c *config) {
 		c.pressure = ratio
@@ -86,26 +91,28 @@ func WithCompactionPressure(ratio float64, min int) Option {
 }
 
 // Queue is the timer subsystem: a deadline-keyed relaxed priority queue
-// plus the tombstone registry that makes cancellation O(1). All methods
-// are safe for concurrent use by any number of goroutines.
+// plus the per-timer liveness cells that make cancellation O(1). All
+// methods are safe for concurrent use by any number of goroutines.
 type Queue[P any] struct {
-	q   *klsm.OrderedQueue[time.Time, tref]
+	q   *klsm.OrderedQueue[time.Time, tref[P]]
 	reg *registry[P]
 
+	// tombstones latches true at the first successful Cancel or Reschedule;
+	// until then no queue entry is dead. It is written once and afterwards
+	// only read, by the merge filter for every entry a merge copies, so the
+	// padding keeps it off the cache lines the per-operation counters below
+	// are written on: a line another CPU keeps writing costs a cache miss
+	// per read.
+	_          [64]byte
+	tombstones atomic.Bool
+	_          [64]byte
+
 	nextID atomic.Uint64
-	// garbage estimates the tombstoned entries still physically present in
-	// the queue: incremented by Cancel and Reschedule, decremented when
-	// expiry pops a stale entry, lowered wholesale after a Compact. An
-	// overestimate (merges silently reclaim tombstones too) only makes
-	// compaction slightly eager. It doubles as the merge filter's fast
-	// path: at zero, merges skip the registry lookup entirely, so
-	// cancellation-free workloads pay nothing for the filter.
-	garbage atomic.Int64
 	// compacting serializes pressure-triggered compactions (a second
 	// trigger while one runs is dropped, not queued).
 	compacting atomic.Bool
 	// expireMu serializes Expire's drain loop. Concurrent expirers remain
-	// correct without it (the registry arbitrates exactly-once), but they
+	// correct without it (the cells arbitrate exactly-once), but they
 	// duplicate work at the queue layer: each one's bounded drain spies
 	// the same due blocks out of idle handles' local structures, tripling
 	// copies that then die as garbage. One expirer at a time keeps the
@@ -134,19 +141,28 @@ func New[P any](opts ...Option) *Queue[P] {
 		pressure:   cfg.pressure,
 		minGarbage: cfg.minGarbage,
 	}
-	// The merge filter: an entry is garbage exactly when its (id, gen) is
-	// no longer the registry's live record. Registry-add strictly precedes
-	// the queue insert in Schedule/Reschedule, so the filter can never
-	// claim a live timer's entry. The garbage fast path keeps merge passes
-	// lookup-free until the first cancellation.
-	drop := func(_ time.Time, r tref) bool {
-		if tq.garbage.Load() == 0 {
-			return false
-		}
-		return !tq.reg.alive(r.id, r.gen)
-	}
-	tq.q = klsm.NewOrderedWithDrop[time.Time, tref](klsm.TimeKey(), drop, cfg.queueOpts...)
+	tq.q = klsm.NewOrderedWithDrop[time.Time, tref[P]](klsm.TimeKey(), tq.drop, cfg.queueOpts...)
 	return tq
+}
+
+// drop is the merge filter: an entry is garbage exactly when its generation
+// is no longer its cell's. Schedule and Reschedule store the generation into
+// the cell before the queue insert publishes the entry, so the filter can
+// never claim a live timer's entry. Until a Cancel or Reschedule latches
+// tombstones no queue entry is dead (a fired timer's entry left the queue in
+// its drain), so the filter keeps every entry without reading its cell, which
+// in a large merge is likely a cache miss. A tombstone made just before the
+// latch is merely kept a while longer.
+func (q *Queue[P]) drop(_ time.Time, r tref[P]) bool {
+	return q.tombstones.Load() && r.dead()
+}
+
+// noteTombstone latches tombstones after a Cancel or Reschedule left one.
+// Only the first call writes, so the latch's cache line stays shared.
+func (q *Queue[P]) noteTombstone() {
+	if !q.tombstones.Load() {
+		q.tombstones.Store(true)
+	}
 }
 
 // Schedule registers a timer firing at deadline and returns its ID. The
@@ -159,27 +175,28 @@ func (q *Queue[P]) Schedule(deadline time.Time, payload P) (TimerID, error) {
 		return 0, err
 	}
 	id := TimerID(q.nextID.Add(1))
-	// Registry first, queue second: from the instant the entry is
+	// Cell first, queue second: from the instant the entry is
 	// queue-visible, the merge filter finds it alive.
-	q.reg.add(id, 1, deadline.UnixNano(), payload)
-	q.q.Insert(deadline, tref{id: id, gen: 1})
+	rec := q.reg.add(id, deadline.UnixNano(), payload)
+	q.q.Insert(deadline, tref[P]{rec: rec, gen: 1})
 	q.scheduled.Add(1)
 	return id, nil
 }
 
 // Cancel deregisters the timer, reporting whether it was still pending
 // (false: already fired, already canceled, or never scheduled). O(1): only
-// the registry is touched; the queue entry becomes a tombstone that expiry
-// skips and merges physically reclaim. Cancellation wins or loses against
-// a concurrent Expire atomically — the payload is delivered exactly once
-// or not at all, never both.
+// the timer's cell and the ID index are touched; the queue entry becomes a
+// tombstone that expiry skips and merges physically reclaim. Cancellation
+// wins or loses against a concurrent Expire atomically — the payload is
+// delivered exactly once or not at all, never both.
 func (q *Queue[P]) Cancel(id TimerID) bool {
 	if !q.reg.cancel(id) {
 		return false
 	}
-	q.canceled.Add(1)
-	q.garbage.Add(1)
-	q.maybeCompact()
+	q.noteTombstone()
+	if q.canceled.Add(1)%pressureEvery == 0 {
+		q.maybeCompact()
+	}
 	return true
 }
 
@@ -193,45 +210,45 @@ func (q *Queue[P]) Reschedule(id TimerID, deadline time.Time) (bool, error) {
 	if err := klsm.CheckTimeKey(deadline); err != nil {
 		return false, err
 	}
-	gen, ok := q.reg.bump(id, deadline.UnixNano())
+	rec, gen, ok := q.reg.bump(id, deadline.UnixNano())
 	if !ok {
 		return false, nil
 	}
-	q.rescheduled.Add(1)
-	q.garbage.Add(1) // the superseded queue entry
-	q.q.Insert(deadline, tref{id: id, gen: gen})
-	q.maybeCompact()
+	q.noteTombstone()
+	q.q.Insert(deadline, tref[P]{rec: rec, gen: gen})
+	if q.rescheduled.Add(1)%pressureEvery == 0 {
+		q.maybeCompact()
+	}
 	return true, nil
 }
 
 // Expire fires every timer due at or before now: due entries are
 // batch-drained from the queue (bounded drain — entries past now are never
-// touched), arbitrated against the registry, and emit is invoked once per
-// surviving timer with its ID, deadline and payload. It returns the number
-// fired. Within one Expire call the emit order is the queue's relaxed pop
-// order — deadline order up to ρ = T·k ranks — which is invisible at tick
-// granularity (every emitted timer is genuinely due). Multiple goroutines
-// may call Expire concurrently; each due timer fires exactly once, on one
-// of them. A return of 0 is a strong signal: no reachable timer was due at
-// the drain's bound, including timers stranded in idle handles' local
-// structures (the queue's due-bounded spy pass covers them).
+// touched), arbitrated against their timers' cells, and emit is invoked
+// once per surviving timer with its ID, deadline and payload. It returns
+// the number fired. Within one Expire call the emit order is the queue's
+// relaxed pop order — deadline order up to ρ = T·k ranks — which is
+// invisible at tick granularity (every emitted timer is genuinely due).
+// Multiple goroutines may call Expire concurrently; each due timer fires
+// exactly once, on one of them. A return of 0 is a strong signal: no
+// reachable timer was due at the drain's bound, including timers stranded
+// in idle handles' local structures (the queue's due-bounded spy pass
+// covers them).
 func (q *Queue[P]) Expire(now time.Time, emit func(id TimerID, deadline time.Time, payload P)) int {
 	q.expireMu.Lock()
 	defer q.expireMu.Unlock()
 	fired := 0
-	buf := make([]klsm.KV[time.Time, tref], 0, expireBatch)
+	buf := make([]klsm.KV[time.Time, tref[P]], 0, expireBatch)
 	for {
 		buf = q.q.DrainMinBounded(buf[:0], expireBatch, now)
 		for _, kv := range buf {
-			payload, ok := q.reg.fire(kv.Value.id, kv.Value.gen)
+			payload, ok := q.reg.fire(kv.Value.rec, kv.Value.gen)
 			if !ok {
-				// Tombstone (canceled or superseded): physically gone now.
-				q.garbage.Add(-1)
-				continue
+				continue // tombstone (canceled or superseded)
 			}
 			q.fired.Add(1)
 			fired++
-			emit(kv.Value.id, kv.Key, payload)
+			emit(kv.Value.rec.id, kv.Key, payload)
 		}
 		if len(buf) < expireBatch {
 			break
@@ -251,7 +268,7 @@ func (q *Queue[P]) Deadline(id TimerID) (deadline time.Time, ok bool) {
 	return time.Unix(0, ns).UTC(), true
 }
 
-// Len returns the number of pending timers — exactly (registry count), not
+// Len returns the number of pending timers — exactly (index count), not
 // the queue's entry count, which additionally holds unreclaimed tombstones
 // (see Footprint).
 func (q *Queue[P]) Len() int { return int(q.reg.live.Load()) }
@@ -271,17 +288,25 @@ func (q *Queue[P]) Compact() {
 	q.compactions.Add(1)
 }
 
-// maybeCompact runs Compact when the tombstone estimate exceeds both the
-// configured floor and ratio × live — at most one compaction at a time,
-// extra triggers dropped. The estimate is lowered by what the pass could
-// have seen, not zeroed: cancellations racing the compaction keep their
-// count.
+// garbage returns the entries physically in the queue beyond the pending
+// timers — tombstones plus fired entries not yet trimmed — given a
+// Footprint and Len read together.
+func garbage(footprint, pending int) int64 {
+	return max(int64(footprint)-int64(pending), 0)
+}
+
+// maybeCompact runs Compact when the garbage still physically in the queue
+// exceeds both the configured floor and ratio × live — at most one
+// compaction at a time, extra triggers dropped. Reading the physical state
+// means merges that reclaim tombstones on their own lower the trigger's
+// input too, so compaction runs only when they fall behind.
 func (q *Queue[P]) maybeCompact() {
 	if q.pressure <= 0 {
 		return
 	}
-	g := q.garbage.Load()
-	if g < q.minGarbage || float64(g) < q.pressure*float64(q.reg.live.Load()) {
+	live := q.Len()
+	g := garbage(q.Footprint(), live)
+	if g < q.minGarbage || float64(g) < q.pressure*float64(live) {
 		return
 	}
 	if !q.compacting.CompareAndSwap(false, true) {
@@ -289,7 +314,6 @@ func (q *Queue[P]) maybeCompact() {
 	}
 	defer q.compacting.Store(false)
 	q.Compact()
-	q.garbage.Add(-g)
 }
 
 // Stats is a snapshot of the queue's operation counters.
@@ -300,7 +324,8 @@ type Stats struct {
 	// Compactions counts completed Compact passes (explicit and
 	// pressure-triggered).
 	Compactions int64
-	// GarbageEstimate is the current tombstoned-entry estimate driving the
+	// GarbageEstimate is Footprint − Pending (floored at 0): the entries
+	// physically in the queue that no pending timer owns, the input of the
 	// pressure heuristic.
 	GarbageEstimate int64
 	// Pending and Footprint mirror Len and Footprint at snapshot time.
@@ -309,14 +334,15 @@ type Stats struct {
 
 // Stats returns a racy snapshot of the operation counters.
 func (q *Queue[P]) Stats() Stats {
+	pending, footprint := q.Len(), q.Footprint()
 	return Stats{
 		Scheduled:       q.scheduled.Load(),
 		Canceled:        q.canceled.Load(),
 		Rescheduled:     q.rescheduled.Load(),
 		Fired:           q.fired.Load(),
 		Compactions:     q.compactions.Load(),
-		GarbageEstimate: q.garbage.Load(),
-		Pending:         q.Len(),
-		Footprint:       q.Footprint(),
+		GarbageEstimate: garbage(footprint, pending),
+		Pending:         pending,
+		Footprint:       footprint,
 	}
 }

@@ -4,10 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"weak"
 
 	"klsm"
 )
@@ -395,5 +397,230 @@ func TestStrictMode(t *testing.T) {
 	q.Expire(at(500*time.Millisecond), func(TimerID, time.Time, int) { fired++ })
 	if fired != 501 {
 		t.Fatalf("strict Expire fired %d, want 501", fired)
+	}
+}
+
+// cellOf returns id's liveness cell from the ID index, or nil once the
+// timer is dead.
+func cellOf[P any](q *Queue[P], id TimerID) *record[P] {
+	s := q.reg.shardOf(id)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.m[id]
+}
+
+// TestLivenessCellContract pins what the merge filter relies on. A timer
+// has had one queue entry per generation 1..g; after any chain of
+// Reschedules exactly one of them — the current generation's — is an entry
+// the filter keeps, and once the timer is canceled or fired the filter
+// drops all of them. Compact then leaves exactly the kept entries, one per
+// pending timer, and draining the raw queue returns each pending timer's
+// current entry once.
+func TestLivenessCellContract(t *testing.T) {
+	const n = 300
+	q := New[int](WithCompactionPressure(0, 0))
+	type timer struct {
+		id   TimerID
+		rec  *record[int]
+		gens uint64 // entries issued: generations 1..gens
+	}
+	ts := make([]timer, n)
+	for i := range ts {
+		// Thirds: canceled, fired, still pending. Only the fired third ends
+		// on a deadline before the Expire bound; every chain starts on one.
+		id, err := q.Schedule(at(time.Duration(i)*time.Millisecond), i)
+		if err != nil {
+			t.Fatalf("Schedule: %v", err)
+		}
+		ts[i] = timer{id: id, rec: cellOf(q, id), gens: 1}
+		for r := 0; r < i%4; r++ {
+			d := at(time.Hour + time.Duration(i*4+r)*time.Millisecond)
+			if r%2 == 1 {
+				d = at(time.Duration(i*4+r) * time.Millisecond)
+			}
+			if ok, err := q.Reschedule(id, d); !ok || err != nil {
+				t.Fatalf("Reschedule = %v, %v", ok, err)
+			}
+			ts[i].gens++
+		}
+		final := at(2*time.Hour + time.Duration(i)*time.Millisecond)
+		if i%3 == 1 {
+			final = at(time.Duration(i) * time.Millisecond)
+		}
+		if ok, err := q.Reschedule(id, final); !ok || err != nil {
+			t.Fatalf("Reschedule = %v, %v", ok, err)
+		}
+		ts[i].gens++
+	}
+	kept := func(tm timer) (n int, gen uint64) {
+		for g := uint64(1); g <= tm.gens; g++ {
+			if !q.drop(time.Time{}, tref[int]{rec: tm.rec, gen: g}) {
+				n++
+				gen = g
+			}
+		}
+		return n, gen
+	}
+	for i, tm := range ts {
+		if n, gen := kept(tm); n != 1 || gen != tm.gens {
+			t.Fatalf("timer %d after %d generations: filter keeps %d entries (last kept gen %d), want exactly gen %d",
+				i, tm.gens, n, gen, tm.gens)
+		}
+	}
+
+	for i, tm := range ts {
+		if i%3 == 0 && !q.Cancel(tm.id) {
+			t.Fatalf("Cancel(timer %d) = false", i)
+		}
+	}
+	fired := 0
+	q.Expire(at(time.Second), func(_ TimerID, _ time.Time, p int) {
+		if p%3 != 1 {
+			t.Errorf("timer %d fired, want only the i%%3 == 1 third", p)
+		}
+		fired++
+	})
+	if fired != n/3 {
+		t.Fatalf("Expire fired %d, want %d", fired, n/3)
+	}
+	for i, tm := range ts {
+		n, _ := kept(tm)
+		switch {
+		case i%3 != 2 && n != 0:
+			t.Fatalf("dead timer %d: filter keeps %d of its entries, want 0", i, n)
+		case i%3 == 2 && n != 1:
+			t.Fatalf("pending timer %d: filter keeps %d of its entries, want 1", i, n)
+		}
+	}
+
+	q.Compact()
+	if fp, l := q.Footprint(), q.Len(); fp != l {
+		t.Fatalf("after Compact: Footprint %d != Len %d", fp, l)
+	}
+	index := make(map[*record[int]]int, n)
+	for i, tm := range ts {
+		index[tm.rec] = i
+	}
+	seen := map[TimerID]int{}
+	for _, kv := range q.q.DrainMin(nil, 4*n) {
+		tm := ts[index[kv.Value.rec]]
+		if kv.Value.rec != tm.rec || kv.Value.gen != tm.gens {
+			t.Fatalf("raw drain returned timer %d gen %d, want its current gen %d", tm.id, kv.Value.gen, tm.gens)
+		}
+		seen[tm.id]++
+	}
+	for i, tm := range ts {
+		want := 0
+		if i%3 == 2 {
+			want = 1
+		}
+		if seen[tm.id] != want {
+			t.Fatalf("raw drain returned timer %d %d times, want %d", i, seen[tm.id], want)
+		}
+	}
+}
+
+// TestDeadTimerReleasesPayload: a canceled timer's payload is collectable
+// while its tombstone is still queued, and a fired timer's once emit has
+// returned (a recycled queue item may still reach the fired timer's cell).
+// Only pending timers keep their payloads reachable.
+func TestDeadTimerReleasesPayload(t *testing.T) {
+	const n = 96
+	q := New[*[64]byte](WithCompactionPressure(0, 0))
+	ids := make([]TimerID, n)
+	payloads := make([]weak.Pointer[[64]byte], n)
+	for i := range ids {
+		// Thirds: canceled, fired, still pending.
+		d := at(time.Hour)
+		if i%3 == 1 {
+			d = at(time.Duration(i) * time.Millisecond)
+		}
+		p := new([64]byte)
+		payloads[i] = weak.Make(p)
+		id, err := q.Schedule(d, p)
+		if err != nil {
+			t.Fatalf("Schedule: %v", err)
+		}
+		ids[i] = id
+	}
+	for i := 0; i < n; i += 3 {
+		if !q.Cancel(ids[i]) {
+			t.Fatalf("Cancel(timer %d) = false", i)
+		}
+	}
+	if fp, l := q.Footprint(), q.Len(); fp <= l {
+		t.Fatalf("Footprint %d <= Len %d: no tombstone left queued to test", fp, l)
+	}
+	if fired := q.Expire(at(time.Second), func(TimerID, time.Time, *[64]byte) {}); fired != n/3 {
+		t.Fatalf("Expire fired %d, want %d", fired, n/3)
+	}
+	runtime.GC()
+	for i, w := range payloads {
+		if live, want := w.Value() != nil, i%3 == 2; live != want {
+			t.Errorf("timer %d (%s): payload reachable = %v, want %v",
+				i, [...]string{"canceled", "fired", "pending"}[i%3], live, want)
+		}
+	}
+	runtime.KeepAlive(q)
+}
+
+// TestPressureTracksPhysicalGarbage runs steady timer churn at the default
+// options: each tick expires what is due, cancels as many timers as fire,
+// and schedules twice that many, so half of all removals are
+// cancellations. Merges and expiry reclaim the tombstones on their own, so
+// the pressure heuristic, which reads the physical footprint, must leave
+// the queue alone. An estimate that counted every cancellation but not the
+// tombstones merges drop only ever grows, and compacted again and again.
+func TestPressureTracksPhysicalGarbage(t *testing.T) {
+	const (
+		pending = 20000
+		horizon = 200 // ticks a deadline lies ahead at most
+		perTick = pending / horizon
+		ticks   = 1000
+	)
+	q := New[int]()
+	rng := rand.New(rand.NewSource(3))
+	tick := func(k int) time.Time { return at(time.Duration(k) * time.Millisecond) }
+	type cand struct {
+		id   TimerID
+		tick int
+	}
+	var pool []cand
+	schedule := func(k int) {
+		id, err := q.Schedule(tick(k), k)
+		if err != nil {
+			t.Fatalf("Schedule: %v", err)
+		}
+		if len(pool) >= 4*pending {
+			pool = append(pool[:0], pool[2*pending:]...)
+		}
+		pool = append(pool, cand{id, k})
+	}
+	for i := 0; i < pending; i++ {
+		schedule(1 + rng.Intn(horizon))
+	}
+	for k := 1; k <= ticks; k++ {
+		q.Expire(tick(k), func(TimerID, time.Time, int) {})
+		for c := 0; c < perTick && len(pool) > 0; {
+			j := rng.Intn(len(pool))
+			p := pool[j]
+			pool[j] = pool[len(pool)-1]
+			pool = pool[:len(pool)-1]
+			if p.tick > k+2 && q.Cancel(p.id) {
+				c++
+			}
+		}
+		for s := 0; s < 2*perTick; s++ {
+			schedule(k + 1 + rng.Intn(horizon))
+		}
+		if fp, l := q.Footprint(), q.Len(); fp > 2*l {
+			t.Fatalf("tick %d: Footprint %d > 2 × pending %d", k, fp, l)
+		}
+	}
+	st := q.Stats()
+	t.Logf("%+v", st)
+	if st.Compactions > 1 {
+		t.Fatalf("%d pressure compactions over %d ticks at footprint/pending %.2f, want at most 1",
+			st.Compactions, ticks, float64(st.Footprint)/float64(st.Pending))
 	}
 }
