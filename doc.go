@@ -112,7 +112,7 @@
 // logical Size drifts as merges drop items). These hooks are what the
 // timerq subsystem builds its lazy cancellation on: a cancelled timer's
 // queue entry becomes a tombstone that merges recognize with one load of
-// the timer's liveness cell and reclaim for free (see the timerq package
+// the timer's cell and reclaim for free (see the timerq package
 // and DESIGN.md "Timer subsystem").
 //
 // # Durability

@@ -138,11 +138,7 @@ func NewWithDrop[V any](drop DropFunc[V], opts ...Option) *Queue[V] {
 	if cfg.persistDir != "" {
 		panic("klsm: WithPersistence requires klsm.Open (New cannot take the value codec)")
 	}
-	var coreDrop func(key uint64, value V) bool
-	if drop != nil {
-		coreDrop = func(key uint64, value V) bool { return drop(key, value) }
-	}
-	return &Queue[V]{q: newCoreQueue[V](cfg, coreDrop)}
+	return &Queue[V]{q: newCoreQueue[V](cfg, drop)}
 }
 
 // NewHandle registers a new handle. Handles count toward the relaxation
@@ -177,11 +173,7 @@ func (q *Queue[V]) SetMergeFilter(drop DropFunc[V]) {
 	if q.p != nil {
 		panic("klsm: SetMergeFilter on a persistent queue would desync the WAL (dropped items leave no delete records)")
 	}
-	var coreDrop func(key uint64, value V) bool
-	if drop != nil {
-		coreDrop = func(key uint64, value V) bool { return drop(key, value) }
-	}
-	q.q.SetDrop(coreDrop)
+	q.q.SetDrop((func(uint64, V) bool)(drop))
 }
 
 // Size returns the number of keys in the queue. Like the paper's size

@@ -168,6 +168,10 @@ func (q *OrderedQueue[K, V]) SetMergeFilter(drop func(key K, value V) bool) {
 	q.q.SetMergeFilter(wrapped)
 }
 
+// Stats returns an aggregated snapshot of the queue's structural counters;
+// see Queue.Stats.
+func (q *OrderedQueue[K, V]) Stats() Stats { return q.q.Stats() }
+
 // Footprint returns the physical item-slot count of the queue's published
 // blocks; see Queue.Footprint.
 func (q *OrderedQueue[K, V]) Footprint() int { return q.q.Footprint() }

@@ -1,6 +1,7 @@
 package timerq
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -10,147 +11,257 @@ import (
 // never issued, so it can serve as a "no timer" sentinel in caller state.
 type TimerID uint64
 
-// shardCount is the ID-index shard count (power of two; IDs are dense, so
-// id&mask spreads adjacent timers across shards). The index is consulted
-// only by Schedule, Cancel, Reschedule, Deadline and a successful fire —
-// never by the merge filter, which reads the liveness cell directly — so 64
-// shards keep its mutexes uncontended for any realistic
-// expirer/scheduler concurrency.
-const shardCount = 64
+// Timer cells live in slabs of slabCells consecutive IDs: slab id>>slabBits,
+// cell id%slabCells. A directory page holds pageSlabs slab pointers, so page
+// id>>pageShift covers 4096 IDs.
+const (
+	slabBits  = 4
+	slabCells = 1 << slabBits
+	pageBits  = 8
+	pageSlabs = 1 << pageBits
+	pageShift = slabBits + pageBits
+)
 
-// record is a timer's liveness cell: the source of truth for "this timer is
-// live", shared by the ID index and every queue entry the timer ever had.
-// gen is the generation of the timer's one current queue entry, or 0 once
-// the timer is dead (canceled or fired); Reschedule advances it, so every
-// older entry self-identifies as garbage. gen, deadline and payload change
-// only under the shard lock of id; the merge filter reads gen lock-free. The
-// payload lives only here, never in the queue, so the queue entries stay two
-// words regardless of P; the path that kills the timer clears it, so a
-// tombstone still queued does not keep a canceled timer's payload alive.
-type record[P any] struct {
-	gen      atomic.Uint64
-	id       TimerID
-	deadline int64 // UnixNano
-	payload  P
-}
+// A cell's gen is the generation of its timer's one current queue entry, or
+// 0 once the timer is dead (canceled or fired). Live generations are even:
+// genFirst, then genStep more per Reschedule. genBusy marks a cell whose
+// Reschedule is storing the new deadline; the cell's owner of that moment
+// is the Reschedule, and every other path waits it out or loses to it.
+const (
+	genBusy  = 1
+	genFirst = 2
+	genStep  = 2
+)
 
-// tref is the queue payload: the timer's cell plus the generation the entry
-// was enqueued under.
-type tref[P any] struct {
-	rec *record[P]
+// tref is the queue payload: the timer's ID plus the generation the entry
+// was enqueued under. It holds no pointer, so the GC never scans the
+// engine's item slabs for it.
+type tref struct {
+	id  TimerID
 	gen uint64
 }
 
-// dead reports whether the entry is garbage: its timer was canceled, fired,
-// or rescheduled past it. One atomic load; the merge filter (Queue.drop)
-// runs it once a Cancel or Reschedule could have left a tombstone.
-func (r tref[P]) dead() bool { return r.rec.gen.Load() != r.gen }
-
-// shard is one mutex-guarded slice of the ID index.
-type shard[P any] struct {
-	mu sync.Mutex
-	m  map[TimerID]*record[P]
+// slab holds the cells of slabCells consecutive IDs. A cell is the timer:
+// its atomic gen arbitrates every state change by CAS against a captured
+// generation (the paper's §4.4 claim protocol), its deadline serves
+// Deadline, and its payload lives here only, never in the queue, so queue
+// entries stay two words regardless of P. The path that kills the timer
+// clears the payload, so a queued tombstone keeps nothing the caller
+// scheduled alive.
+type slab[P any] struct {
+	gen      [slabCells]atomic.Uint64
+	deadline [slabCells]atomic.Int64 // UnixNano
+	payload  [slabCells]P
+	// dead counts the cells whose timer died; at slabCells the slab leaves
+	// its page. ID 0, never issued, counts as dead from the start.
+	dead atomic.Int32
 }
 
-// registry is the sharded ID index over the live timers' cells. Schedule
-// adds a cell (live at generation 1) before the queue insert, so the merge
-// filter can never drop a live-but-unqueued entry. Cancel and a successful
-// fire remove the cell from the index and store 0 into it; Reschedule
-// advances its generation. Each of those happens under the shard lock,
-// which makes the lock the exactly-once arbitration point between expiry,
-// cancellation and reschedule: whichever changes the cell first wins, every
-// other path sees a mismatch.
+// page is one directory page: the slabs of 4096 consecutive IDs, nil once
+// removed (or, above the newest issued ID, not yet created).
+type page[P any] struct {
+	slabs [pageSlabs]atomic.Pointer[slab[P]]
+	// gone counts removed slabs; at pageSlabs the page leaves the index.
+	gone atomic.Int32
+}
+
+// directory is the top-level index: pages[i] is page base+i.
+type directory[P any] struct {
+	base  uint64
+	pages []atomic.Pointer[page[P]]
+}
+
+// registry finds a timer's cell from its dense ID through a two-level
+// directory. Lookups take no lock and allocate nothing; only the first
+// Schedule into a slab (one allocation per 16 timers) takes mu. A slab
+// leaves the directory once all of its IDs are issued and dead, and a page
+// once all of its slabs are gone, so retained memory follows the slabs
+// holding a pending timer.
 type registry[P any] struct {
-	shards [shardCount]shard[P]
-	// live counts registered timers (adds minus removes), read lock-free
-	// by Len and the compaction-pressure heuristic.
-	live atomic.Int64
+	dir atomic.Pointer[directory[P]]
+	// mu serializes creating slabs and pages, removing pages and growing
+	// the top-level index. pages counts pages created, in ID order, so a
+	// nil slot below it is a removed page, never a skipped one.
+	mu    sync.Mutex
+	pages uint64
+	// none stands in for every slab that is gone or was never created. Its
+	// cells stay at 0, dead: a gone slab's cells could only have ended
+	// there, and an ID with no slab was never scheduled.
+	none slab[P]
 }
 
-func (r *registry[P]) shardOf(id TimerID) *shard[P] {
-	return &r.shards[uint64(id)&(shardCount-1)]
-}
+// init makes r an empty registry.
+func (r *registry[P]) init() { r.dir.Store(&directory[P]{}) }
 
-// add registers a fresh timer and returns its cell, live at generation 1.
-// The id is fresh (never reused), so no collision check is needed.
-func (r *registry[P]) add(id TimerID, deadline int64, payload P) *record[P] {
-	rec := &record[P]{id: id, deadline: deadline, payload: payload}
-	rec.gen.Store(1)
-	s := r.shardOf(id)
-	s.mu.Lock()
-	if s.m == nil {
-		s.m = make(map[TimerID]*record[P])
+// pageOf returns id's directory page, or nil if it is gone or not created.
+// IDs below the index's base wrap to a huge offset and miss too.
+func (r *registry[P]) pageOf(id TimerID) *page[P] {
+	d := r.dir.Load()
+	if i := uint64(id)>>pageShift - d.base; i < uint64(len(d.pages)) {
+		return d.pages[i].Load()
 	}
-	s.m[id] = rec
-	s.mu.Unlock()
-	r.live.Add(1)
-	return rec
+	return nil
+}
+
+// slabOf returns id's slab, or r.none if it is gone or was never created.
+func (r *registry[P]) slabOf(id TimerID) *slab[P] {
+	if p := r.pageOf(id); p != nil {
+		if s := p.slabs[uint64(id)>>slabBits%pageSlabs].Load(); s != nil {
+			return s
+		}
+	}
+	return &r.none
+}
+
+// settled loads a cell's generation, waiting out a Reschedule that holds it
+// busy for two stores.
+func settled(gen *atomic.Uint64) uint64 {
+	for {
+		if g := gen.Load(); g&genBusy == 0 {
+			return g
+		}
+		runtime.Gosched()
+	}
+}
+
+// add makes a fresh timer's cell live at genFirst. The store of gen comes
+// last, and the queue insert after it, so no path sees the cell live before
+// its deadline and payload are in place.
+func (r *registry[P]) add(id TimerID, deadline int64, payload P) {
+	s, c := r.slabFor(id), id%slabCells
+	s.deadline[c].Store(deadline)
+	s.payload[c] = payload
+	s.gen[c].Store(genFirst)
+}
+
+// slabFor returns id's slab for Schedule, creating it, and every page up to
+// its own in ID order, if id is the first issued ID to land there. Neither
+// can be gone: that takes every ID in it dead, id included.
+func (r *registry[P]) slabFor(id TimerID) *slab[P] {
+	if s := r.slabOf(id); s != &r.none {
+		return s
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for ; r.pages <= uint64(id)>>pageShift; r.pages++ {
+		d := r.dir.Load()
+		if r.pages-d.base == uint64(len(d.pages)) {
+			d = r.grow(d)
+		}
+		d.pages[r.pages-d.base].Store(new(page[P]))
+	}
+	slot := &r.pageOf(id).slabs[uint64(id)>>slabBits%pageSlabs]
+	if slot.Load() == nil {
+		s := new(slab[P])
+		if id < slabCells {
+			s.dead.Store(1)
+		}
+		slot.Store(s)
+	}
+	return slot.Load()
+}
+
+// grow replaces the full top-level index with one of twice the span from
+// its lowest page still present to the next page, trimming the removed
+// pages below. Caller holds mu.
+func (r *registry[P]) grow(d *directory[P]) *directory[P] {
+	base := d.base
+	for base < r.pages && d.pages[base-d.base].Load() == nil {
+		base++
+	}
+	nd := &directory[P]{base: base, pages: make([]atomic.Pointer[page[P]], 2*(r.pages+1-base))}
+	for i := base; i < r.pages; i++ {
+		nd.pages[i-base].Store(d.pages[i-d.base].Load())
+	}
+	r.dir.Store(nd)
+	return nd
+}
+
+// kill finishes the death of id, whose cell the caller swung to 0: it
+// clears the payload and returns it, and counts the death against the slab,
+// which leaves its page at its last death, as the page leaves the index at
+// its last slab.
+func (r *registry[P]) kill(id TimerID, s *slab[P]) (payload P) {
+	var zero P
+	payload, s.payload[id%slabCells] = s.payload[id%slabCells], zero
+	if s.dead.Add(1) < slabCells {
+		return payload
+	}
+	p := r.pageOf(id) // still present: s has not left it yet
+	p.slabs[uint64(id)>>slabBits%pageSlabs].Store(nil)
+	if p.gone.Add(1) == pageSlabs {
+		r.mu.Lock()
+		d := r.dir.Load()
+		d.pages[uint64(id)>>pageShift-d.base].Store(nil)
+		r.mu.Unlock()
+	}
+	return payload
+}
+
+// claim swings id's live cell from its generation g to 0, or to g|genBusy
+// if busy, waiting out a cell another Reschedule holds busy. It returns the
+// slab and g, which is 0 if the timer is dead or was never issued.
+func (r *registry[P]) claim(id TimerID, busy bool) (*slab[P], uint64) {
+	s := r.slabOf(id)
+	for gen := &s.gen[id%slabCells]; ; {
+		g, to := settled(gen), uint64(0)
+		if busy {
+			to = g | genBusy
+		}
+		if g == 0 || gen.CompareAndSwap(g, to) {
+			return s, g
+		}
+	}
 }
 
 // cancel kills the timer if it is live, reporting whether it was. This is
 // the entire cancellation fast path: the queue entry becomes a tombstone
 // the expiry check skips and the merge filter eventually reclaims.
 func (r *registry[P]) cancel(id TimerID) bool {
-	s := r.shardOf(id)
-	s.mu.Lock()
-	rec, ok := s.m[id]
-	if ok {
-		delete(s.m, id)
-		rec.gen.Store(0)
-		var zero P
-		rec.payload = zero
+	s, g := r.claim(id, false)
+	if g != 0 {
+		r.kill(id, s)
 	}
-	s.mu.Unlock()
-	if ok {
-		r.live.Add(-1)
-	}
-	return ok
+	return g != 0
 }
 
-// fire kills the timer iff gen is its current generation, returning its
-// payload: the drained entry is the timer's live one, and expiry won.
-func (r *registry[P]) fire(rec *record[P], gen uint64) (payload P, ok bool) {
-	s := r.shardOf(rec.id)
-	s.mu.Lock()
-	if rec.gen.Load() != gen {
-		s.mu.Unlock()
-		var zero P
-		return zero, false
+// fire kills the timer iff t is its live entry, returning its payload:
+// expiry won. A cell held busy fails the CAS, so an entry being superseded
+// never fires.
+func (r *registry[P]) fire(t tref) (payload P, ok bool) {
+	s := r.slabOf(t.id)
+	if !s.gen[t.id%slabCells].CompareAndSwap(t.gen, 0) {
+		return payload, false
 	}
-	delete(s.m, rec.id)
-	rec.gen.Store(0)
-	payload = rec.payload
-	var zero P
-	rec.payload = zero
-	s.mu.Unlock()
-	r.live.Add(-1)
-	return payload, true
+	return r.kill(t.id, s), true
 }
 
-// bump advances a live timer's generation and deadline for Reschedule,
-// returning its cell and the new generation. The old queue entry — still
-// carrying the previous generation — is garbage from this moment on.
-func (r *registry[P]) bump(id TimerID, deadline int64) (rec *record[P], gen uint64, ok bool) {
-	s := r.shardOf(id)
-	s.mu.Lock()
-	rec, ok = s.m[id]
-	if ok {
-		gen = rec.gen.Load() + 1
-		rec.deadline = deadline
-		rec.gen.Store(gen)
+// bump moves a live timer to deadline for Reschedule, returning the new
+// generation. The cell is held busy while the deadline is stored, so
+// Deadline never pairs the new generation with the old deadline; the old
+// queue entry is garbage from the CAS on.
+func (r *registry[P]) bump(id TimerID, deadline int64) (gen uint64, ok bool) {
+	s, g := r.claim(id, true)
+	if g == 0 {
+		return 0, false
 	}
-	s.mu.Unlock()
-	return rec, gen, ok
+	s.deadline[id%slabCells].Store(deadline)
+	s.gen[id%slabCells].Store(g + genStep)
+	return g + genStep, true
 }
 
-// lookup returns a live timer's deadline for introspection.
+// lookup returns a live timer's deadline for introspection: the deadline
+// of the generation current across the read.
 func (r *registry[P]) lookup(id TimerID) (deadline int64, ok bool) {
-	s := r.shardOf(id)
-	s.mu.Lock()
-	rec, ok := s.m[id]
-	if ok {
-		deadline = rec.deadline
+	s := r.slabOf(id)
+	for gen := &s.gen[id%slabCells]; ; {
+		g := settled(gen)
+		if g == 0 {
+			return 0, false
+		}
+		deadline = s.deadline[id%slabCells].Load()
+		if gen.Load() == g {
+			return deadline, true
+		}
 	}
-	s.mu.Unlock()
-	return deadline, ok
 }

@@ -14,16 +14,16 @@
 //
 // Cancellation is lazy, in three layers:
 //
-//  1. Every timer has a liveness cell holding its current generation (0
-//     once dead), and every queue entry points at its timer's cell and
-//     carries the generation it was enqueued under. The cell is the source
-//     of truth; a sharded ID index maps TimerID to cell for Cancel,
-//     Reschedule and Deadline. Cancel stores 0 into the cell, clears its
-//     payload and drops it from the index; the queue entry remains as a
-//     tombstone.
-//  2. Expiry checks the cell: a drained entry whose generation no longer
-//     matches is discarded, never emitted. Cell updates under the index
-//     shard lock make fire-vs-cancel-vs-reschedule exactly-once.
+//  1. Every timer is a cell holding its current generation (0 once dead),
+//     deadline and payload. Cells sit in slabs of 16 found from the dense
+//     TimerID through a two-level directory, so a queue entry is just the
+//     pointer-free pair (ID, generation it was enqueued under). Cancel
+//     CASes the cell's generation to 0 and clears its payload; the queue
+//     entry remains as a tombstone. A slab leaves the directory once all of
+//     its IDs are dead.
+//  2. Expiry arbitrates by CAS: a drained entry fires only if it swings its
+//     cell from the entry's generation to 0, so fire, cancel and reschedule
+//     each win or lose atomically, exactly once, with no lock.
 //  3. Tombstones are physically reclaimed by the queue's merge filter
 //     (klsm.NewOrderedWithDrop), one lock-free load of the cell per entry
 //     (none until the first Cancel or Reschedule): whenever a merge, delete
@@ -94,19 +94,22 @@ func WithCompactionPressure(ratio float64, min int) Option {
 // plus the per-timer liveness cells that make cancellation O(1). All
 // methods are safe for concurrent use by any number of goroutines.
 type Queue[P any] struct {
-	q   *klsm.OrderedQueue[time.Time, tref[P]]
-	reg *registry[P]
+	q *klsm.OrderedQueue[time.Time, tref]
 
 	// tombstones latches true at the first successful Cancel or Reschedule;
 	// until then no queue entry is dead. It is written once and afterwards
-	// only read, by the merge filter for every entry a merge copies, so the
-	// padding keeps it off the cache lines the per-operation counters below
-	// are written on: a line another CPU keeps writing costs a cache miss
-	// per read.
+	// only read, by the merge filter for every entry a merge copies, as is
+	// the registry's directory pointer next to it (its mutex is taken once
+	// per 16 IDs, its other fields change more rarely). The padding keeps
+	// both off the cache lines the per-operation counters below are written
+	// on: a line another CPU keeps writing costs a cache miss per read.
 	_          [64]byte
 	tombstones atomic.Bool
+	reg        registry[P]
 	_          [64]byte
 
+	// nextID is the last TimerID issued, which is also the count of
+	// successful Schedule calls.
 	nextID atomic.Uint64
 	// compacting serializes pressure-triggered compactions (a second
 	// trigger while one runs is dropped, not queued).
@@ -120,7 +123,6 @@ type Queue[P any] struct {
 	// Cancel and Reschedule never touch this lock.
 	expireMu sync.Mutex
 
-	scheduled   atomic.Int64
 	canceled    atomic.Int64
 	fired       atomic.Int64
 	rescheduled atomic.Int64
@@ -137,24 +139,27 @@ func New[P any](opts ...Option) *Queue[P] {
 		o(&cfg)
 	}
 	tq := &Queue[P]{
-		reg:        &registry[P]{},
 		pressure:   cfg.pressure,
 		minGarbage: cfg.minGarbage,
 	}
-	tq.q = klsm.NewOrderedWithDrop[time.Time, tref[P]](klsm.TimeKey(), tq.drop, cfg.queueOpts...)
+	tq.reg.init()
+	tq.q = klsm.NewOrderedWithDrop[time.Time, tref](klsm.TimeKey(), tq.drop, cfg.queueOpts...)
 	return tq
 }
 
 // drop is the merge filter: an entry is garbage exactly when its generation
-// is no longer its cell's. Schedule and Reschedule store the generation into
-// the cell before the queue insert publishes the entry, so the filter can
-// never claim a live timer's entry. Until a Cancel or Reschedule latches
-// tombstones no queue entry is dead (a fired timer's entry left the queue in
-// its drain), so the filter keeps every entry without reading its cell, which
-// in a large merge is likely a cache miss. A tombstone made just before the
-// latch is merely kept a while longer.
-func (q *Queue[P]) drop(_ time.Time, r tref[P]) bool {
-	return q.tombstones.Load() && r.dead()
+// is no longer its cell's — because its timer was canceled, fired or
+// rescheduled past it (a busy cell is being rescheduled past it), or its
+// slab is gone, which only happens once every cell in it is dead. Schedule
+// and Reschedule store the generation into the cell before the queue insert
+// publishes the entry, so the filter can never claim a live timer's entry.
+// Until a Cancel or Reschedule latches tombstones no queue entry is dead (a
+// fired timer's entry left the queue in its drain), so the filter keeps
+// every entry without reading its cell, which in a large merge is likely a
+// cache miss. A tombstone made just before the latch is merely kept a while
+// longer.
+func (q *Queue[P]) drop(_ time.Time, r tref) bool {
+	return q.tombstones.Load() && q.reg.slabOf(r.id).gen[r.id%slabCells].Load() != r.gen
 }
 
 // noteTombstone latches tombstones after a Cancel or Reschedule left one.
@@ -177,15 +182,14 @@ func (q *Queue[P]) Schedule(deadline time.Time, payload P) (TimerID, error) {
 	id := TimerID(q.nextID.Add(1))
 	// Cell first, queue second: from the instant the entry is
 	// queue-visible, the merge filter finds it alive.
-	rec := q.reg.add(id, deadline.UnixNano(), payload)
-	q.q.Insert(deadline, tref[P]{rec: rec, gen: 1})
-	q.scheduled.Add(1)
+	q.reg.add(id, deadline.UnixNano(), payload)
+	q.q.Insert(deadline, tref{id: id, gen: genFirst})
 	return id, nil
 }
 
 // Cancel deregisters the timer, reporting whether it was still pending
-// (false: already fired, already canceled, or never scheduled). O(1): only
-// the timer's cell and the ID index are touched; the queue entry becomes a
+// (false: already fired, already canceled, or never scheduled). O(1) and
+// lock-free: only the timer's cell is touched; the queue entry becomes a
 // tombstone that expiry skips and merges physically reclaim. Cancellation
 // wins or loses against a concurrent Expire atomically — the payload is
 // delivered exactly once or not at all, never both.
@@ -210,12 +214,12 @@ func (q *Queue[P]) Reschedule(id TimerID, deadline time.Time) (bool, error) {
 	if err := klsm.CheckTimeKey(deadline); err != nil {
 		return false, err
 	}
-	rec, gen, ok := q.reg.bump(id, deadline.UnixNano())
+	gen, ok := q.reg.bump(id, deadline.UnixNano())
 	if !ok {
 		return false, nil
 	}
 	q.noteTombstone()
-	q.q.Insert(deadline, tref[P]{rec: rec, gen: gen})
+	q.q.Insert(deadline, tref{id: id, gen: gen})
 	if q.rescheduled.Add(1)%pressureEvery == 0 {
 		q.maybeCompact()
 	}
@@ -238,17 +242,17 @@ func (q *Queue[P]) Expire(now time.Time, emit func(id TimerID, deadline time.Tim
 	q.expireMu.Lock()
 	defer q.expireMu.Unlock()
 	fired := 0
-	buf := make([]klsm.KV[time.Time, tref[P]], 0, expireBatch)
+	buf := make([]klsm.KV[time.Time, tref], 0, expireBatch)
 	for {
 		buf = q.q.DrainMinBounded(buf[:0], expireBatch, now)
 		for _, kv := range buf {
-			payload, ok := q.reg.fire(kv.Value.rec, kv.Value.gen)
+			payload, ok := q.reg.fire(kv.Value)
 			if !ok {
 				continue // tombstone (canceled or superseded)
 			}
 			q.fired.Add(1)
 			fired++
-			emit(kv.Value.rec.id, kv.Key, payload)
+			emit(kv.Value.id, kv.Key, payload)
 		}
 		if len(buf) < expireBatch {
 			break
@@ -268,10 +272,15 @@ func (q *Queue[P]) Deadline(id TimerID) (deadline time.Time, ok bool) {
 	return time.Unix(0, ns).UTC(), true
 }
 
-// Len returns the number of pending timers — exactly (index count), not
-// the queue's entry count, which additionally holds unreclaimed tombstones
-// (see Footprint).
-func (q *Queue[P]) Len() int { return int(q.reg.live.Load()) }
+// Len returns the number of pending timers — exactly once operations
+// quiesce, and never negative — not the queue's entry count, which
+// additionally holds unreclaimed tombstones (see Footprint). IDs are issued
+// densely to successful Schedules only, so it is IDs issued minus timers
+// fired or canceled; the deaths are read first, so every ID they count is
+// issued by the time nextID is read.
+func (q *Queue[P]) Len() int {
+	return int(-q.fired.Load() - q.canceled.Load() + int64(q.nextID.Load()))
+}
 
 // Footprint returns the physical entry count of the underlying queue's
 // published blocks: pending timers plus tombstones not yet reclaimed. A
@@ -330,13 +339,16 @@ type Stats struct {
 	GarbageEstimate int64
 	// Pending and Footprint mirror Len and Footprint at snapshot time.
 	Pending, Footprint int
+	// Engine is the underlying queue's structural counters (merges,
+	// overflows, spies, window and buffer work; see klsm.Stats).
+	Engine klsm.Stats
 }
 
 // Stats returns a racy snapshot of the operation counters.
 func (q *Queue[P]) Stats() Stats {
 	pending, footprint := q.Len(), q.Footprint()
 	return Stats{
-		Scheduled:       q.scheduled.Load(),
+		Scheduled:       int64(q.nextID.Load()),
 		Canceled:        q.canceled.Load(),
 		Rescheduled:     q.rescheduled.Load(),
 		Fired:           q.fired.Load(),
@@ -344,5 +356,6 @@ func (q *Queue[P]) Stats() Stats {
 		GarbageEstimate: garbage(footprint, pending),
 		Pending:         pending,
 		Footprint:       footprint,
+		Engine:          q.q.Stats(),
 	}
 }

@@ -400,14 +400,8 @@ func TestStrictMode(t *testing.T) {
 	}
 }
 
-// cellOf returns id's liveness cell from the ID index, or nil once the
-// timer is dead.
-func cellOf[P any](q *Queue[P], id TimerID) *record[P] {
-	s := q.reg.shardOf(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.m[id]
-}
+// genAt is the cell generation of a timer's n-th queue entry (n from 1).
+func genAt(n uint64) uint64 { return genFirst + (n-1)*genStep }
 
 // TestLivenessCellContract pins what the merge filter relies on. A timer
 // has had one queue entry per generation 1..g; after any chain of
@@ -421,7 +415,6 @@ func TestLivenessCellContract(t *testing.T) {
 	q := New[int](WithCompactionPressure(0, 0))
 	type timer struct {
 		id   TimerID
-		rec  *record[int]
 		gens uint64 // entries issued: generations 1..gens
 	}
 	ts := make([]timer, n)
@@ -432,7 +425,7 @@ func TestLivenessCellContract(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Schedule: %v", err)
 		}
-		ts[i] = timer{id: id, rec: cellOf(q, id), gens: 1}
+		ts[i] = timer{id: id, gens: 1}
 		for r := 0; r < i%4; r++ {
 			d := at(time.Hour + time.Duration(i*4+r)*time.Millisecond)
 			if r%2 == 1 {
@@ -454,7 +447,7 @@ func TestLivenessCellContract(t *testing.T) {
 	}
 	kept := func(tm timer) (n int, gen uint64) {
 		for g := uint64(1); g <= tm.gens; g++ {
-			if !q.drop(time.Time{}, tref[int]{rec: tm.rec, gen: g}) {
+			if !q.drop(time.Time{}, tref{id: tm.id, gen: genAt(g)}) {
 				n++
 				gen = g
 			}
@@ -497,15 +490,15 @@ func TestLivenessCellContract(t *testing.T) {
 	if fp, l := q.Footprint(), q.Len(); fp != l {
 		t.Fatalf("after Compact: Footprint %d != Len %d", fp, l)
 	}
-	index := make(map[*record[int]]int, n)
+	index := make(map[TimerID]int, n)
 	for i, tm := range ts {
-		index[tm.rec] = i
+		index[tm.id] = i
 	}
 	seen := map[TimerID]int{}
 	for _, kv := range q.q.DrainMin(nil, 4*n) {
-		tm := ts[index[kv.Value.rec]]
-		if kv.Value.rec != tm.rec || kv.Value.gen != tm.gens {
-			t.Fatalf("raw drain returned timer %d gen %d, want its current gen %d", tm.id, kv.Value.gen, tm.gens)
+		tm := ts[index[kv.Value.id]]
+		if kv.Value.id != tm.id || kv.Value.gen != genAt(tm.gens) {
+			t.Fatalf("raw drain returned timer %d gen %d, want its current gen %d", tm.id, kv.Value.gen, genAt(tm.gens))
 		}
 		seen[tm.id]++
 	}
@@ -623,4 +616,391 @@ func TestPressureTracksPhysicalGarbage(t *testing.T) {
 		t.Fatalf("%d pressure compactions over %d ticks at footprint/pending %.2f, want at most 1",
 			st.Compactions, ticks, float64(st.Footprint)/float64(st.Pending))
 	}
+}
+
+// dirCensus counts the slabs and pages the registry's directory holds, and
+// returns the size of its top-level index.
+func dirCensus[P any](r *registry[P]) (slabs, pages []uint64, top int) {
+	d := r.dir.Load()
+	for i := range d.pages {
+		p := d.pages[i].Load()
+		if p == nil {
+			continue
+		}
+		pages = append(pages, d.base+uint64(i))
+		for j := range p.slabs {
+			if p.slabs[j].Load() != nil {
+				slabs = append(slabs, (d.base+uint64(i))<<pageBits+uint64(j))
+			}
+		}
+	}
+	return slabs, pages, len(d.pages)
+}
+
+// checkDirectory fails unless the directory holds at most the slab and the
+// page the next ID lands in, and a top-level index no longer than
+// maxTop pages.
+func checkDirectory[P any](t *testing.T, r *registry[P], next uint64, maxTop int) {
+	t.Helper()
+	slabs, pages, top := dirCensus(r)
+	if len(slabs) > 1 || len(slabs) == 1 && slabs[0] != next>>slabBits {
+		t.Fatalf("directory holds slabs %v, want at most slab %d (next ID %d)", slabs, next>>slabBits, next)
+	}
+	if len(pages) > 1 || len(pages) == 1 && pages[0] != next>>pageShift {
+		t.Fatalf("directory holds pages %v, want at most page %d (next ID %d)", pages, next>>pageShift, next)
+	}
+	if top > maxTop {
+		t.Fatalf("top-level index spans %d pages, want at most %d: not trimmed (%d pages ever created)",
+			top, maxTop, r.pages)
+	}
+}
+
+// TestSlabsLeaveWithTheirTimers schedules timers in waves, each wave fired
+// or canceled before the next, and checks that the directory lets go of
+// every slab and page whose IDs are all issued and dead: what is left is at
+// most the slab and page the next ID lands in.
+func TestSlabsLeaveWithTheirTimers(t *testing.T) {
+	const (
+		waves   = 4
+		perWave = 1 << 13
+	)
+	q := New[int](WithCompactionPressure(0, 0))
+	rng := rand.New(rand.NewSource(5))
+	ids := make([]TimerID, perWave)
+	for w := 0; w < waves; w++ {
+		for i := range ids {
+			id, err := q.Schedule(at(time.Duration(w*perWave+rng.Intn(perWave))*time.Microsecond), i)
+			if err != nil {
+				t.Fatalf("Schedule: %v", err)
+			}
+			ids[i] = id
+		}
+		for _, id := range ids {
+			switch rng.Intn(3) {
+			case 0:
+				q.Cancel(id)
+			case 1:
+				q.Reschedule(id, at(time.Duration(w*perWave+rng.Intn(perWave))*time.Microsecond))
+			}
+		}
+		q.Expire(at(time.Duration((w+1)*perWave)*time.Microsecond), func(TimerID, time.Time, int) {})
+		if q.Len() != 0 {
+			t.Fatalf("wave %d: Len = %d after its expiry, want 0", w, q.Len())
+		}
+	}
+	checkDirectory(t, &q.reg, q.nextID.Load()+1, 4*(perWave>>pageShift+1))
+}
+
+// TestDirectoryFollowsLiveSlabs runs 2²⁰ timers through the registry alone
+// (the queue's insert is what would make this slow under -race), in waves,
+// from four goroutines sharing one ID counter, so slab installs, page
+// creation, top-level growth and removals race. Each timer is canceled, or
+// fired, or rescheduled and then fired. Afterwards the directory holds at
+// most the slab and page the next ID lands in, and a top-level index
+// trimmed to a few waves' span rather than all 256 pages ever created.
+func TestDirectoryFollowsLiveSlabs(t *testing.T) {
+	const (
+		waves   = 16
+		perWave = 1 << 16
+		workers = 4
+	)
+	var r registry[int]
+	r.init()
+	var next atomic.Uint64
+	for w := 0; w < waves; w++ {
+		var wg sync.WaitGroup
+		for g := 0; g < workers; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				ids := make([]TimerID, perWave/workers)
+				for i := range ids {
+					ids[i] = TimerID(next.Add(1))
+					r.add(ids[i], int64(i), i)
+				}
+				for i, id := range ids {
+					gen := uint64(genFirst)
+					switch i % 3 {
+					case 0:
+						if !r.cancel(id) {
+							t.Errorf("cancel(%d) = false", id)
+						}
+						continue
+					case 1:
+						gen, _ = r.bump(id, int64(-i))
+					}
+					if p, ok := r.fire(tref{id: id, gen: gen}); !ok || p != i {
+						t.Errorf("fire(%d, gen %d) = %d, %v; want %d, true", id, gen, p, ok, i)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
+	}
+	checkDirectory(t, &r, next.Load()+1, 4*(perWave>>pageShift+1))
+}
+
+// TestUnissuedIDs: Cancel, Reschedule and Deadline of IDs never issued —
+// the zero TimerID, the next one, and one far beyond the directory — report
+// false and allocate nothing, whether or not the ID's slab exists.
+func TestUnissuedIDs(t *testing.T) {
+	q := New[int]()
+	for i := 0; i < 100; i++ {
+		q.Schedule(at(time.Hour), i)
+	}
+	last := TimerID(q.nextID.Load())
+	for _, id := range []TimerID{0, last + 1, 1 << 63} {
+		allocs := testing.AllocsPerRun(100, func() {
+			if q.Cancel(id) {
+				t.Fatalf("Cancel(%d) = true for an ID never issued", id)
+			}
+			if ok, err := q.Reschedule(id, at(time.Minute)); ok || err != nil {
+				t.Fatalf("Reschedule(%d) = %v, %v for an ID never issued", id, ok, err)
+			}
+			if _, ok := q.Deadline(id); ok {
+				t.Fatalf("Deadline(%d) ok for an ID never issued", id)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("ID %d: %v allocations per Cancel+Reschedule+Deadline, want 0", id, allocs)
+		}
+	}
+	if q.Len() != 100 {
+		t.Fatalf("Len = %d, want 100", q.Len())
+	}
+}
+
+// TestCASArbitration races Reschedule, Cancel, Deadline and Expire over one
+// shared set of timers, on the cells where the CAS arbitration can break.
+// The goroutines hammer a window of hot timers at a time, and the window
+// moves on once all of its timers are dead. Each timer has one rescheduler,
+// which keeps making it due again, so the deadline of its last successful
+// Schedule or Reschedule is well defined; expirers, advancing a virtual
+// clock one tick per Expire, try to fire it, and cancelers try to cancel
+// the even-numbered half. Every deadline a timer is given carries, in its
+// nanoseconds, how many Reschedules of it had begun; after maxMoves the
+// rescheduler leaves a timer to the others. Checked:
+//   - every timer ends fired exactly once or canceled, never both;
+//   - a timer fires with the deadline of its last successful Schedule or
+//     Reschedule;
+//   - Deadline reports a deadline the timer was given, never goes back to an
+//     earlier one, and never reports a dead timer live again;
+//   - after quiescence, Deadline of each pending timer equals the key of its
+//     one kept queue entry.
+func TestCASArbitration(t *testing.T) {
+	const (
+		n            = 2560
+		hot          = 4   // timers in the window
+		windows      = 512 // windows hammered; the timers past them stay pending
+		cancelOdds   = 4   // a canceler tries one pick in cancelOdds
+		stuck        = 10 * time.Second
+		far          = 1 << 30
+		maxMoves     = 64 // Reschedules per timer at most
+		reschedulers = 2
+		cancelers    = 2
+		readers      = 2
+		expirers     = 2
+	)
+	q := New[int](WithCompactionPressure(1.0, 256))
+	var (
+		ids      [n]TimerID
+		begun    [n]atomic.Int64 // Reschedules of timer i begun
+		last     [n]time.Time    // deadline of its last successful Schedule/Reschedule
+		fired    [n]atomic.Int32
+		firedAt  [n]atomic.Int64
+		canceled [n]atomic.Bool
+		clock    atomic.Int64 // ms
+		window   atomic.Int64
+	)
+	seqOf := func(d time.Time) int64 { return int64(d.Sub(base) % time.Millisecond) }
+	deadline := func(ms, seq int64) time.Time {
+		return at(time.Duration(ms)*time.Millisecond + time.Duration(seq))
+	}
+	for i := range ids {
+		last[i] = deadline(far+int64(i), 0)
+		id, err := q.Schedule(last[i], i)
+		if err != nil {
+			t.Fatalf("Schedule: %v", err)
+		}
+		ids[i] = id
+	}
+	emit := func(_ TimerID, dl time.Time, i int) {
+		fired[i].Add(1)
+		firedAt[i].Store(dl.UnixNano())
+	}
+	// pick returns a timer i ≡ k (mod m) of the current window, or -1 once
+	// the last window is done.
+	pick := func(rng *rand.Rand, k, m int) int {
+		w := int(window.Load())
+		if w >= windows {
+			return -1
+		}
+		return w*hot + k + m*rng.Intn(hot/m)
+	}
+	// advance moves the window on once all of its timers are dead. A
+	// window whose timers can neither fire nor be canceled fails the test.
+	var movedAt atomic.Int64
+	movedAt.Store(time.Now().UnixNano())
+	advance := func() {
+		w := window.Load()
+		for i := w * hot; i < (w+1)*hot && w < windows; i++ {
+			if fired[i].Load() == 0 && !canceled[i].Load() {
+				if time.Since(time.Unix(0, movedAt.Load())) > stuck && window.CompareAndSwap(w, windows) {
+					t.Errorf("window %d stuck for %v: timer %d neither fired nor canceled", w, stuck, i)
+				}
+				return
+			}
+		}
+		if window.CompareAndSwap(w, w+1) {
+			movedAt.Store(time.Now().UnixNano())
+		}
+	}
+
+	var wg sync.WaitGroup
+	for r := 0; r < reschedulers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(100 + r)))
+			for i := pick(rng, r, reschedulers); i >= 0; i = pick(rng, r, reschedulers) {
+				if begun[i].Load() >= maxMoves {
+					runtime.Gosched()
+					continue
+				}
+				d := deadline(max(clock.Load()-rng.Int63n(2), 0), begun[i].Add(1))
+				ok, err := q.Reschedule(ids[i], d)
+				if err != nil {
+					t.Errorf("Reschedule: %v", err)
+					return
+				}
+				if ok {
+					last[i] = d
+				}
+			}
+		}(r)
+	}
+	for c := 0; c < cancelers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(200 + c)))
+			for i := pick(rng, 0, 2); i >= 0; i = pick(rng, 0, 2) {
+				if rng.Intn(cancelOdds) != 0 {
+					runtime.Gosched()
+				} else if q.Cancel(ids[i]) {
+					canceled[i].Store(true)
+				}
+			}
+		}(c)
+	}
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(300 + r)))
+			seen := make([]int64, n) // last seq read per timer, -1 once dead
+			for i := pick(rng, 0, 1); i >= 0; i = pick(rng, 0, 1) {
+				d, ok := q.Deadline(ids[i])
+				switch {
+				case !ok:
+					seen[i] = -1
+				case seen[i] < 0:
+					t.Errorf("timer %d: Deadline live again after it reported dead", i)
+					return
+				case seqOf(d) < seen[i] || seqOf(d) > begun[i].Load():
+					t.Errorf("timer %d: Deadline %v carries Reschedule %d; seen %d, begun %d",
+						i, d, seqOf(d), seen[i], begun[i].Load())
+					return
+				default:
+					seen[i] = seqOf(d)
+				}
+				advance()
+				runtime.Gosched()
+			}
+		}(r)
+	}
+	for e := 0; e < expirers; e++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for window.Load() < windows && !t.Failed() {
+				q.Expire(deadline(clock.Add(1), 0), emit)
+				advance()
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	if clock.Load() >= far {
+		t.Fatalf("clock reached %d ms, past the pending timers' deadlines", clock.Load())
+	}
+
+	pending := 0
+	for i := range ids {
+		if fired[i].Load() == 0 && !canceled[i].Load() {
+			pending++
+			if d, ok := q.Deadline(ids[i]); !ok || !d.Equal(last[i]) {
+				t.Fatalf("pending timer %d: Deadline = %v, %v; want its last deadline %v", i, d, ok, last[i])
+			}
+		}
+	}
+	if q.Len() != pending {
+		t.Fatalf("Len = %d, want %d pending", q.Len(), pending)
+	}
+	// Quiescent: the filter keeps exactly one entry per pending timer, keyed
+	// by its deadline. Drain the raw queue to check, then put it back.
+	q.Compact()
+	index := make(map[TimerID]int, n)
+	for i, id := range ids {
+		index[id] = i
+	}
+	kept := q.q.DrainMin(nil, 4*n)
+	seen := make(map[TimerID]bool, len(kept))
+	for _, kv := range kept {
+		i, ok := index[kv.Value.id]
+		switch {
+		case !ok:
+			t.Fatalf("raw drain returned unknown timer %d", kv.Value.id)
+		case fired[i].Load() != 0 || canceled[i].Load():
+			t.Fatalf("raw drain returned an entry of dead timer %d", i)
+		case seen[kv.Value.id]:
+			t.Fatalf("raw drain returned two entries of timer %d", i)
+		case !kv.Key.Equal(last[i]):
+			t.Fatalf("timer %d: kept entry keyed %v, Deadline %v", i, kv.Key, last[i])
+		}
+		seen[kv.Value.id] = true
+		q.q.Insert(kv.Key, kv.Value)
+	}
+	if len(kept) != pending {
+		t.Fatalf("raw drain returned %d entries, want one per pending timer (%d)", len(kept), pending)
+	}
+
+	q.Expire(deadline(far+n, 0), emit)
+	firedN, canceledN := 0, 0
+	for i := range ids {
+		f, c := fired[i].Load(), canceled[i].Load()
+		switch {
+		case f > 1:
+			t.Fatalf("timer %d fired %d times", i, f)
+		case f == 1 && c:
+			t.Fatalf("timer %d both fired and canceled", i)
+		case f == 0 && !c:
+			t.Fatalf("timer %d neither fired nor canceled", i)
+		case f == 1 && firedAt[i].Load() != last[i].UnixNano():
+			t.Fatalf("timer %d fired at %v, want its last deadline %v",
+				i, time.Unix(0, firedAt[i].Load()).UTC(), last[i])
+		}
+		if f == 1 {
+			firedN++
+		} else {
+			canceledN++
+		}
+	}
+	t.Logf("%d timers: %d fired, %d canceled, %d pending at quiescence, %d Reschedules",
+		n, firedN, canceledN, pending, q.Stats().Rescheduled)
 }
