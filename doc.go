@@ -101,19 +101,24 @@
 // exactly-once deletion are identical with any of them disabled
 // (WithMinCaching(false), WithDeletionBuffer(0), WithStickyHint(0)).
 //
-// # Lazy deletion and the merge filter
+// # Lazy deletion: the merge filter and delete-by-reference
 //
 // NewWithDrop / NewOrderedWithDrop install a drop filter consulted during
 // block merges: items the filter reports stale are physically discarded by
-// the merge instead of ever surfacing from a delete. SetMergeFilter
-// installs or replaces it at runtime, Handle.Compact force-merges both
-// structures down to filtered single blocks, and Queue.Footprint reports
-// physical occupancy (which under filtering is the meaningful size —
-// logical Size drifts as merges drop items). These hooks are what the
-// timerq subsystem builds its lazy cancellation on: a cancelled timer's
-// queue entry becomes a tombstone that merges recognize with one load of
-// the timer's cell and reclaim for free (see the timerq package
-// and DESIGN.md "Timer subsystem").
+// the merge instead of ever surfacing from a delete. It suits staleness the
+// application can only judge from the item, like an outdated SSSP label
+// (paper §4.5). An application that knows the exact item to remove deletes
+// it by reference instead: InsertRef returns a two-word Ref, and
+// Queue.Delete takes the item with one version-stamped CAS, after which
+// every merge, shrink and pop skips it for free; a Ref goes stale once its
+// item leaves the queue, so it never removes a recycled item's next use.
+// Handle.Compact force-merges both structures, reclaiming taken and
+// filtered items alike, and Queue.Footprint reports physical occupancy
+// (under a filter the meaningful size, since logical Size does not see
+// merge-time drops). The timerq subsystem cancels by reference: a timer's
+// cell holds the Ref of its current queue entry, so Cancel and Reschedule
+// delete exactly that entry (see the timerq package and DESIGN.md "Timer
+// subsystem").
 //
 // # Durability
 //

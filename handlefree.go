@@ -60,6 +60,14 @@ func (q *Queue[V]) Insert(key uint64, value V) {
 	h.Insert(key, value)
 }
 
+// InsertRef is Insert returning a Ref to the inserted item, through a
+// registry handle; see Handle.InsertRef.
+func (q *Queue[V]) InsertRef(key uint64, value V) Ref[V] {
+	h := q.borrowHandle()
+	defer q.returnHandle(h)
+	return h.InsertRef(key, value)
+}
+
 // TryDeleteMin removes and returns a key among the ρ+1 smallest without an
 // explicit Handle, with the same relaxed contract as Handle.TryDeleteMin.
 // See Insert for the cost trade-off of the handle-free path.

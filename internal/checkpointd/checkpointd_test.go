@@ -124,7 +124,9 @@ func TestSchedulerOrphanSweepCadence(t *testing.T) {
 }
 
 func TestSchedulerStopIdempotentAndWaits(t *testing.T) {
-	inCkpt := make(chan struct{})
+	// One slot: the checkpoint the scheduler triggers at start may signal
+	// before the receive below is reached, and the send must not be lost.
+	inCkpt := make(chan struct{}, 1)
 	release := make(chan struct{})
 	var done atomic.Bool
 	s := Start(Policy{MaxWALBytes: 1, Poll: time.Millisecond}, Hooks{

@@ -172,6 +172,11 @@ type Queue[V any] struct {
 	// so the exactly-once ledger stays auditable across handle churn.
 	// Guarded by reaperMu.
 	closedReclaim ReclaimStats
+
+	// refDeleted counts successful Deletes, which run on no handle. It is
+	// last so that its writes share no cache line with guard, which every
+	// retire reads.
+	refDeleted atomic.Int64
 }
 
 // rebuildVictims refreshes the copy-on-write spy-victim snapshot from the
@@ -262,7 +267,7 @@ func (q *Queue[V]) Rho() int { return q.Handles() * int(q.kCurrent.Load()) }
 func (q *Queue[V]) Size() int {
 	q.mu.Lock()
 	hs := append([]*Handle[V](nil), q.handles...)
-	n := q.closedInserted - q.closedDeleted
+	n := q.closedInserted - q.closedDeleted - q.refDeleted.Load()
 	q.mu.Unlock()
 	for _, h := range hs {
 		n += h.inserted.Load() - h.deleted.Load()
@@ -271,25 +276,6 @@ func (q *Queue[V]) Size() int {
 		n = 0
 	}
 	return int(n)
-}
-
-// SetDrop installs the lazy-deletion filter (§4.5) after construction but
-// strictly before the first handle is registered: merges, deletes and purges
-// then treat any item the callback reports stale as logically deleted.
-// Construction-time wiring (Config.Drop) is preferred; SetDrop exists for
-// callers that must build the queue before the state the filter closes over
-// (a cancellation registry, say). It panics once a handle exists — the
-// filter is copied into per-handle structures at NewHandle and into the
-// shared k-LSM before it is shared, so a later install would be silently
-// ignored by existing handles.
-func (q *Queue[V]) SetDrop(drop block.DropFunc[V]) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if len(q.handles) > 0 || q.nextID.Load() != 0 {
-		panic("core: SetDrop after NewHandle")
-	}
-	q.cfg.Drop = drop
-	q.shared.SetDrop(drop)
 }
 
 // FootprintItems returns the number of physical item slots currently held by
@@ -608,9 +594,36 @@ func (h *Handle[V]) InsertSeq(key uint64, value V, seq uint64) {
 	h.insertItem(it)
 }
 
-// insertItem publishes a freshly obtained (unpublished) item; the shared
-// tail of Insert and InsertSeq.
-func (h *Handle[V]) insertItem(it *item.Item[V]) {
+// Ref names one incarnation of an inserted item for Delete: the item and
+// its even version captured before publication. The zero Ref names nothing.
+type Ref[V any] struct {
+	it  *item.Item[V]
+	ver uint64
+}
+
+// InsertRef is Insert returning a Ref to the inserted item.
+func (h *Handle[V]) InsertRef(key uint64, value V) Ref[V] {
+	it := h.items.Get(key, value)
+	return Ref[V]{it, h.insertItem(it)}
+}
+
+// Delete logically deletes the item r names, reporting whether this call
+// took it. It is one version-stamped CAS (§4.4), so it fails once the item
+// was taken, and also once it was recycled into a later incarnation; merges,
+// shrinks and pops skip the taken item like any popped one. r must come from
+// this queue. Any goroutine may call it, without a handle.
+func (q *Queue[V]) Delete(r Ref[V]) bool {
+	if r.it == nil || !r.it.TryTakeAt(r.ver) {
+		return false
+	}
+	q.refDeleted.Add(1)
+	return true
+}
+
+// insertItem publishes a freshly obtained (unpublished) item, the shared
+// tail of Insert, InsertSeq and InsertRef, and returns the item's version
+// from before the publication.
+func (h *Handle[V]) insertItem(it *item.Item[V]) uint64 {
 	key := it.Key()
 	ver := it.Version()
 	h.inserted.Add(1)
@@ -636,6 +649,7 @@ func (h *Handle[V]) insertItem(it *item.Item[V]) {
 			h.bufInsert(it, ver, key)
 		}
 	}
+	return ver
 }
 
 // InsertBatch adds len(keys) keys with their payloads in one structural

@@ -793,19 +793,14 @@ func (d *Dist[V]) spyBlocks(victim *Dist[V], bound uint64) int64 {
 	return copied
 }
 
-// Purge physically removes drop-filtered items from every block (owner
-// only): each published block whose contents the filter touches is replaced
-// by a CopyDropIn copy, then a Consolidate pass restores the level invariant
+// Purge physically removes logically deleted and drop-filtered items from
+// every block (owner only): each published block holding any is replaced by
+// a CopyDropIn copy, then a Consolidate pass restores the level invariant
 // and recompacts. The copy re-acquires its own item references before
 // publication (the spy-copy protocol), and the unlinked originals release
-// theirs through Retire — items the filter claims are released exactly once,
-// by the original block's retirement. Without a configured drop filter this
-// is just Consolidate.
+// theirs through Retire — items the copy skips are released exactly once,
+// by the original block's retirement.
 func (d *Dist[V]) Purge() {
-	if d.drop == nil {
-		d.Consolidate()
-		return
-	}
 	sz := int(d.size.Load())
 	unlinked := d.retireScratch[:0]
 	for i := 0; i < sz; i++ {

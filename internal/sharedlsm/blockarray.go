@@ -224,10 +224,12 @@ func (a *BlockArray[V]) consolidate(drop block.DropFunc[V], needPivots bool, al 
 		// deletions land uniformly in the candidate suffix and dead items
 		// accumulate mid-block, degrading every subsequent find-min. When
 		// the block is mostly dead (and big enough for the copy to
-		// amortize), compact it whole. Deletions only ever land under a
-		// pivot and pivots only extend toward the block head, so every
-		// un-trimmed dead item sits inside the *current* suffix [p, f) —
-		// counting dead there measures the whole block. The trigger is
+		// amortize), compact it whole. Pops only ever land under a pivot
+		// and pivots only extend toward the block head, so every
+		// un-trimmed popped item sits inside the *current* suffix [p, f) —
+		// counting dead there measures the whole block (items taken by
+		// core.Queue.Delete can sit anywhere; level merges and Purge
+		// reclaim those). The trigger is
 		// dead*2 >= f (half the block), not dead*2 >= f-p (half the
 		// suffix): the suffix condition made steady drains of a large
 		// block quadratic — each window's worth of deletions re-copied

@@ -667,8 +667,8 @@ func (s *Shared[V]) FindMinSnap(c *Cursor[V]) (item.Snap[V], bool) {
 // consolidation applies the filter only on level-collision merges, so a
 // large high-level block full of filter-positive items can otherwise sit
 // untouched indefinitely — Purge is the explicit compaction pass that
-// reclaims it. Without a configured drop filter it is a no-op (plain
-// consolidation already handles logically deleted items well enough).
+// reclaims it. The same holds without a filter for items deleted out of
+// key order (core.Queue.Delete), which shrinks never trim.
 //
 // Reference safety mirrors FindMinSnap's consolidate path: the cursor's
 // epoch stamp (taken in refresh before the pointer load) pins every block
@@ -679,9 +679,6 @@ func (s *Shared[V]) FindMinSnap(c *Cursor[V]) (item.Snap[V], bool) {
 // CAS attempt stay claimed; they are filter-positive garbage either way and
 // remain referenced by the still-published originals.
 func (s *Shared[V]) Purge(c *Cursor[V]) {
-	if s.drop == nil {
-		return
-	}
 	for {
 		s.refresh(c)
 		if c.snapshot == nil {

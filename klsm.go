@@ -67,6 +67,13 @@ func (h *Handle[V]) persist() *persister[V] {
 // instead of returning them from TryDeleteMin.
 type DropFunc[V any] func(key uint64, value V) bool
 
+// Ref names one inserted item for Queue.Delete: the item and its version
+// from before the insert published it, two words with no allocation. It
+// names that incarnation only, so it goes stale once the item is removed by
+// any path, and never names the item's next use. The zero Ref names
+// nothing. Obtain one from InsertRef.
+type Ref[V any] struct{ r core.Ref[V] }
+
 // resolveOptions applies opts to the defaults: the paper's recommended
 // general-purpose setting (combined k-LSM, k = 256, local ordering) with
 // §4.4 memory pooling enabled, and — for persistent queues — 2ms
@@ -149,31 +156,6 @@ func (q *Queue[V]) NewHandle() *Handle[V] {
 		panic(ErrClosed)
 	}
 	return &Handle[V]{h: q.q.NewHandle(), q: q}
-}
-
-// SetMergeFilter installs the lazy-deletion filter after construction but
-// strictly before the queue's first handle exists (explicit or borrowed):
-// from then on, items the callback reports stale are discarded by deletes
-// and peeks instead of returned, physically dropped whenever a merge or
-// Compact pass copies over them, and never resurface. It is the
-// post-construction alternative to NewWithDrop for callers whose filter
-// closes over state built after the queue — a cancellation registry keyed
-// by queue contents, say; prefer NewWithDrop when construction order
-// allows. The callback must be safe for concurrent calls from any handle's
-// merges and must be stable for a given item (once true, always true), or
-// an item may be dropped on one path and returned on another.
-//
-// SetMergeFilter panics once any handle has been created, and on persistent
-// queues: filter-dropped items bypass the WAL's delete records, so recovery
-// would resurrect every item the filter removed.
-func (q *Queue[V]) SetMergeFilter(drop DropFunc[V]) {
-	if q.closed.Load() {
-		panic(ErrClosed)
-	}
-	if q.p != nil {
-		panic("klsm: SetMergeFilter on a persistent queue would desync the WAL (dropped items leave no delete records)")
-	}
-	q.q.SetDrop((func(uint64, V) bool)(drop))
 }
 
 // Size returns the number of keys in the queue. Like the paper's size
@@ -301,6 +283,33 @@ func (h *Handle[V]) Insert(key uint64, value V) {
 		return
 	}
 	h.h.Insert(key, value)
+}
+
+// InsertRef is Insert returning a Ref to the inserted item, for a later
+// Queue.Delete of exactly this insert. InsertRef panics on a persistent
+// queue, because Delete would leave the WAL no delete record.
+func (h *Handle[V]) InsertRef(key uint64, value V) Ref[V] {
+	if h.persist() != nil {
+		panic("klsm: InsertRef on a persistent queue would bypass the WAL")
+	}
+	return Ref[V]{h.h.InsertRef(key, value)}
+}
+
+// Delete removes the item r names, reporting whether this call removed it:
+// false if it already left the queue, by a pop or an earlier Delete, or if
+// r is the zero Ref. Delete is one compare-and-swap on the item's versioned
+// deletion flag (paper §4.4), lock-free and handle-free; the item then
+// counts as deleted in Size, and later merges, shrinks and Compact reclaim
+// its slot as they reclaim popped ones. r must come from q. Delete panics
+// on a persistent queue, like InsertRef.
+func (q *Queue[V]) Delete(r Ref[V]) bool {
+	if q.closed.Load() {
+		panic(ErrClosed)
+	}
+	if q.p != nil {
+		panic("klsm: Delete on a persistent queue would bypass the WAL")
+	}
+	return q.q.Delete(r.r)
 }
 
 // TryDeleteMin removes and returns a key among the ρ+1 smallest in the

@@ -31,10 +31,7 @@ type options struct {
 //
 // One configuration knob deliberately does not travel through Option: the
 // merge filter (lazy-deletion callback), whose type is generic in V. Wire it
-// at construction with NewWithDrop / NewOrderedWithDrop, or after
-// construction — but before the first handle — with Queue.SetMergeFilter /
-// OrderedQueue.SetMergeFilter when the filter closes over state built
-// around the queue (timerq's cancellation registry is the canonical case).
+// at construction with NewWithDrop / NewOrderedWithDrop.
 type Option func(*options)
 
 // WithRelaxation sets the relaxation parameter k: TryDeleteMin returns one

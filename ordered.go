@@ -103,6 +103,16 @@ func (q *OrderedQueue[K, V]) Insert(key K, value V) {
 	q.q.Insert(q.codec.Encode(key), value)
 }
 
+// InsertRef is Insert returning a Ref to the inserted item; see
+// Handle.InsertRef.
+func (q *OrderedQueue[K, V]) InsertRef(key K, value V) Ref[V] {
+	return q.q.InsertRef(q.codec.Encode(key), value)
+}
+
+// Delete removes the item r names, reporting whether this call removed it;
+// see Queue.Delete.
+func (q *OrderedQueue[K, V]) Delete(r Ref[V]) bool { return q.q.Delete(r) }
+
 // TryDeleteMin removes and returns a key among the ρ+1 smallest (in codec
 // order) without an explicit handle; see Queue.TryDeleteMin.
 func (q *OrderedQueue[K, V]) TryDeleteMin() (key K, value V, ok bool) {
@@ -153,19 +163,6 @@ func (q *OrderedQueue[K, V]) DrainMinBounded(dst []KV[K, V], n int, bound K) []K
 	h := q.q.borrowHandle()
 	defer q.q.returnHandle(h)
 	return drainMinBoundedDecoded(h, q.codec, dst, n, q.codec.Encode(bound))
-}
-
-// SetMergeFilter installs the lazy-deletion filter after construction but
-// before the first handle exists; the callback receives decoded keys. See
-// Queue.SetMergeFilter for the contract and panics, and NewOrderedWithDrop
-// for the construction-time equivalent.
-func (q *OrderedQueue[K, V]) SetMergeFilter(drop func(key K, value V) bool) {
-	var wrapped DropFunc[V]
-	if drop != nil {
-		codec := q.codec
-		wrapped = func(key uint64, value V) bool { return drop(codec.Decode(key), value) }
-	}
-	q.q.SetMergeFilter(wrapped)
 }
 
 // Stats returns an aggregated snapshot of the queue's structural counters;

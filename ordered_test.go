@@ -251,3 +251,30 @@ func TestSetRelaxationValidation(t *testing.T) {
 	}()
 	dq.SetRelaxation(-1)
 }
+
+// TestDeleteByRef: Delete removes exactly the item its Ref names, once, and
+// counts in Size; a popped item's Ref and the zero Ref delete nothing.
+func TestDeleteByRef(t *testing.T) {
+	q := NewOrdered[int64, string](Int64Key())
+	r := q.InsertRef(-5, "gone")
+	q.Insert(3, "kept")
+	popped := q.InsertRef(-9, "popped")
+	if k, v, ok := q.TryDeleteMin(); !ok || k != -9 || v != "popped" {
+		t.Fatalf("TryDeleteMin = %d, %q, %v; want -9, \"popped\", true", k, v, ok)
+	}
+	if !q.Delete(r) {
+		t.Fatal("Delete of a live item's Ref = false")
+	}
+	if q.Delete(r) || q.Delete(popped) || q.Delete(Ref[string]{}) {
+		t.Fatal("Delete of a removed item's Ref, or of the zero Ref, = true")
+	}
+	if n := q.Size(); n != 1 {
+		t.Fatalf("Size = %d, want 1", n)
+	}
+	if k, v, ok := q.TryDeleteMin(); !ok || k != 3 || v != "kept" {
+		t.Fatalf("TryDeleteMin = %d, %q, %v; want 3, \"kept\", true", k, v, ok)
+	}
+	if _, _, ok := q.TryDeleteMin(); ok {
+		t.Fatal("the deleted item surfaced from TryDeleteMin")
+	}
+}

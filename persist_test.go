@@ -378,6 +378,28 @@ func TestMeldPanicsOnPersistentQueue(t *testing.T) {
 	h.Meld(other)
 }
 
+// InsertRef and Delete must refuse a persistent queue: a delete by
+// reference would leave the WAL no delete record.
+func TestDeleteByRefPanicsOnPersistentQueue(t *testing.T) {
+	fs := walfault.NewMemFS(walfault.Faults{Seed: 8})
+	q, err := openFS(fs, "mem", StringValue{}, WithSyncInterval(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s on a persistent queue did not panic", what)
+			}
+		}()
+		f()
+	}
+	mustPanic("InsertRef", func() { q.InsertRef(1, "x") })
+	mustPanic("Delete", func() { q.Delete(New[string]().InsertRef(1, "x")) })
+}
+
 // Mid-log WAL corruption (a flipped bit in durable data with intact records
 // after it) must refuse with ErrCorruptWAL, never recover silently.
 func TestOpenRejectsMidLogCorruptWAL(t *testing.T) {

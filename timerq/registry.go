@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"klsm"
 )
 
 // TimerID identifies one scheduled timer for the lifetime of its Queue.
@@ -24,9 +26,9 @@ const (
 
 // A cell's gen is the generation of its timer's one current queue entry, or
 // 0 once the timer is dead (canceled or fired). Live generations are even:
-// genFirst, then genStep more per Reschedule. genBusy marks a cell whose
-// Reschedule is storing the new deadline; the cell's owner of that moment
-// is the Reschedule, and every other path waits it out or loses to it.
+// genFirst, then genStep more per Reschedule. genBusy marks a cell a
+// Schedule or Reschedule owns while it stores the deadline, inserts the new
+// entry and stores its Ref; every other path waits it out or loses to it.
 const (
 	genBusy  = 1
 	genFirst = 2
@@ -45,13 +47,16 @@ type tref struct {
 // its atomic gen arbitrates every state change by CAS against a captured
 // generation (the paper's §4.4 claim protocol), its deadline serves
 // Deadline, and its payload lives here only, never in the queue, so queue
-// entries stay two words regardless of P. The path that kills the timer
-// clears the payload, so a queued tombstone keeps nothing the caller
-// scheduled alive.
+// entries stay two words regardless of P. ref names the current entry in
+// the queue, for the Cancel or Reschedule that deletes it. payload and ref
+// are plain fields, read and written only by the cell's owner of the
+// moment: the busy Schedule or Reschedule, or the path whose CAS killed the
+// timer, which clears both.
 type slab[P any] struct {
 	gen      [slabCells]atomic.Uint64
 	deadline [slabCells]atomic.Int64 // UnixNano
 	payload  [slabCells]P
+	ref      [slabCells]klsm.Ref[tref]
 	// dead counts the cells whose timer died; at slabCells the slab leaves
 	// its page. ID 0, never issued, counts as dead from the start.
 	dead atomic.Int32
@@ -113,8 +118,8 @@ func (r *registry[P]) slabOf(id TimerID) *slab[P] {
 	return &r.none
 }
 
-// settled loads a cell's generation, waiting out a Reschedule that holds it
-// busy for two stores.
+// settled loads a cell's generation, waiting out the Schedule or Reschedule
+// that holds it busy, for at most the rest of one queue insert.
 func settled(gen *atomic.Uint64) uint64 {
 	for {
 		if g := gen.Load(); g&genBusy == 0 {
@@ -124,14 +129,15 @@ func settled(gen *atomic.Uint64) uint64 {
 	}
 }
 
-// add makes a fresh timer's cell live at genFirst. The store of gen comes
-// last, and the queue insert after it, so no path sees the cell live before
-// its deadline and payload are in place.
-func (r *registry[P]) add(id TimerID, deadline int64, payload P) {
+// add fills a fresh timer's cell and leaves it busy at genFirst for
+// Schedule to enqueue; no path sees the cell live before its entry's Ref is
+// stored.
+func (r *registry[P]) add(id TimerID, deadline int64, payload P) *slab[P] {
 	s, c := r.slabFor(id), id%slabCells
 	s.deadline[c].Store(deadline)
 	s.payload[c] = payload
-	s.gen[c].Store(genFirst)
+	s.gen[c].Store(genFirst | genBusy)
+	return s
 }
 
 // slabFor returns id's slab for Schedule, creating it, and every page up to
@@ -178,12 +184,13 @@ func (r *registry[P]) grow(d *directory[P]) *directory[P] {
 }
 
 // kill finishes the death of id, whose cell the caller swung to 0: it
-// clears the payload and returns it, and counts the death against the slab,
-// which leaves its page at its last death, as the page leaves the index at
-// its last slab.
+// clears the payload and the Ref and returns the payload, and counts the
+// death against the slab, which leaves its page at its last death, as the
+// page leaves the index at its last slab.
 func (r *registry[P]) kill(id TimerID, s *slab[P]) (payload P) {
 	var zero P
-	payload, s.payload[id%slabCells] = s.payload[id%slabCells], zero
+	c := id % slabCells
+	payload, s.payload[c], s.ref[c] = s.payload[c], zero, klsm.Ref[tref]{}
 	if s.dead.Add(1) < slabCells {
 		return payload
 	}
@@ -214,40 +221,29 @@ func (r *registry[P]) claim(id TimerID, busy bool) (*slab[P], uint64) {
 	}
 }
 
-// cancel kills the timer if it is live, reporting whether it was. This is
-// the entire cancellation fast path: the queue entry becomes a tombstone
-// the expiry check skips and the merge filter eventually reclaims.
-func (r *registry[P]) cancel(id TimerID) bool {
+// cancel kills the timer if it is live, reporting whether it was, and
+// returns the Ref of its queue entry, read while the kill owned the cell.
+func (r *registry[P]) cancel(id TimerID) (ref klsm.Ref[tref], ok bool) {
 	s, g := r.claim(id, false)
-	if g != 0 {
-		r.kill(id, s)
+	if g == 0 {
+		return ref, false
 	}
-	return g != 0
+	ref = s.ref[id%slabCells]
+	r.kill(id, s)
+	return ref, true
 }
 
 // fire kills the timer iff t is its live entry, returning its payload:
-// expiry won. A cell held busy fails the CAS, so an entry being superseded
-// never fires.
+// expiry won. It waits out a busy cell, whose owner may have published t
+// before storing its Ref and releasing the cell; an entry superseded
+// meanwhile finds the next generation and loses.
 func (r *registry[P]) fire(t tref) (payload P, ok bool) {
 	s := r.slabOf(t.id)
-	if !s.gen[t.id%slabCells].CompareAndSwap(t.gen, 0) {
+	gen := &s.gen[t.id%slabCells]
+	if settled(gen) != t.gen || !gen.CompareAndSwap(t.gen, 0) {
 		return payload, false
 	}
 	return r.kill(t.id, s), true
-}
-
-// bump moves a live timer to deadline for Reschedule, returning the new
-// generation. The cell is held busy while the deadline is stored, so
-// Deadline never pairs the new generation with the old deadline; the old
-// queue entry is garbage from the CAS on.
-func (r *registry[P]) bump(id TimerID, deadline int64) (gen uint64, ok bool) {
-	s, g := r.claim(id, true)
-	if g == 0 {
-		return 0, false
-	}
-	s.deadline[id%slabCells].Store(deadline)
-	s.gen[id%slabCells].Store(g + genStep)
-	return g + genStep, true
 }
 
 // lookup returns a live timer's deadline for introspection: the deadline

@@ -2,32 +2,33 @@
 // k-LSM relaxed priority queue, with first-class cancellation.
 //
 // Timers are (deadline, payload) pairs identified by a TimerID. Schedule
-// inserts, Cancel is an O(1) update of the timer's liveness cell that never
-// touches the priority queue, and a tick-driven Expire batch-drains every
-// timer due by "now" through the queue's bounded drain. Relaxation is a
-// feature here, not a compromise: firing a timer up to ρ = T·k ranks early
-// within one tick is invisible at tick granularity, and the relaxed queue's
-// throughput headroom is exactly what a timeout manager for millions of
-// connections needs (see DESIGN.md "Timer subsystem" for the safety
-// argument, and cmd/timerbench for the measured comparison against a
-// hierarchical timing wheel and against the strict k=0 configuration).
+// inserts, Cancel is an O(1) update of the timer's liveness cell plus one
+// CAS that deletes its queue entry in place, and a tick-driven Expire
+// batch-drains every timer due by "now" through the queue's bounded drain.
+// Relaxation is a feature here, not a compromise: firing a timer up to
+// ρ = T·k ranks early within one tick is invisible at tick granularity, and
+// the relaxed queue's throughput headroom is exactly what a timeout manager
+// for millions of connections needs (see DESIGN.md "Timer subsystem" for
+// the safety argument, and cmd/timerbench for the measured comparison
+// against a hierarchical timing wheel and against the strict k=0
+// configuration).
 //
-// Cancellation is lazy, in three layers:
+// Cancellation works in three layers:
 //
 //  1. Every timer is a cell holding its current generation (0 once dead),
-//     deadline and payload. Cells sit in slabs of 16 found from the dense
-//     TimerID through a two-level directory, so a queue entry is just the
-//     pointer-free pair (ID, generation it was enqueued under). Cancel
-//     CASes the cell's generation to 0 and clears its payload; the queue
-//     entry remains as a tombstone. A slab leaves the directory once all of
+//     deadline, payload and the klsm.Ref of its current queue entry. Cells
+//     sit in slabs of 16 found from the dense TimerID through a two-level
+//     directory, so a queue entry is just the pointer-free pair (ID,
+//     generation it was enqueued under). Cancel CASes the cell's generation
+//     to 0 and clears its payload. A slab leaves the directory once all of
 //     its IDs are dead.
 //  2. Expiry arbitrates by CAS: a drained entry fires only if it swings its
 //     cell from the entry's generation to 0, so fire, cancel and reschedule
 //     each win or lose atomically, exactly once, with no lock.
-//  3. Tombstones are physically reclaimed by the queue's merge filter
-//     (klsm.NewOrderedWithDrop), one lock-free load of the cell per entry
-//     (none until the first Cancel or Reschedule): whenever a merge, delete
-//     or compaction pass copies over a tombstoned entry, it is dropped. A
+//  3. The entry a Cancel or Reschedule kills is deleted by reference
+//     (klsm.Queue.Delete): one version-stamped CAS marks it taken. It stays
+//     in its block as a tombstone until a merge, pop or compaction skips
+//     it like any popped item, with no per-entry filter. A
 //     cancellation-pressure heuristic triggers a full Compact when the
 //     physical footprint outgrows the live count, so the structure stays
 //     bounded even under adversarial cancel-heavy load that never naturally
@@ -96,17 +97,13 @@ func WithCompactionPressure(ratio float64, min int) Option {
 type Queue[P any] struct {
 	q *klsm.OrderedQueue[time.Time, tref]
 
-	// tombstones latches true at the first successful Cancel or Reschedule;
-	// until then no queue entry is dead. It is written once and afterwards
-	// only read, by the merge filter for every entry a merge copies, as is
-	// the registry's directory pointer next to it (its mutex is taken once
-	// per 16 IDs, its other fields change more rarely). The padding keeps
-	// both off the cache lines the per-operation counters below are written
-	// on: a line another CPU keeps writing costs a cache miss per read.
-	_          [64]byte
-	tombstones atomic.Bool
-	reg        registry[P]
-	_          [64]byte
+	// reg's directory pointer is read by every timer operation and rarely
+	// written (its mutex is taken once per 16 IDs). The padding keeps it
+	// off the cache lines the per-operation counters below are written on:
+	// a line another CPU keeps writing costs a cache miss per read.
+	_   [64]byte
+	reg registry[P]
+	_   [64]byte
 
 	// nextID is the last TimerID issued, which is also the count of
 	// successful Schedule calls.
@@ -143,31 +140,8 @@ func New[P any](opts ...Option) *Queue[P] {
 		minGarbage: cfg.minGarbage,
 	}
 	tq.reg.init()
-	tq.q = klsm.NewOrderedWithDrop[time.Time, tref](klsm.TimeKey(), tq.drop, cfg.queueOpts...)
+	tq.q = klsm.NewOrdered[time.Time, tref](klsm.TimeKey(), cfg.queueOpts...)
 	return tq
-}
-
-// drop is the merge filter: an entry is garbage exactly when its generation
-// is no longer its cell's — because its timer was canceled, fired or
-// rescheduled past it (a busy cell is being rescheduled past it), or its
-// slab is gone, which only happens once every cell in it is dead. Schedule
-// and Reschedule store the generation into the cell before the queue insert
-// publishes the entry, so the filter can never claim a live timer's entry.
-// Until a Cancel or Reschedule latches tombstones no queue entry is dead (a
-// fired timer's entry left the queue in its drain), so the filter keeps
-// every entry without reading its cell, which in a large merge is likely a
-// cache miss. A tombstone made just before the latch is merely kept a while
-// longer.
-func (q *Queue[P]) drop(_ time.Time, r tref) bool {
-	return q.tombstones.Load() && q.reg.slabOf(r.id).gen[r.id%slabCells].Load() != r.gen
-}
-
-// noteTombstone latches tombstones after a Cancel or Reschedule left one.
-// Only the first call writes, so the latch's cache line stays shared.
-func (q *Queue[P]) noteTombstone() {
-	if !q.tombstones.Load() {
-		q.tombstones.Store(true)
-	}
 }
 
 // Schedule registers a timer firing at deadline and returns its ID. The
@@ -180,24 +154,30 @@ func (q *Queue[P]) Schedule(deadline time.Time, payload P) (TimerID, error) {
 		return 0, err
 	}
 	id := TimerID(q.nextID.Add(1))
-	// Cell first, queue second: from the instant the entry is
-	// queue-visible, the merge filter finds it alive.
-	q.reg.add(id, deadline.UnixNano(), payload)
-	q.q.Insert(deadline, tref{id: id, gen: genFirst})
+	q.enqueue(q.reg.add(id, deadline.UnixNano(), payload), id, genFirst, deadline)
 	return id, nil
+}
+
+// enqueue inserts the entry of generation gen for id's busy cell, stores
+// its Ref, and releases the cell live at gen. Expire may drain the entry
+// before the release; fire waits the release out.
+func (q *Queue[P]) enqueue(s *slab[P], id TimerID, gen uint64, deadline time.Time) {
+	s.ref[id%slabCells] = q.q.InsertRef(deadline, tref{id: id, gen: gen})
+	s.gen[id%slabCells].Store(gen)
 }
 
 // Cancel deregisters the timer, reporting whether it was still pending
 // (false: already fired, already canceled, or never scheduled). O(1) and
-// lock-free: only the timer's cell is touched; the queue entry becomes a
-// tombstone that expiry skips and merges physically reclaim. Cancellation
-// wins or loses against a concurrent Expire atomically — the payload is
-// delivered exactly once or not at all, never both.
+// lock-free: the timer's cell is killed by one CAS, and its queue entry is
+// deleted in place by another, so expiry and merges skip it.
+// Cancellation wins or loses against a concurrent Expire atomically — the
+// payload is delivered exactly once or not at all, never both.
 func (q *Queue[P]) Cancel(id TimerID) bool {
-	if !q.reg.cancel(id) {
+	ref, ok := q.reg.cancel(id)
+	if !ok {
 		return false
 	}
-	q.noteTombstone()
+	q.q.Delete(ref)
 	if q.canceled.Add(1)%pressureEvery == 0 {
 		q.maybeCompact()
 	}
@@ -206,20 +186,24 @@ func (q *Queue[P]) Cancel(id TimerID) bool {
 
 // Reschedule moves a pending timer to a new deadline, reporting whether it
 // was still pending. The deadline window rule matches Schedule. Internally
-// the timer's generation advances and a fresh queue entry is inserted; the
-// superseded entry becomes a tombstone. A timer that fires concurrently
-// with its Reschedule does one or the other — fires at the old deadline or
-// moves — never both.
+// the timer's generation advances, a fresh queue entry is inserted and the
+// superseded one is deleted. The cell is held busy from the claim until
+// the new entry's Ref is stored, so Deadline never pairs the new generation
+// with the old deadline. A timer that fires concurrently with its
+// Reschedule does one or the other — fires at the old deadline or moves —
+// never both.
 func (q *Queue[P]) Reschedule(id TimerID, deadline time.Time) (bool, error) {
 	if err := klsm.CheckTimeKey(deadline); err != nil {
 		return false, err
 	}
-	gen, ok := q.reg.bump(id, deadline.UnixNano())
-	if !ok {
+	s, g := q.reg.claim(id, true)
+	if g == 0 {
 		return false, nil
 	}
-	q.noteTombstone()
-	q.q.Insert(deadline, tref{id: id, gen: gen})
+	old := s.ref[id%slabCells]
+	s.deadline[id%slabCells].Store(deadline.UnixNano())
+	q.enqueue(s, id, g+genStep, deadline)
+	q.q.Delete(old)
 	if q.rescheduled.Add(1)%pressureEvery == 0 {
 		q.maybeCompact()
 	}
@@ -248,7 +232,7 @@ func (q *Queue[P]) Expire(now time.Time, emit func(id TimerID, deadline time.Tim
 		for _, kv := range buf {
 			payload, ok := q.reg.fire(kv.Value)
 			if !ok {
-				continue // tombstone (canceled or superseded)
+				continue // canceled or superseded, and drained before its Delete
 			}
 			q.fired.Add(1)
 			fired++

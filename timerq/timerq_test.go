@@ -362,6 +362,89 @@ func TestExpireConcurrentNoDuplicates(t *testing.T) {
 	}
 }
 
+// TestDueScheduleRacesExpire races Schedule of timers already due, and
+// Reschedule of far timers to due deadlines, against Expire. Each publishes
+// its due entry while it still holds the timer's cell busy, so expirers
+// draining meanwhile meet busy cells; fire must wait them out, because a
+// fire that gave up would consume the timer's only live entry. Checked:
+// every timer fires exactly once, with the deadline of its last successful
+// Schedule or Reschedule.
+func TestDueScheduleRacesExpire(t *testing.T) {
+	const (
+		schedulers = 2
+		perSched   = 20000
+		expirers   = 2
+	)
+	q := New[int]()
+	var (
+		ids     [schedulers * perSched]TimerID
+		last    [schedulers * perSched]time.Time
+		fired   [schedulers * perSched]atomic.Int32
+		firedAt [schedulers * perSched]atomic.Int64
+		done    atomic.Bool
+	)
+	now := at(time.Second)
+	emit := func(_ TimerID, dl time.Time, i int) {
+		fired[i].Add(1)
+		firedAt[i].Store(dl.UnixNano())
+	}
+	var wg, ewg sync.WaitGroup
+	for s := 0; s < schedulers; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(400 + s)))
+			for i := s * perSched; i < (s+1)*perSched; i++ {
+				// Even timers are due at once; odd ones start an hour out
+				// and are rescheduled to due.
+				last[i] = at(time.Duration(rng.Intn(1000)) * time.Millisecond)
+				if i%2 == 1 {
+					last[i] = at(time.Hour)
+				}
+				id, err := q.Schedule(last[i], i)
+				if err != nil {
+					t.Errorf("Schedule: %v", err)
+					return
+				}
+				ids[i] = id
+				if i%2 == 1 {
+					d := at(time.Duration(rng.Intn(1000)) * time.Millisecond)
+					if ok, err := q.Reschedule(id, d); err != nil || !ok {
+						t.Errorf("Reschedule of pending timer %d = %v, %v", i, ok, err)
+						return
+					}
+					last[i] = d
+				}
+			}
+		}(s)
+	}
+	for e := 0; e < expirers; e++ {
+		ewg.Add(1)
+		go func() {
+			defer ewg.Done()
+			for !done.Load() {
+				q.Expire(now, emit)
+			}
+		}()
+	}
+	wg.Wait()
+	done.Store(true)
+	ewg.Wait()
+	q.Expire(at(2*time.Hour), emit)
+	for i := range ids {
+		switch f := fired[i].Load(); {
+		case f != 1:
+			t.Fatalf("timer %d fired %d times, want 1", i, f)
+		case firedAt[i].Load() != last[i].UnixNano():
+			t.Fatalf("timer %d fired at %v, want its last deadline %v",
+				i, time.Unix(0, firedAt[i].Load()).UTC(), last[i])
+		}
+	}
+	if q.Len() != 0 {
+		t.Fatalf("Len = %d after every timer fired", q.Len())
+	}
+}
+
 func TestStatsAndDeadline(t *testing.T) {
 	q := New[int]()
 	id, _ := q.Schedule(at(time.Second), 1)
@@ -403,13 +486,14 @@ func TestStrictMode(t *testing.T) {
 // genAt is the cell generation of a timer's n-th queue entry (n from 1).
 func genAt(n uint64) uint64 { return genFirst + (n-1)*genStep }
 
-// TestLivenessCellContract pins what the merge filter relies on. A timer
-// has had one queue entry per generation 1..g; after any chain of
-// Reschedules exactly one of them — the current generation's — is an entry
-// the filter keeps, and once the timer is canceled or fired the filter
-// drops all of them. Compact then leaves exactly the kept entries, one per
-// pending timer, and draining the raw queue returns each pending timer's
-// current entry once.
+// TestLivenessCellContract pins the cells' Ref discipline. A timer has had
+// one queue entry per generation 1..g; after any chain of Reschedules
+// exactly one of them — the current generation's — is live in the queue,
+// because each Reschedule deletes the entry it supersedes, and once the
+// timer is canceled or fired none is. Without any Compact, the canceled and
+// superseded entries stay physically queued but taken, so draining the raw
+// queue returns each pending timer's current entry exactly once; a Compact
+// then reclaims every entry left.
 func TestLivenessCellContract(t *testing.T) {
 	const n = 300
 	q := New[int](WithCompactionPressure(0, 0))
@@ -445,20 +529,8 @@ func TestLivenessCellContract(t *testing.T) {
 		}
 		ts[i].gens++
 	}
-	kept := func(tm timer) (n int, gen uint64) {
-		for g := uint64(1); g <= tm.gens; g++ {
-			if !q.drop(time.Time{}, tref{id: tm.id, gen: genAt(g)}) {
-				n++
-				gen = g
-			}
-		}
-		return n, gen
-	}
-	for i, tm := range ts {
-		if n, gen := kept(tm); n != 1 || gen != tm.gens {
-			t.Fatalf("timer %d after %d generations: filter keeps %d entries (last kept gen %d), want exactly gen %d",
-				i, tm.gens, n, gen, tm.gens)
-		}
+	if got := q.q.Size(); got != n {
+		t.Fatalf("queue holds %d live entries after the Reschedule chains, want one per timer (%d)", got, n)
 	}
 
 	for i, tm := range ts {
@@ -476,19 +548,11 @@ func TestLivenessCellContract(t *testing.T) {
 	if fired != n/3 {
 		t.Fatalf("Expire fired %d, want %d", fired, n/3)
 	}
-	for i, tm := range ts {
-		n, _ := kept(tm)
-		switch {
-		case i%3 != 2 && n != 0:
-			t.Fatalf("dead timer %d: filter keeps %d of its entries, want 0", i, n)
-		case i%3 == 2 && n != 1:
-			t.Fatalf("pending timer %d: filter keeps %d of its entries, want 1", i, n)
-		}
+	if got := q.q.Size(); got != n/3 {
+		t.Fatalf("queue holds %d live entries, want one per pending timer (%d)", got, n/3)
 	}
-
-	q.Compact()
-	if fp, l := q.Footprint(), q.Len(); fp != l {
-		t.Fatalf("after Compact: Footprint %d != Len %d", fp, l)
+	if fp, l := q.Footprint(), q.Len(); fp <= l {
+		t.Fatalf("Footprint %d <= Len %d: no taken entry left queued to test", fp, l)
 	}
 	index := make(map[TimerID]int, n)
 	for i, tm := range ts {
@@ -510,6 +574,11 @@ func TestLivenessCellContract(t *testing.T) {
 		if seen[tm.id] != want {
 			t.Fatalf("raw drain returned timer %d %d times, want %d", i, seen[tm.id], want)
 		}
+	}
+	// Every entry left is taken now; Compact reclaims them all.
+	q.Compact()
+	if fp := q.Footprint(); fp != 0 {
+		t.Fatalf("after the drain and Compact: Footprint %d, want 0", fp)
 	}
 }
 
@@ -716,18 +785,23 @@ func TestDirectoryFollowsLiveSlabs(t *testing.T) {
 				ids := make([]TimerID, perWave/workers)
 				for i := range ids {
 					ids[i] = TimerID(next.Add(1))
-					r.add(ids[i], int64(i), i)
+					// Released live as Schedule's enqueue does, minus the queue.
+					r.add(ids[i], int64(i), i).gen[ids[i]%slabCells].Store(genFirst)
 				}
 				for i, id := range ids {
 					gen := uint64(genFirst)
 					switch i % 3 {
 					case 0:
-						if !r.cancel(id) {
+						if _, ok := r.cancel(id); !ok {
 							t.Errorf("cancel(%d) = false", id)
 						}
 						continue
 					case 1:
-						gen, _ = r.bump(id, int64(-i))
+						// Reschedule's busy window, minus the queue.
+						s, g := r.claim(id, true)
+						s.deadline[id%slabCells].Store(int64(-i))
+						gen = g + genStep
+						s.gen[id%slabCells].Store(gen)
 					}
 					if p, ok := r.fire(tref{id: id, gen: gen}); !ok || p != i {
 						t.Errorf("fire(%d, gen %d) = %d, %v; want %d, true", id, gen, p, ok, i)
@@ -952,8 +1026,8 @@ func TestCASArbitration(t *testing.T) {
 	if q.Len() != pending {
 		t.Fatalf("Len = %d, want %d pending", q.Len(), pending)
 	}
-	// Quiescent: the filter keeps exactly one entry per pending timer, keyed
-	// by its deadline. Drain the raw queue to check, then put it back.
+	// Quiescent: exactly one entry per pending timer is live, keyed by its
+	// deadline. Drain the raw queue to check, then put it back.
 	q.Compact()
 	index := make(map[TimerID]int, n)
 	for i, id := range ids {
