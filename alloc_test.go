@@ -45,29 +45,3 @@ func TestPooledAllocationBudget(t *testing.T) {
 		t.Fatalf("pooled steady state allocates %.3f per op, budget is <= 1", perOp)
 	}
 }
-
-// TestPoolingToggleSemantics: WithPooling(false) must change only the
-// allocation profile, never observable behavior.
-func TestPoolingToggleSemantics(t *testing.T) {
-	on := New[int]()
-	off := New[int](WithPooling(false))
-	hOn, hOff := on.NewHandle(), off.NewHandle()
-	rng := xrand.NewSeeded(11)
-	for op := 0; op < 20_000; op++ {
-		if rng.Bool() {
-			k := rng.Uint64n(1 << 30)
-			hOn.Insert(k, int(k))
-			hOff.Insert(k, int(k))
-		} else {
-			k1, v1, ok1 := hOn.TryDeleteMin()
-			k2, v2, ok2 := hOff.TryDeleteMin()
-			if ok1 != ok2 || k1 != k2 || v1 != v2 {
-				t.Fatalf("op %d: pooled (%d,%d,%v) != unpooled (%d,%d,%v)",
-					op, k1, v1, ok1, k2, v2, ok2)
-			}
-		}
-	}
-	if on.Size() != off.Size() {
-		t.Fatalf("Size %d != %d", on.Size(), off.Size())
-	}
-}

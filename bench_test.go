@@ -228,36 +228,6 @@ func BenchmarkAblationLazyDeletion(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationPooling measures the §4.4 block/item recycling: the same
-// Figure 3 mix with the per-handle pools on (default) and off. The headline
-// metric is allocs/op — pooling must cut it by well over half — with the
-// ns/op delta showing what that garbage costs.
-func BenchmarkAblationPooling(b *testing.B) {
-	b.Run("on", func(b *testing.B) { runMix(b, klsmq.New(256)) })
-	b.Run("off", func(b *testing.B) { runMix(b, klsmq.NewNoPooling(256)) })
-}
-
-// BenchmarkAblationReclaim measures the §4.4 deterministic item-reclamation
-// scheme (DESIGN.md E11/E12): the Figure 3 mix with item refcounts on
-// (default) and off (items GC-backstopped). Allocs/op must stay ~0 in both
-// modes and B/op is lower with reclamation on. With the lineage-transfer
-// acquisition (E12 — references move through merges instead of being
-// re-acquired per generation), the measured overhead is parity-to-~5% on
-// the single-core box, down from PR 3's ~11–21% (EXPERIMENTS.md E12).
-func BenchmarkAblationReclaim(b *testing.B) {
-	b.Run("on", func(b *testing.B) { runMix(b, klsmq.New(256)) })
-	b.Run("off", func(b *testing.B) { runMix(b, klsmq.NewNoReclaim(256)) })
-}
-
-// BenchmarkAblationMinCache measures the delete-min fast path (DESIGN.md
-// E9): the Figure 3 mix with the min-caching layer (DistLSM per-block min
-// cache, shared-k-LSM candidate window, skip-shared hint) on (default) and
-// off. Run at -cpu 4 or higher for the acceptance comparison.
-func BenchmarkAblationMinCache(b *testing.B) {
-	b.Run("on", func(b *testing.B) { runMix(b, klsmq.New(256)) })
-	b.Run("off", func(b *testing.B) { runMix(b, klsmq.NewNoMinCache(256)) })
-}
-
 // BenchmarkAblationSpy isolates the spy path (DESIGN.md E8): consumers
 // delete far more than they insert, so their DistLSMs run dry and most
 // delete-mins must spy — the DLSM's known scalability limit (§7). A trickle

@@ -63,24 +63,21 @@
 //
 // # Memory pooling and item reclamation (§4.4)
 //
-// By default the queue recycles its internal blocks and item wrappers
-// through per-handle free lists, the Go translation of the paper's §4.4
+// The queue recycles its internal blocks and item wrappers through
+// per-handle free lists, the Go translation of the paper's §4.4
 // memory-management scheme: items carry versioned deletion flags (so reuse
 // is ABA-safe), private blocks recycle the moment a merge retires them, and
 // published blocks are reclaimed once epoch stamps and a reader guard prove
-// no spying thread can still hold a pointer. On top of that, the full §4.4
-// scheme reference-counts items at block-lineage granularity
-// (WithItemReclamation, default on): a reference is acquired once when an
-// item enters the structure, transferred — not re-acquired — through every
-// local merge, and released once when its lineage dies; when the last
-// reference on a deleted item drops, the item returns to a per-handle free
-// list and is reused by a later insert — deterministic reclamation instead
-// of waiting for the garbage collector, at throughput parity with the
-// GC-backstopped mode (see BenchmarkAblationReclaim). Steady-state
+// no spying thread can still hold a pointer. On top of that, items are
+// reference-counted at block-lineage granularity: a reference is acquired
+// once when an item enters the structure, transferred — not re-acquired —
+// through every local merge, and released once when its lineage dies; when
+// the last reference on a deleted item drops, the item returns to a
+// per-handle free list and is reused by a later insert — deterministic
+// reclamation instead of waiting for the garbage collector. Steady-state
 // Insert/TryDeleteMin run nearly allocation-free (see
-// BenchmarkAblationPooling). WithPooling(false) disables recycling
-// entirely and WithItemReclamation(false) keeps only the GC-backstopped
-// block layer; semantics are identical in every mode.
+// TestPooledAllocationBudget). The scheme is how the queue works, not an
+// option: EXPERIMENTS.md E9–E12 record the measurements that settled it.
 //
 // # Delete-min fast path
 //
@@ -95,11 +92,11 @@
 // (WithStickyHint) lets runs of deletes whose minimum is handle-local skip
 // the shared structure entirely, re-validated against each newly published
 // array's minimum-key floor. In the steady state a delete-min is a handful
-// of key compares instead of a rescan of both structures (see
-// BenchmarkAblationMinCache and DESIGN.md). All three are pure caches over
-// the same take-CAS protocol: the ρ = T·k bound, local ordering, and
-// exactly-once deletion are identical with any of them disabled
-// (WithMinCaching(false), WithDeletionBuffer(0), WithStickyHint(0)).
+// of key compares instead of a rescan of both structures (see DESIGN.md).
+// All three are pure caches over the same take-CAS protocol: the ρ = T·k
+// bound, local ordering, and exactly-once deletion are identical with the
+// buffer or the stickiness disabled (WithDeletionBuffer(0),
+// WithStickyHint(0)).
 //
 // # Lazy deletion: the merge filter and delete-by-reference
 //

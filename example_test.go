@@ -43,54 +43,6 @@ func ExampleWithRelaxation() {
 	// 1 1 0
 }
 
-func ExampleWithPooling() {
-	// Pooling (default on) recycles internal blocks and item wrappers
-	// through per-handle free lists; disabling it only changes the
-	// allocation profile, never behavior.
-	pooled := klsm.New[string]()
-	plain := klsm.New[string](klsm.WithPooling(false))
-
-	for _, q := range []*klsm.Queue[string]{pooled, plain} {
-		h := q.NewHandle()
-		h.Insert(1, "same")
-		key, val, ok := h.TryDeleteMin()
-		fmt.Println(key, val, ok)
-	}
-	// Output:
-	// 1 same true
-	// 1 same true
-}
-
-func ExampleWithItemReclamation() {
-	// Item reclamation (default on) reference-counts every block slot so
-	// deleted items return to a free list the moment their last
-	// referencing block dies — deterministic reuse instead of the GC
-	// backstop. Disabling it is the ablation baseline; semantics are
-	// identical either way.
-	q := klsm.New[int](klsm.WithItemReclamation(false))
-	h := q.NewHandle()
-	h.Insert(3, 30)
-	h.Insert(1, 10)
-	key, val, ok := h.TryDeleteMin()
-	fmt.Println(key, val, ok)
-	// Output:
-	// 1 10 true
-}
-
-func ExampleWithMinCaching() {
-	// Min caching (default on) is the delete-min fast path: each handle
-	// caches block minima and its shared candidate window across calls.
-	// Disabling it exists for the ablation benchmarks.
-	q := klsm.New[string](klsm.WithMinCaching(false))
-	h := q.NewHandle()
-	h.Insert(2, "b")
-	h.Insert(1, "a")
-	key, val, ok := h.TryDeleteMin()
-	fmt.Println(key, val, ok)
-	// Output:
-	// 1 a true
-}
-
 func ExampleQueue_SetRelaxation() {
 	// k is run-time configurable (paper §1): loosen it under load, tighten
 	// it when ordering matters more than throughput.

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"klsm/internal/binheap"
+	"klsm/internal/xrand"
 )
 
 // fuzzHeap is the exact-PQ oracle for fuzzing.
@@ -30,6 +31,23 @@ func FuzzSingleHandleExact(f *testing.F) {
 	f.Add([]byte{0x00, 0x13, 0x07, 0x01, 0xff, 0x20})
 	f.Add([]byte("insert-delete-insert"))
 	f.Add([]byte{0x02, 0x04, 0x06, 0x01, 0x03, 0x05, 0x01, 0x01, 0x01})
+	// Long seeded runs, one per k: the queue grows for the first half of
+	// the input (two inserts per delete) and shrinks for the second, so the
+	// oracle checks thousands of pops across merges, overflows to the
+	// shared k-LSM and the drain back to empty.
+	for sel := 0; sel < 3; sel++ {
+		rng := xrand.NewSeeded(uint64(sel)*977 + 11)
+		data := make([]byte, 4096)
+		for i := range data {
+			b := byte(rng.Uint64()) &^ 1 // insert
+			if grow := i < len(data)/2; grow == (rng.Intn(3) == 0) {
+				b |= 1 // delete
+			}
+			data[i] = b
+		}
+		data[0] = byte(sel) // selects k
+		f.Add(data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 4096 {
 			return

@@ -48,29 +48,23 @@ type Block[V any] struct {
 	filled atomic.Int64
 	items  []*item.Item[V]
 	filter bloom.Filter
-	// refItems marks blocks participating in the §4.4 reference-count
-	// scheme. Set by Pool.Get on every block it hands out (recycled or
-	// fresh) while the pool has an item pool attached; blocks created by
-	// New directly never refcount. All blocks of one queue are configured
-	// identically, so an item's count tracks either all block lineages
-	// holding it or none.
-	//
-	// A reffed block holds one reference per slot in [0, refHi) plus one
-	// per entry of drops. References are acquired once per lineage:
-	// AcquireRefs walks the occupied slots (the insert-time level-0 block,
-	// spy copies, blocks entering the shared k-LSM) — and the owner-local
-	// transfer merges (MergeTransferIn, ShrinkTransferIn) move references
-	// from their donors to the merged block instead of re-acquiring, so the
-	// counts never move while an item survives generation churn. Items the
-	// transfer fill skips (logically deleted or dropped) land in drops,
-	// carrying their donor's reference until the owner hands them to the
-	// pool's quiescence-gated item limbo. A donated block's references have
-	// moved to its successor; its release is a no-op.
-	refItems bool
-	reffed   bool
-	donated  bool
-	refHi    int64
-	drops    []*item.Item[V]
+	// §4.4 reference counts: a reffed block holds one reference per slot
+	// in [0, refHi) plus one per entry of drops. References are acquired
+	// once per lineage: AcquireRefs walks the occupied slots (the
+	// insert-time level-0 block, spy copies, blocks entering the shared
+	// k-LSM) — and the owner-local transfer merges (MergeTransferIn,
+	// ShrinkTransferIn) move references from their donors to the merged
+	// block instead of re-acquiring, so the counts never move while an
+	// item survives generation churn. Items the transfer fill skips
+	// (logically deleted or dropped) land in drops, carrying their
+	// donor's reference until the owner hands them to the pool's
+	// quiescence-gated item limbo. A donated block's references have
+	// moved to its successor; its release is a no-op. Private merge
+	// intermediates never hold references.
+	reffed  bool
+	donated bool
+	refHi   int64
+	drops   []*item.Item[V]
 }
 
 // New returns an empty block of the given level (capacity 1<<level).
@@ -156,12 +150,11 @@ func (b *Block[V]) AppendSorted(its []*item.Item[V]) {
 // blocks, spy copies, and blocks entering the shared k-LSM. The owner must
 // call it before the block (or a transfer successor of it) is published,
 // and always before any predecessor holding the same items is unlinked or
-// recycled, so a live item's count never dips to zero in between. No-op
-// unless the block came from a reclaiming pool, or if references are
-// already held (a block that stays reachable across several published
-// snapshots holds exactly one reference per slot, total).
+// recycled, so a live item's count never dips to zero in between. No-op if
+// references are already held (a block that stays reachable across several
+// published snapshots holds exactly one reference per slot, total).
 func (b *Block[V]) AcquireRefs() {
-	if !b.refItems || b.reffed {
+	if b.reffed {
 		return
 	}
 	f := b.filled.Load()
@@ -263,24 +256,14 @@ func (b *Block[V]) appendAt(f int64, it *item.Item[V], drop DropFunc[V], capture
 	return f + 1
 }
 
-// Copy returns a new private block of the given level containing b's live
-// items (logically deleted ones are filtered out, Listing 1). The Bloom
-// filter is carried over.
-func (b *Block[V]) Copy(level int) *Block[V] {
-	return b.CopyDropIn(nil, level, nil)
-}
-
-// CopyDrop is Copy with the lazy-deletion callback applied.
-func (b *Block[V]) CopyDrop(level int, drop DropFunc[V]) *Block[V] {
-	return b.CopyDropIn(nil, level, drop)
-}
-
-// CopyIn is Copy allocating the destination from p (nil p allocates).
+// CopyIn returns a new private block of the given level, drawn from p,
+// containing b's live items (logically deleted ones are filtered out,
+// Listing 1). The Bloom filter is carried over.
 func (b *Block[V]) CopyIn(p *Pool[V], level int) *Block[V] {
 	return b.CopyDropIn(p, level, nil)
 }
 
-// CopyDropIn is CopyDrop allocating the destination from p.
+// CopyDropIn is CopyIn with the lazy-deletion callback applied.
 func (b *Block[V]) CopyDropIn(p *Pool[V], level int, drop DropFunc[V]) *Block[V] {
 	nb := p.Get(level)
 	nb.filter = b.filter
@@ -343,16 +326,11 @@ func (dst *Block[V]) mergeSlices(a, b []*item.Item[V], drop DropFunc[V], capture
 	dst.filled.Store(f)
 }
 
-// Merge allocates a block one level above the larger input and merges b1 and
-// b2 into it, then shrinks it to the smallest fitting level. This is the
-// "merge then shrink" step shared by all LSM insert paths.
-func Merge[V any](b1, b2 *Block[V], drop DropFunc[V]) *Block[V] {
-	return MergeIn[V](nil, b1, b2, drop)
-}
-
-// MergeIn is Merge drawing the destination (and any shrink copy) from p and
-// returning intermediates to it. The inputs are untouched: whether they can
-// be recycled is the caller's call (it knows which ones are private).
+// MergeIn draws a block one level above the larger input from p, merges b1
+// and b2 into it, then shrinks it to the smallest fitting level, returning
+// intermediates to p. This is the "merge then shrink" step shared by all
+// LSM insert paths. The inputs are untouched: whether they can be recycled
+// is the caller's call (it knows which ones are private).
 func MergeIn[V any](p *Pool[V], b1, b2 *Block[V], drop DropFunc[V]) *Block[V] {
 	level := b1.level
 	if b2.level > level {
@@ -377,12 +355,8 @@ func MergeIn[V any](p *Pool[V], b1, b2 *Block[V], drop DropFunc[V]) *Block[V] {
 // still be unlinked/retired by the caller as usual. Owner-only and
 // definitive — use only where the merge result is guaranteed to supersede
 // its inputs (the DistLSM's single-writer paths, not the shared k-LSM's
-// speculative snapshots). Falls back to plain MergeIn semantics when the
-// pool does not reclaim items.
+// speculative snapshots).
 func MergeTransferIn[V any](p *Pool[V], b1, b2 *Block[V], drop DropFunc[V]) *Block[V] {
-	if !p.Reclaiming() {
-		return MergeIn(p, b1, b2, drop)
-	}
 	level := b1.level
 	if b2.level > level {
 		level = b2.level
@@ -401,16 +375,6 @@ func MergeTransferIn[V any](p *Pool[V], b1, b2 *Block[V], drop DropFunc[V]) *Blo
 	return s
 }
 
-// Shrink returns a block holding b's live items at the smallest adequate
-// level (Listing 1). If b already satisfies its level constraint after
-// trimming the logically deleted tail, b itself is returned with filled
-// updated; otherwise a compacted copy at a smaller level is returned.
-// Must only be called on private blocks (use ShrinkInPlace for published
-// ones).
-func (b *Block[V]) Shrink() *Block[V] {
-	return b.ShrinkIn(nil)
-}
-
 // trimFit trims the logically deleted tail (storing the lowered filled)
 // and returns the new count plus the smallest level whose occupancy
 // constraint it satisfies — the shared skeleton of both shrink variants.
@@ -427,9 +391,13 @@ func (b *Block[V]) trimFit() (f int64, l int) {
 	return f, l
 }
 
-// ShrinkIn is Shrink drawing compaction copies from p and returning its
-// intermediates to it. Whether b itself (when replaced) can be recycled is
-// the caller's decision.
+// ShrinkIn returns a block holding b's live items at the smallest adequate
+// level (Listing 1). If b already satisfies its level constraint after
+// trimming the logically deleted tail, b itself is returned with filled
+// updated; otherwise a compacted copy at a smaller level, drawn from p, is
+// returned (intermediates go back to p). Whether b itself (when replaced)
+// can be recycled is the caller's decision. Must only be called on private
+// blocks (use ShrinkInPlace for published ones).
 func (b *Block[V]) ShrinkIn(p *Pool[V]) *Block[V] {
 	_, l := b.trimFit()
 	if l < b.level {
@@ -449,12 +417,8 @@ func (b *Block[V]) ShrinkIn(p *Pool[V]) *Block[V] {
 // copy inherits the original's references (marking it donated) instead of
 // re-acquiring them. In-place trims transfer nothing — the references stay
 // with the block, whose release covers [0, refHi) regardless of filled.
-// Owner-only and definitive, like MergeTransferIn; plain ShrinkIn behavior
-// when b holds no references.
+// Owner-only and definitive, like MergeTransferIn; b must hold references.
 func (b *Block[V]) ShrinkTransferIn(p *Pool[V]) *Block[V] {
-	if !b.refItems || !b.reffed {
-		return b.ShrinkIn(p)
-	}
 	_, l := b.trimFit()
 	if l < b.level {
 		c := b.copyTransferIn(p, l)

@@ -20,6 +20,9 @@ func desc(t testing.TB, keys ...uint64) *Block[int] {
 }
 
 // keysOf extracts the key sequence of the occupied prefix.
+// testPool returns an unguarded pool to draw copies and merges from.
+func testPool() *Pool[int] { return NewPool(nil, item.NewPool[int]()) }
+
 func keysOf(b *Block[int]) []uint64 {
 	var out []uint64
 	for _, it := range b.Items() {
@@ -75,7 +78,7 @@ func TestCopyFiltersTaken(t *testing.T) {
 	b := desc(t, 50, 40, 30, 20, 10)
 	b.Item(1).TryTake() // key 40
 	b.Item(3).TryTake() // key 20
-	c := b.Copy(b.Level())
+	c := b.CopyIn(testPool(), b.Level())
 	got := keysOf(c)
 	want := []uint64{50, 30, 10}
 	if len(got) != len(want) {
@@ -93,7 +96,7 @@ func TestCopyFiltersTaken(t *testing.T) {
 
 func TestCopyDropAppliesCallback(t *testing.T) {
 	b := desc(t, 5, 4, 3, 2, 1)
-	c := b.CopyDrop(b.Level(), func(key uint64, _ int) bool { return key%2 == 0 })
+	c := b.CopyDropIn(testPool(), b.Level(), func(key uint64, _ int) bool { return key%2 == 0 })
 	got := keysOf(c)
 	want := []uint64{5, 3, 1}
 	if len(got) != len(want) {
@@ -115,7 +118,7 @@ func TestCopyDropAppliesCallback(t *testing.T) {
 func TestMergeBasic(t *testing.T) {
 	b1 := desc(t, 9, 7, 3)
 	b2 := desc(t, 11, 4, 1)
-	m := Merge(b1, b2, nil)
+	m := MergeIn(testPool(), b1, b2, nil)
 	got := keysOf(m)
 	want := []uint64{11, 9, 7, 4, 3, 1}
 	if len(got) != len(want) {
@@ -131,7 +134,7 @@ func TestMergeBasic(t *testing.T) {
 func TestMergeWithDuplicateKeys(t *testing.T) {
 	b1 := desc(t, 5, 5, 3)
 	b2 := desc(t, 5, 3, 1)
-	m := Merge(b1, b2, nil)
+	m := MergeIn(testPool(), b1, b2, nil)
 	if got := keysOf(m); len(got) != 6 || !m.SortedDesc() {
 		t.Fatalf("merge with duplicates = %v", got)
 	}
@@ -142,7 +145,7 @@ func TestMergeFiltersTaken(t *testing.T) {
 	b2 := desc(t, 7, 5, 3)
 	b1.Item(0).TryTake() // 8
 	b2.Item(2).TryTake() // 3
-	m := Merge(b1, b2, nil)
+	m := MergeIn(testPool(), b1, b2, nil)
 	got := keysOf(m)
 	want := []uint64{7, 6, 5, 4}
 	if len(got) != len(want) {
@@ -157,12 +160,12 @@ func TestMergeFiltersTaken(t *testing.T) {
 
 func TestMergeEmptyBlocks(t *testing.T) {
 	e1, e2 := New[int](0), New[int](0)
-	m := Merge(e1, e2, nil)
+	m := MergeIn(testPool(), e1, e2, nil)
 	if !m.Empty() {
 		t.Fatal("merge of empties not empty")
 	}
 	b := desc(t, 2, 1)
-	m2 := Merge(b, New[int](0), nil)
+	m2 := MergeIn(testPool(), b, New[int](0), nil)
 	if got := keysOf(m2); len(got) != 2 || got[0] != 2 {
 		t.Fatalf("merge with empty = %v", got)
 	}
@@ -172,7 +175,7 @@ func TestMergeUnitesBlooms(t *testing.T) {
 	b1, b2 := desc(t, 3), desc(t, 2)
 	b1.AddOwner(1)
 	b2.AddOwner(2)
-	m := Merge(b1, b2, nil)
+	m := MergeIn(testPool(), b1, b2, nil)
 	if !m.Bloom().MayContain(1) || !m.Bloom().MayContain(2) {
 		t.Fatal("merged bloom lost an owner")
 	}
@@ -182,7 +185,7 @@ func TestShrinkTrimsDeletedTail(t *testing.T) {
 	b := desc(t, 40, 30, 20, 10)
 	b.Item(3).TryTake() // 10, the minimum
 	b.Item(2).TryTake() // 20
-	s := b.Shrink()
+	s := b.ShrinkIn(testPool())
 	if s.Filled() != 2 {
 		t.Fatalf("shrink filled = %d, want 2", s.Filled())
 	}
@@ -197,7 +200,7 @@ func TestShrinkTrimsDeletedTail(t *testing.T) {
 
 func TestShrinkNoopWhenFull(t *testing.T) {
 	b := desc(t, 4, 3, 2)
-	s := b.Shrink()
+	s := b.ShrinkIn(testPool())
 	if s != b {
 		t.Fatal("shrink reallocated a block that satisfies its level")
 	}
@@ -214,12 +217,12 @@ func TestShrinkIgnoresMidArrayDeletions(t *testing.T) {
 	for _, i := range []int{1, 2, 3, 4, 5} {
 		b.Item(i).TryTake()
 	}
-	s := b.Shrink()
+	s := b.ShrinkIn(testPool())
 	if s != b || s.Level() != 3 || s.Filled() != 8 {
 		t.Fatalf("shrink with live tail changed block: level=%d filled=%d", s.Level(), s.Filled())
 	}
 	// A copy cleans mid-array deletions and a subsequent shrink compacts.
-	c := s.Copy(s.Level()).Shrink()
+	c := s.CopyIn(testPool(), s.Level()).ShrinkIn(testPool())
 	if c.LiveCount() != 3 || c.Filled() != 3 {
 		t.Fatalf("copy+shrink live = %d filled = %d, want 3/3", c.LiveCount(), c.Filled())
 	}
@@ -236,7 +239,7 @@ func TestShrinkEmptiesToLevelZero(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		b.Item(i).TryTake()
 	}
-	s := b.Shrink()
+	s := b.ShrinkIn(testPool())
 	if !s.Empty() || s.Level() != 0 {
 		t.Fatalf("shrink of dead block: filled=%d level=%d", s.Filled(), s.Level())
 	}

@@ -21,20 +21,20 @@
 //   - Anything the contract cannot prove reusable is simply dropped and the
 //     garbage collector reclaims it — the backstop the C++ version lacks.
 //
-// Item reclamation (§4.4 proper, lineage-batched): a pool with an item pool
-// attached (SetItemPool) additionally maintains per-item reference counts
-// at block-lineage granularity. Blocks it hands out are flagged so that
-// AcquireRefs — called once when a lineage begins (insert's level-0 block,
-// spy copies, entry into the shared k-LSM) — takes one reference per
-// occupied slot, and the owner-local transfer merges move those references
-// to each generation's successor instead of re-acquiring them. Items a
+// Item reclamation (§4.4 proper, lineage-batched): every pool carries its
+// handle's item pool and maintains per-item reference counts at
+// block-lineage granularity. AcquireRefs — called once when a lineage
+// begins (insert's level-0 block, spy copies, entry into the shared k-LSM)
+// — takes one reference per occupied slot, and the owner-local transfer
+// merges move those references to each generation's successor instead of
+// re-acquiring them. Items a
 // transfer merge filters out land in the successor's drops list and are
 // handed to RetireItems, the item-level limbo: they release under the same
 // guard quiescence that gates block reuse. Every reffed, undonated block
 // this pool recycles or drops releases its references first — releasing
 // happens exactly where the reuse contract already proves the block
 // unreachable, so the proofs carry over to the items. A release that drops
-// an item's last reference returns the (taken) item to the attached item
+// an item's last reference returns the (taken) item to the handle's item
 // pool; blocks that overflow the free-list caps or the level bound still
 // release their items before the garbage collector takes the block shell,
 // so deterministic item reuse survives every drop decision except a limbo
@@ -60,8 +60,8 @@ import (
 // the old pointer; any reader that entered before is counted, so the
 // observation fails and the block stays in limbo.
 //
-// A nil *Guard is always quiescent — correct for single-threaded structures
-// (the sequential LSM), where Retire degenerates to an immediate Put.
+// A nil *Guard is always quiescent, so Retire degenerates to an immediate
+// Put: correct only for a structure no other goroutine reads.
 type Guard struct {
 	active atomic.Int64
 }
@@ -95,11 +95,9 @@ const (
 	// against the merge that filled it somewhere around a few MB.
 	maxPoolLevel = 20
 	// limboCap bounds the not-yet-quiescent retired list; overflow is
-	// dropped to the garbage collector. With item reclamation on, a dropped
-	// limbo block would leak its item references (the items fall back to
-	// the GC), so reclaiming pools use the larger bound before giving up.
-	limboCap        = 64
-	limboCapReclaim = 512
+	// dropped to the garbage collector, leaking the block's item references
+	// (the items fall back to the GC, counted in LimboLeaked).
+	limboCap = 512
 	// itemLimboCap bounds the dropped-item limbo (RetireItems); overflow
 	// leaks the items' references to the GC, counted in LimboLeaked.
 	itemLimboCap = 1 << 15
@@ -113,19 +111,19 @@ type PoolStats struct {
 	Retired int64 // Retire calls
 	Dropped int64 // blocks abandoned to the GC (caps or level bound)
 
-	// Item-reclamation counters (§4.4 proper); zero without SetItemPool.
+	// Item-reclamation counters (§4.4 proper).
 	ItemsReclaimed int64 // taken items returned to the item pool by a final Unref
 	ItemsLostLive  int64 // final Unref on a live item (indicates a bug; see releaseItemRef)
 	LimboLeaked    int64 // blocks or item obligations dropped at a limbo cap, unreleased
 }
 
 // Pool is a per-handle, level-indexed block free list (§4.4). Not safe for
-// concurrent use: all methods are owner-only. A nil *Pool is valid and makes
-// Get allocate, Put and Retire no-ops — the pooling-disabled mode.
+// concurrent use: all methods are owner-only.
 type Pool[V any] struct {
 	guard *Guard
-	// items, when set, turns on §4.4 item reclamation: blocks from this
-	// pool refcount their slots and release them here on recycle or drop.
+	// items is the owning handle's item pool: blocks release their slots'
+	// references here on recycle or drop, and taken items whose last
+	// reference died are recycled into it.
 	items *item.Pool[V]
 	free  [maxPoolLevel + 1][]*Block[V]
 	limbo []*Block[V]
@@ -135,48 +133,28 @@ type Pool[V any] struct {
 	stats      PoolStats
 }
 
-// NewPool returns an empty pool whose Retire path is guarded by g. g may be
-// nil for single-threaded use (Retire recycles immediately).
-func NewPool[V any](g *Guard) *Pool[V] {
-	return &Pool[V]{guard: g}
+// NewPool returns an empty pool whose Retire path is guarded by g and whose
+// item releases flow into items. Every pool of one queue shares the queue's
+// guard, so spies and Retire agree on reader quiescence.
+func NewPool[V any](g *Guard, items *item.Pool[V]) *Pool[V] {
+	return &Pool[V]{guard: g, items: items}
 }
-
-// SetItemPool attaches the owning handle's item pool and enables item
-// reclamation: blocks handed out afterwards refcount their slots, and
-// releases flow into ip. Must be set before the pool is used and must be
-// configured identically on every pool of one queue (a mix of refcounted
-// and plain blocks would release items other blocks still reference).
-func (p *Pool[V]) SetItemPool(ip *item.Pool[V]) {
-	if p != nil {
-		p.items = ip
-	}
-}
-
-// Reclaiming reports whether item reclamation is enabled on this pool.
-func (p *Pool[V]) Reclaiming() bool { return p != nil && p.items != nil }
 
 // Get returns an empty private block of the given level, recycled when
 // possible.
 func (p *Pool[V]) Get(level int) *Block[V] {
-	if p == nil {
-		return New[V](level)
-	}
 	p.stats.Gets++
 	p.reapLimbo()
-	reclaim := p.items != nil
 	if level <= maxPoolLevel {
 		if fl := p.free[level]; len(fl) > 0 {
 			b := fl[len(fl)-1]
 			fl[len(fl)-1] = nil
 			p.free[level] = fl[:len(fl)-1]
 			p.stats.Hits++
-			b.refItems = reclaim
 			return b
 		}
 	}
-	b := New[V](level)
-	b.refItems = reclaim
-	return b
+	return New[V](level)
 }
 
 // releaseItemRef releases one lineage reference on it and reclaims the item
@@ -229,12 +207,12 @@ func (p *Pool[V]) releaseItems(b *Block[V]) {
 
 // Put recycles a block immediately. Contract: b is private — it was never
 // published, or this call site can otherwise prove no other goroutine can
-// reach it (single-threaded structures, quiescent limbo drains). The
+// reach it (quiescent limbo drains). The
 // block's item references are released first (reclaiming taken items whose
 // last reference died), even when the caps below make the block itself fall
 // to the garbage collector.
 func (p *Pool[V]) Put(b *Block[V]) {
-	if p == nil || b == nil {
+	if b == nil {
 		return
 	}
 	if b.reffed {
@@ -260,12 +238,11 @@ func (p *Pool[V]) Put(b *Block[V]) {
 // the owner (stores making it unreachable for new readers must precede this
 // call). If the guard is quiescent the block is recycled immediately —
 // together with any blocks parked earlier — otherwise it joins the limbo
-// list until a later quiescent observation. Reclaiming pools use a larger
-// limbo bound: a block dropped here would leak its item references to the
-// GC (counted in LimboLeaked), the one nondeterministic escape left in the
-// reclamation scheme.
+// list until a later quiescent observation. A block dropped at the limbo
+// bound leaks its item references to the GC (counted in LimboLeaked), the
+// one nondeterministic escape left in the reclamation scheme.
 func (p *Pool[V]) Retire(b *Block[V]) {
-	if p == nil || b == nil {
+	if b == nil {
 		return
 	}
 	p.stats.Retired++
@@ -274,15 +251,9 @@ func (p *Pool[V]) Retire(b *Block[V]) {
 		p.Put(b)
 		return
 	}
-	cap := limboCap
-	if p.items != nil {
-		cap = limboCapReclaim
-	}
-	if len(p.limbo) >= cap {
+	if len(p.limbo) >= limboCap {
 		p.stats.Dropped++
-		if p.items != nil {
-			p.stats.LimboLeaked++
-		}
+		p.stats.LimboLeaked++
 		return
 	}
 	p.limbo = append(p.limbo, b)
@@ -294,7 +265,7 @@ func (p *Pool[V]) Retire(b *Block[V]) {
 // Retire: every store unlinking the donors must precede this call. The
 // slice contents are consumed; the slice itself stays with the caller.
 func (p *Pool[V]) RetireItems(items []*item.Item[V]) {
-	if p == nil || len(items) == 0 || p.items == nil {
+	if len(items) == 0 {
 		return
 	}
 	if p.guard.Quiescent() {
@@ -318,7 +289,7 @@ func (p *Pool[V]) RetireItems(items []*item.Item[V]) {
 // the operation that created b, so drops never travel across structure
 // boundaries or pile up on long-lived blocks.
 func (p *Pool[V]) RetireBlockDrops(b *Block[V]) {
-	if p == nil || b == nil || len(b.drops) == 0 {
+	if b == nil || len(b.drops) == 0 {
 		return
 	}
 	p.RetireItems(b.drops)
@@ -331,9 +302,6 @@ func (p *Pool[V]) RetireBlockDrops(b *Block[V]) {
 // the volume per close is already bounded by the closing pool's own caps.
 // Owner-only, like every other method.
 func (p *Pool[V]) Adopt(blocks []*Block[V], items []*item.Item[V]) {
-	if p == nil {
-		return
-	}
 	p.stats.Retired += int64(len(blocks))
 	if p.guard.Quiescent() {
 		p.drainLimbo()
@@ -355,9 +323,6 @@ func (p *Pool[V]) Adopt(blocks []*Block[V], items []*item.Item[V]) {
 // quiesce paths that need the parked item references released
 // deterministically.
 func (p *Pool[V]) DrainLimbo() bool {
-	if p == nil {
-		return true
-	}
 	p.reapLimbo()
 	return len(p.limbo) == 0 && len(p.limboItems) == 0
 }
@@ -368,9 +333,6 @@ func (p *Pool[V]) DrainLimbo() bool {
 // already provably releasable are released in place first; the pool must
 // not Retire afterwards.
 func (p *Pool[V]) DetachLimbo() ([]*Block[V], []*item.Item[V]) {
-	if p == nil {
-		return nil, nil
-	}
 	p.reapLimbo()
 	blocks, items := p.limbo, p.limboItems
 	p.limbo = nil
@@ -383,9 +345,6 @@ func (p *Pool[V]) DetachLimbo() ([]*Block[V], []*item.Item[V]) {
 // reaper) call it after drains so adopted shells — up to multi-MiB slot
 // arrays — do not stay pinned for the pool's lifetime.
 func (p *Pool[V]) TrimFree() {
-	if p == nil {
-		return
-	}
 	for level := range p.free {
 		clear(p.free[level])
 		p.free[level] = p.free[level][:0]
@@ -423,20 +382,10 @@ func (p *Pool[V]) freeCap(level int) int {
 	return freeCap
 }
 
-// Guard returns the guard retire operations are gated on (nil for a nil or
-// unguarded pool). Readers of published blocks bracket themselves with it.
-func (p *Pool[V]) Guard() *Guard {
-	if p == nil {
-		return nil
-	}
-	return p.guard
-}
+// Guard returns the guard retire operations are gated on. Readers of
+// published blocks bracket themselves with it.
+func (p *Pool[V]) Guard() *Guard { return p.guard }
 
 // Stats returns a snapshot of the pool counters (owner-only, like every
 // other method).
-func (p *Pool[V]) Stats() PoolStats {
-	if p == nil {
-		return PoolStats{}
-	}
-	return p.stats
-}
+func (p *Pool[V]) Stats() PoolStats { return p.stats }

@@ -36,7 +36,7 @@ func fillBlock(level, n int) *Block[int] {
 }
 
 func TestPoolGetPutReuse(t *testing.T) {
-	p := NewPool[int](nil)
+	p := NewPool(nil, item.NewPool[int]())
 	b := p.Get(3)
 	if b.Level() != 3 || b.Capacity() != 8 || !b.Empty() {
 		t.Fatalf("bad pooled block: level=%d cap=%d", b.Level(), b.Capacity())
@@ -61,7 +61,7 @@ func TestPoolGetPutReuse(t *testing.T) {
 }
 
 func TestPoolLevelAndCapBounds(t *testing.T) {
-	p := NewPool[int](nil)
+	p := NewPool(nil, item.NewPool[int]())
 	// Over-level blocks are never pooled.
 	big := p.Get(maxPoolLevel + 1)
 	p.Put(big)
@@ -89,7 +89,7 @@ func TestPoolLevelAndCapBounds(t *testing.T) {
 // pointer is active.
 func TestRetireRespectsGuard(t *testing.T) {
 	var g Guard
-	p := NewPool[int](&g)
+	p := NewPool(&g, item.NewPool[int]())
 
 	g.Enter() // a spy is live
 	b := fillBlock(2, 3)
@@ -106,14 +106,14 @@ func TestRetireRespectsGuard(t *testing.T) {
 
 func TestRetireImmediateWhenQuiescent(t *testing.T) {
 	var g Guard
-	p := NewPool[int](&g)
+	p := NewPool(&g, item.NewPool[int]())
 	b := fillBlock(1, 1)
 	p.Retire(b)
 	if got := p.Get(1); got != b {
 		t.Fatal("quiescent retire did not recycle immediately")
 	}
 	// A nil guard (single-threaded pools) is always quiescent.
-	p2 := NewPool[int](nil)
+	p2 := NewPool(nil, item.NewPool[int]())
 	b2 := fillBlock(1, 1)
 	p2.Retire(b2)
 	if got := p2.Get(1); got != b2 {
@@ -123,7 +123,7 @@ func TestRetireImmediateWhenQuiescent(t *testing.T) {
 
 func TestLimboCapDropsToGC(t *testing.T) {
 	var g Guard
-	p := NewPool[int](&g)
+	p := NewPool(&g, item.NewPool[int]())
 	g.Enter()
 	for i := 0; i < limboCap+5; i++ {
 		p.Retire(New[int](1))
@@ -134,24 +134,11 @@ func TestLimboCapDropsToGC(t *testing.T) {
 	g.Exit()
 }
 
-func TestNilPoolIsPlainAllocation(t *testing.T) {
-	var p *Pool[int]
-	b := p.Get(4)
-	if b == nil || b.Level() != 4 {
-		t.Fatal("nil pool Get failed")
-	}
-	p.Put(b)    // no-op
-	p.Retire(b) // no-op
-	if p.Stats() != (PoolStats{}) {
-		t.Fatal("nil pool stats non-zero")
-	}
-}
-
 // TestMergeInRecyclesIntermediates checks that the pooled merge/shrink path
 // produces the same results as the allocating one and feeds its private
 // intermediates back to the pool.
 func TestMergeInRecyclesIntermediates(t *testing.T) {
-	p := NewPool[int](nil)
+	p := NewPool(nil, item.NewPool[int]())
 	// Two level-2 blocks with one live item each: the level-3 merge output
 	// shrinks to level 1, so MergeIn's dst is retired internally.
 	mk := func(key uint64) *Block[int] {
@@ -193,7 +180,7 @@ func TestMergeInRecyclesIntermediates(t *testing.T) {
 }
 
 func TestShrinkInRetiresCopies(t *testing.T) {
-	p := NewPool[int](nil)
+	p := NewPool(nil, item.NewPool[int]())
 	// Level-4 block with 2 live items buried under a taken tail: shrink
 	// copies down to level 1 via intermediate levels.
 	b := p.Get(4)

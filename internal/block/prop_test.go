@@ -33,7 +33,7 @@ func TestPropMergeIsSortedUnion(t *testing.T) {
 		if len(a) > 1<<MaxLevel || len(b) > 1<<MaxLevel {
 			return true
 		}
-		m := Merge(buildBlock(a), buildBlock(b), nil)
+		m := MergeIn(testPool(), buildBlock(a), buildBlock(b), nil)
 		if !m.SortedDesc() {
 			return false
 		}
@@ -74,7 +74,7 @@ func TestPropShrinkPreservesLiveItems(t *testing.T) {
 				wantLive = append(wantLive, it.Key())
 			}
 		}
-		s := b.Shrink()
+		s := b.ShrinkIn(testPool())
 		if !s.SortedDesc() {
 			return false
 		}
@@ -116,7 +116,7 @@ func TestPropCopyEqualsLiveView(t *testing.T) {
 				it.TryTake()
 			}
 		}
-		c := b.Copy(LevelForCount(len(keys)))
+		c := b.CopyIn(testPool(), LevelForCount(len(keys)))
 		var want []uint64
 		for _, it := range b.Items() {
 			if !it.Taken() {
@@ -155,7 +155,7 @@ func TestPropMergeChainMatchesSort(t *testing.T) {
 			if first {
 				acc, first = nb, false
 			} else {
-				acc = Merge(acc, nb, nil)
+				acc = MergeIn(testPool(), acc, nb, nil)
 			}
 		}
 		want := sortedDescKeys(keys)
@@ -183,9 +183,10 @@ func BenchmarkMerge1K(b *testing.B) {
 	}
 	b1 := buildBlock(keys[:512])
 	b2 := buildBlock(keys[512:])
+	p := testPool()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = Merge(b1, b2, nil)
+		_ = MergeIn(p, b1, b2, nil)
 	}
 }
 
@@ -196,8 +197,9 @@ func BenchmarkShrinkClean(b *testing.B) {
 		keys[i] = src.Uint64()
 	}
 	blk := buildBlock(keys)
+	p := testPool()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = blk.Shrink()
+		_ = blk.ShrinkIn(p)
 	}
 }

@@ -6,13 +6,10 @@ import (
 	"klsm/internal/item"
 )
 
-// newReclaimPool returns a guarded pool with item reclamation on plus its
-// item pool.
+// newReclaimPool returns a guarded pool plus its item pool.
 func newReclaimPool(g *Guard) (*Pool[int], *item.Pool[int]) {
-	p := NewPool[int](g)
 	ip := item.NewPool[int]()
-	p.SetItemPool(ip)
-	return p, ip
+	return NewPool(g, ip), ip
 }
 
 // fillTaken builds a level-l "published" block from p (references acquired,
@@ -46,15 +43,6 @@ func TestAcquireRefsAtLineageEntry(t *testing.T) {
 	b.AcquireRefs()
 	if it.Refs() != 1 {
 		t.Fatalf("refs = %d after second AcquireRefs", it.Refs())
-	}
-	// Blocks from a plain pool never refcount.
-	plain := NewPool[int](nil)
-	nb := plain.Get(2)
-	it2 := item.New[int](2, 2)
-	nb.Append(it2)
-	nb.AcquireRefs()
-	if it2.Refs() != 0 {
-		t.Fatalf("plain block acquired %d refs", it2.Refs())
 	}
 }
 
@@ -245,13 +233,13 @@ func TestDroppedBlockStillReleasesItems(t *testing.T) {
 }
 
 // TestRetireLimboReleasesAfterQuiescence: references parked in limbo by an
-// active guard release exactly once when the guard quiesces, and the
-// reclaiming limbo accepts more than the plain cap before leaking.
+// active guard release exactly once when the guard quiesces, and a full
+// limbo leaks nothing.
 func TestRetireLimboReleasesAfterQuiescence(t *testing.T) {
 	var g Guard
 	p, ip := newReclaimPool(&g)
 	g.Enter()
-	const blocks = limboCap + 32 // beyond the non-reclaiming bound
+	const blocks = limboCap
 	for i := 0; i < blocks; i++ {
 		p.Retire(fillTaken(p, ip, 0, 1))
 	}
@@ -259,7 +247,7 @@ func TestRetireLimboReleasesAfterQuiescence(t *testing.T) {
 		t.Fatalf("%d items released while the guard was active", got)
 	}
 	if st := p.Stats(); st.LimboLeaked != 0 {
-		t.Fatalf("leaked %d blocks below the reclaim cap", st.LimboLeaked)
+		t.Fatalf("leaked %d blocks within the limbo cap", st.LimboLeaked)
 	}
 	g.Exit()
 	if !p.DrainLimbo() {
@@ -270,14 +258,14 @@ func TestRetireLimboReleasesAfterQuiescence(t *testing.T) {
 	}
 }
 
-// TestRetireLimboLeakIsCounted: past the reclaim cap the pool gives up and
+// TestRetireLimboLeakIsCounted: past the limbo cap the pool gives up and
 // counts the leak instead of blocking.
 func TestRetireLimboLeakIsCounted(t *testing.T) {
 	var g Guard
 	p, ip := newReclaimPool(&g)
 	g.Enter()
 	defer g.Exit()
-	for i := 0; i < limboCapReclaim+10; i++ {
+	for i := 0; i < limboCap+10; i++ {
 		p.Retire(fillTaken(p, ip, 0, 1))
 	}
 	if st := p.Stats(); st.LimboLeaked != 10 {

@@ -159,22 +159,6 @@ func TestInsertBatchReclaimLedger(t *testing.T) {
 	}
 }
 
-// TestInsertBatchPoolingOff exercises the batch path with pooling (and thus
-// reclamation) disabled: the nil pools must be transparent.
-func TestInsertBatchPoolingOff(t *testing.T) {
-	q := NewQueue(Config[int]{K: 8, Mode: Combined, LocalOrdering: true, DisablePooling: true})
-	h := q.NewHandle()
-	keys := make([]uint64, 200)
-	for i := range keys {
-		keys[i] = uint64(200 - i)
-	}
-	h.InsertBatch(keys, nil)
-	got := drainAllKeys(t, h)
-	if len(got) != len(keys) {
-		t.Fatalf("drained %d, want %d", len(got), len(keys))
-	}
-}
-
 // TestRelaxationClamp pins the SetRelaxation/NewQueue validation contract:
 // negative k panics in both, absurd k clamps to MaxRelaxation, and ρ stays
 // non-negative afterwards.

@@ -172,11 +172,7 @@ func (h *Handle[V]) bufRefill() bool {
 	mode := h.q.cfg.Mode
 	capKey := ^uint64(0)
 	if mode != DistOnly {
-		var ok bool
-		h.buf, h.bufAnchor, capKey, ok = h.q.shared.FillCandidates(h.cursor, h.buf[:0], max)
-		if !ok {
-			return false // min caching off: no window to fill from
-		}
+		h.buf, h.bufAnchor, capKey = h.q.shared.FillCandidates(h.cursor, h.buf[:0], max)
 	}
 	if mode != SharedOnly {
 		// Small fills spread their budget across blocks (delBufPerBlock);

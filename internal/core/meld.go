@@ -14,11 +14,7 @@ import (
 //
 // The caller drives the meld through a handle of q (the destination).
 // `other` must not receive new inserts during the meld or those items may be
-// missed; concurrent delete-mins on either queue are fine when both queues
-// run the same item-reclamation setting. With mismatched settings one queue
-// holds unrefcounted pointers to items the other reclaims, so `other` must
-// then be fully quiescent from the meld onward and discarded afterwards
-// (the documented life cycle anyway).
+// missed; concurrent delete-mins on either queue are fine.
 func (h *Handle[V]) Meld(other *Queue[V]) {
 	if other == nil || other.Queue() == h.q {
 		return
@@ -37,9 +33,8 @@ func (h *Handle[V]) Meld(other *Queue[V]) {
 	// consistent-enough copy (it never misses an item that was present when
 	// other went quiescent); inserting the copied blocks into q's shared
 	// k-LSM makes them reachable to all of q's handles. Copies are drawn
-	// from h's pool so that, with item reclamation on, they acquire item
-	// references spanning both queues: neither queue can reclaim an item
-	// the other still reaches.
+	// from h's pool so that they acquire item references spanning both
+	// queues: neither queue can reclaim an item the other still reaches.
 	victims := *other.victims.Load()
 	for _, v := range victims {
 		tmp := newMeldCollector[V](h.pool)

@@ -1,16 +1,13 @@
 package core
 
 import (
-	"fmt"
 	"testing"
 
 	"klsm/internal/xrand"
 )
 
-// peekMatrix is the S-configuration grid PeekMin must behave identically
-// on: the deletion buffer and min caching each toggled independently (the
-// buffer requires caching, so {buf on, caching off} degenerates to buffer
-// off — included anyway to pin the degeneration).
+// peekMatrix is the configuration grid PeekMin must behave identically on:
+// the deletion buffer on and off.
 func peekMatrix() []struct {
 	name string
 	cfg  Config[uint64]
@@ -22,22 +19,17 @@ func peekMatrix() []struct {
 	}{
 		{"buf+cache", base},
 		{"nobuf+cache", base},
-		{"buf+nocache", base},
-		{"nobuf+nocache", base},
 	}
 	grid[1].cfg.DisableDeletionBuffer = true
-	grid[2].cfg.DisableMinCaching = true
-	grid[3].cfg.DisableDeletionBuffer = true
-	grid[3].cfg.DisableMinCaching = true
 	return grid
 }
 
 // TestPeekMinMatchesDelete is the single-handle consistency contract: with
 // one handle and no concurrent mutation, every PeekMin must return exactly
-// the key/value the immediately following TryDeleteMin pops — in every
-// buffer × min-caching configuration. This pins the PR 10 fix where the
-// buffered fast path and the peek slow path could disagree (peek rescanned
-// the structure while delete popped from the buffer).
+// the key/value the immediately following TryDeleteMin pops — with the
+// deletion buffer on and off. This pins the fix for the buffered fast path
+// and the peek slow path disagreeing (peek rescanned the structure while
+// delete popped from the buffer).
 func TestPeekMinMatchesDelete(t *testing.T) {
 	for _, tc := range peekMatrix() {
 		t.Run(tc.name, func(t *testing.T) {
@@ -203,18 +195,5 @@ func TestPeekMinAcrossHandles(t *testing.T) {
 				t.Fatalf("reader drained %d of %d", popped, n)
 			}
 		})
-	}
-}
-
-func init() {
-	// Guard against the matrix silently collapsing: the four entries must
-	// be distinct configurations.
-	seen := map[string]bool{}
-	for _, tc := range peekMatrix() {
-		key := fmt.Sprintf("%v/%v", tc.cfg.DisableDeletionBuffer, tc.cfg.DisableMinCaching)
-		if seen[key] {
-			panic("peekMatrix: duplicate configuration " + tc.name)
-		}
-		seen[key] = true
 	}
 }

@@ -83,32 +83,13 @@ type Config[V any] struct {
 	// which it returns true are discarded during block maintenance and
 	// never returned from delete-min.
 	Drop block.DropFunc[V]
-	// DisablePooling turns off the §4.4 block/item recycling free lists.
-	// The zero value (pooling on) is the paper's configuration; disabling
-	// exists for the allocation ablation benchmarks and as an escape hatch.
-	DisablePooling bool
-	// DisableMinCaching turns off the delete-min fast path: the DistLSM
-	// per-block min cache, the shared k-LSM candidate window, and the
-	// skip-shared hint. The zero value (caching on) is the performant
-	// configuration; disabling exists for the ablation benchmarks and as an
-	// escape hatch. Semantics are identical either way.
-	DisableMinCaching bool
-	// DisableItemReclamation turns off the §4.4 per-block item reference
-	// counts: taken items are then reclaimed only where a structural proof
-	// exists (the sequential LSM) and fall back to the garbage collector
-	// everywhere else. The zero value (reclamation on) is the paper's
-	// deterministic scheme; it requires pooling and is implicitly off when
-	// DisablePooling is set. Semantics are identical either way.
-	DisableItemReclamation bool
 	// DisableDeletionBuffer turns off the per-handle deletion buffer: the
 	// MultiQueue-style fast path where TryDeleteMin refills a small
 	// owner-local buffer of version-stamped candidates from the shared
 	// candidate window and the DistLSM min scan in one pass, and the common
 	// delete is a buffer pop validated only by the item's version. The zero
-	// value (buffer on) is the performant configuration; the buffer requires
-	// min caching and is implicitly off when DisableMinCaching is set.
-	// Semantics — the ρ = T·k bound and local ordering — are identical
-	// either way.
+	// value (buffer on) is the performant configuration. Semantics — the
+	// ρ = T·k bound and local ordering — are identical either way.
 	DisableDeletionBuffer bool
 	// DeletionBufferSize is the per-handle deletion-buffer capacity; 0 means
 	// the default (32). Larger buffers amortize refills further but pin the
@@ -118,8 +99,7 @@ type Config[V any] struct {
 	// DisableStickyHint turns off the sticky skip-shared hint: the
 	// generalization of the exact-pointer MinHint that re-validates across
 	// shared publications against the new array's minimum-key floor, for a
-	// bounded streak of operations. Implicitly off when DisableMinCaching is
-	// set. Semantics are identical either way.
+	// bounded streak of operations. Semantics are identical either way.
 	DisableStickyHint bool
 	// StickyHintOps is the sticky-hint streak budget: the number of
 	// consecutive cross-publication re-validations allowed before the hint
@@ -142,11 +122,10 @@ type Queue[V any] struct {
 	// kCurrent tracks the run-time-configurable relaxation parameter
 	// (SetRelaxation); cfg.K is only its initial value.
 	kCurrent atomic.Int64
-	// closedInserted/closedDeleted accumulate the operation totals of
-	// closed handles so Size stays correct across handle churn. Guarded by
-	// mu.
-	closedInserted int64
-	closedDeleted  int64
+	// closedStats accumulates the counters of closed handles, so Size and
+	// Stats stay correct across handle churn (its Handles stays 0).
+	// Guarded by mu.
+	closedStats QueueStats
 	// zombies holds DistLSMs of closed handles that still contain items
 	// (DistOnly mode only, where no shared structure can absorb them); they
 	// must stay spy-able. Guarded by mu.
@@ -163,8 +142,6 @@ type Queue[V any] struct {
 	// which would otherwise die with the handle's pool, leaking their
 	// items to the GC uncounted. reaperMu serializes the adoption and
 	// drain paths — close and Quiesce, never the operation hot paths.
-	// Nil without item reclamation: a non-reclaiming limbo block carries
-	// no obligations.
 	reaperMu    sync.Mutex
 	reaperPool  *block.Pool[V]
 	reaperItems *item.Pool[V]
@@ -197,8 +174,7 @@ func NewQueue[V any](cfg Config[V]) *Queue[V] {
 	q := &Queue[V]{cfg: cfg}
 	q.kCurrent.Store(int64(cfg.K))
 	q.shared = sharedlsm.New[V](cfg.K, cfg.LocalOrdering)
-	q.shared.SetMinCaching(!cfg.DisableMinCaching)
-	if !cfg.DisableMinCaching && !cfg.DisableStickyHint {
+	if !cfg.DisableStickyHint {
 		ops := cfg.StickyHintOps
 		if ops <= 0 {
 			ops = defaultStickyHintOps
@@ -208,14 +184,8 @@ func NewQueue[V any](cfg Config[V]) *Queue[V] {
 	if cfg.Drop != nil {
 		q.shared.SetDrop(cfg.Drop)
 	}
-	if !cfg.DisablePooling {
-		q.shared.SetGuard(&q.guard)
-		if !cfg.DisableItemReclamation {
-			q.reaperItems = item.NewPool[V]()
-			q.reaperPool = block.NewPool[V](&q.guard)
-			q.reaperPool.SetItemPool(q.reaperItems)
-		}
-	}
+	q.reaperItems = item.NewPool[V]()
+	q.reaperPool = block.NewPool(&q.guard, q.reaperItems)
 	empty := []*distlsm.Dist[V]{}
 	q.victims.Store(&empty)
 	return q
@@ -267,7 +237,7 @@ func (q *Queue[V]) Rho() int { return q.Handles() * int(q.kCurrent.Load()) }
 func (q *Queue[V]) Size() int {
 	q.mu.Lock()
 	hs := append([]*Handle[V](nil), q.handles...)
-	n := q.closedInserted - q.closedDeleted - q.refDeleted.Load()
+	n := q.closedStats.Inserted - q.closedStats.Deleted - q.refDeleted.Load()
 	q.mu.Unlock()
 	for _, h := range hs {
 		n += h.inserted.Load() - h.deleted.Load()
@@ -318,30 +288,21 @@ func (q *Queue[V]) NewHandle() *Handle[V] {
 	if q.cfg.Mode == DistOnly {
 		kBound = -1 // unbounded: no overflow target exists
 	}
-	h.dist = distlsm.New[V](id, kBound)
-	h.dist.SetMinCaching(!q.cfg.DisableMinCaching)
+	// §4.4 recycling: one block pool and one item pool per handle, all
+	// block pools gated by the queue-wide guard. Blocks from the pool
+	// refcount their item slots and release them into the handle's item
+	// pool when the block is recycled or dropped.
+	h.items = item.NewPool[V]()
+	h.pool = block.NewPool(&q.guard, h.items)
+	h.dist = distlsm.New(id, kBound, h.pool)
 	if q.cfg.Drop != nil {
 		h.dist.SetDrop(q.cfg.Drop)
 	}
-	h.cursor = q.shared.NewCursor(id, xrand.NewSeeded(id*0xbf58476d1ce4e5b9+0x3c6ef372))
-	if !q.cfg.DisablePooling {
-		// §4.4 recycling: one block pool and one item pool per handle, all
-		// block pools gated by the queue-wide guard.
-		h.pool = block.NewPool[V](&q.guard)
-		h.items = item.NewPool[V]()
-		if !q.cfg.DisableItemReclamation {
-			// §4.4 proper: blocks from this pool refcount their item
-			// slots and release them into the handle's item pool when the
-			// block is recycled or dropped.
-			h.pool.SetItemPool(h.items)
-		}
-		h.dist.SetPool(h.pool)
-		h.cursor.SetPool(h.pool)
-	}
+	h.cursor = q.shared.NewCursor(id, xrand.NewSeeded(id*0xbf58476d1ce4e5b9+0x3c6ef372), h.pool)
 	h.overflow = func(b *block.Block[V]) *block.Block[V] {
 		return h.q.shared.Insert(h.cursor, b)
 	}
-	if !q.cfg.DisableDeletionBuffer && !q.cfg.DisableMinCaching {
+	if !q.cfg.DisableDeletionBuffer {
 		h.bufCap = q.cfg.DeletionBufferSize
 		if h.bufCap <= 0 {
 			h.bufCap = defaultDelBufSize
@@ -366,7 +327,7 @@ type Handle[V any] struct {
 	id       uint64
 	overflow func(*block.Block[V]) *block.Block[V]
 
-	// pool and items are the handle's §4.4 free lists (nil: pooling off).
+	// pool and items are the handle's §4.4 free lists.
 	pool  *block.Pool[V]
 	items *item.Pool[V]
 
@@ -445,9 +406,8 @@ func (h *Handle[V]) Close() {
 		q.zombies = append(q.zombies, h.dist)
 	}
 	q.rebuildVictims()
-	// Preserve the operation totals for Size.
-	q.closedInserted += h.inserted.Load()
-	q.closedDeleted += h.deleted.Load()
+	// Preserve the operation totals for Size and the counters for Stats.
+	h.addStats(&q.closedStats)
 	// Withdraw the cursor from the reclamation epoch scheme so an idle
 	// closed handle does not pin retired blocks forever.
 	q.shared.RetireCursor(h.cursor)
@@ -456,26 +416,24 @@ func (h *Handle[V]) Close() {
 	// guard kept parked. Without the handoff those references are never
 	// released and their items leak to the GC whenever a close races an
 	// active spy or meld.
-	if h.pool.Reclaiming() {
-		limbo, limboItems := h.pool.DetachLimbo()
-		q.reaperMu.Lock()
-		ps := h.pool.Stats()
-		q.closedReclaim.ItemsReclaimed += ps.ItemsReclaimed
-		q.closedReclaim.ItemsLostLive += ps.ItemsLostLive
-		q.closedReclaim.LimboLeaked += ps.LimboLeaked
-		q.closedReclaim.ItemPuts += h.items.Puts()
-		a, r := h.items.Stats()
-		q.closedReclaim.ItemSlabAllocs += a
-		q.closedReclaim.ItemReuses += r
-		q.reaperPool.Adopt(limbo, limboItems)
-		// The reaper's pools only ever absorb obligations — nothing draws
-		// from them — so drop what the adoption just reclaimed (items and
-		// block shells) to the GC instead of pinning it for the queue's
-		// lifetime. The ledger (Puts) is already counted.
-		q.reaperItems.TrimFree(0)
-		q.reaperPool.TrimFree()
-		q.reaperMu.Unlock()
-	}
+	limbo, limboItems := h.pool.DetachLimbo()
+	q.reaperMu.Lock()
+	ps := h.pool.Stats()
+	q.closedReclaim.ItemsReclaimed += ps.ItemsReclaimed
+	q.closedReclaim.ItemsLostLive += ps.ItemsLostLive
+	q.closedReclaim.LimboLeaked += ps.LimboLeaked
+	q.closedReclaim.ItemPuts += h.items.Puts()
+	a, r := h.items.Stats()
+	q.closedReclaim.ItemSlabAllocs += a
+	q.closedReclaim.ItemReuses += r
+	q.reaperPool.Adopt(limbo, limboItems)
+	// The reaper's pools only ever absorb obligations — nothing draws from
+	// them — so drop what the adoption just reclaimed (items and block
+	// shells) to the GC instead of pinning it for the queue's lifetime. The
+	// ledger (Puts) is already counted.
+	q.reaperItems.TrimFree(0)
+	q.reaperPool.TrimFree()
+	q.reaperMu.Unlock()
 }
 
 // Quiesce drives every deferred reclamation step to completion: it
@@ -483,8 +441,8 @@ func (h *Handle[V]) Close() {
 // shared-k-LSM maintenance pass per handle, advances every cursor's epoch
 // stamp, and drains the shared and per-handle limbo lists. After Quiesce on
 // a queue whose items have all been deleted, every block has been recycled
-// or dropped and — with item reclamation on — every taken item has been
-// released to an item pool exactly once.
+// or dropped and every taken item has been released to an item pool exactly
+// once.
 //
 // Quiesce is NOT safe to run concurrently with handle operations: the
 // caller must guarantee that no goroutine is operating on any handle
@@ -573,8 +531,8 @@ func (q *Queue[V]) SnapshotLive(emit func(key uint64, seq uint64, value V)) {
 // DistStats exposes the handle's DistLSM counters for benchmarks.
 func (h *Handle[V]) DistStats() distlsm.Stats { return h.dist.Stats() }
 
-// PoolStats exposes the handle's block-pool counters (zero value when
-// pooling is disabled). Owner-only, like all pool operations.
+// PoolStats exposes the handle's block-pool counters. Owner-only, like all
+// pool operations.
 func (h *Handle[V]) PoolStats() block.PoolStats { return h.pool.Stats() }
 
 // Insert adds key with its payload to the queue (Listing 5). It always
@@ -753,10 +711,9 @@ func (h *Handle[V]) InsertBatchSeqs(keys []uint64, values []V, seqs []uint64) {
 // emit for each key/payload in pop order, and returns the number removed. It
 // stops early when TryDeleteMin fails — which, after its unsuccessful spy
 // pass, is the strongest emptiness signal the structure offers. Every pop
-// individually satisfies the ρ = T·k bound and local ordering; with min
-// caching on, the candidate window persists across the pops, so a
-// steady-state drain costs one window build plus max O(1) pops rather than
-// max full scans.
+// individually satisfies the ρ = T·k bound and local ordering; the
+// candidate window persists across the pops, so a steady-state drain costs
+// one window build plus max O(1) pops rather than max full scans.
 func (h *Handle[V]) DrainMin(max int, emit func(key uint64, value V)) int {
 	return h.DrainMinSeq(max, func(k uint64, v V, _ uint64) { emit(k, v) })
 }

@@ -140,38 +140,6 @@ func TestReclaimAccountingStress(t *testing.T) {
 	}
 }
 
-// TestReclaimToggleSemantics: WithItemReclamation must change only where
-// item memory goes, never observable queue behavior.
-func TestReclaimToggleSemantics(t *testing.T) {
-	on := NewQueue(Config[int]{K: 64, Mode: Combined, LocalOrdering: true})
-	off := NewQueue(Config[int]{K: 64, Mode: Combined, LocalOrdering: true,
-		DisableItemReclamation: true})
-	hOn, hOff := on.NewHandle(), off.NewHandle()
-	rng := xrand.NewSeeded(29)
-	for op := 0; op < 20_000; op++ {
-		if rng.Bool() {
-			k := rng.Uint64n(1 << 30)
-			hOn.Insert(k, int(k))
-			hOff.Insert(k, int(k))
-		} else {
-			k1, v1, ok1 := hOn.TryDeleteMin()
-			k2, v2, ok2 := hOff.TryDeleteMin()
-			if ok1 != ok2 || k1 != k2 || v1 != v2 {
-				t.Fatalf("op %d: reclaiming (%d,%d,%v) != non-reclaiming (%d,%d,%v)",
-					op, k1, v1, ok1, k2, v2, ok2)
-			}
-		}
-	}
-	if on.Size() != off.Size() {
-		t.Fatalf("Size %d != %d", on.Size(), off.Size())
-	}
-	// The non-reclaiming queue must not have recycled a single item.
-	rsOff := off.ReclaimStats()
-	if rsOff.ItemPuts != 0 || rsOff.ItemsReclaimed != 0 {
-		t.Fatalf("reclamation disabled but %d items were recycled", rsOff.ItemPuts)
-	}
-}
-
 // TestReclaimSurvivesClose: closing a handle drains its items to the shared
 // structure and retires its blocks; the remaining handles must still be able
 // to delete everything, and the ledger must not double-release. (Item

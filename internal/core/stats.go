@@ -1,51 +1,61 @@
 package core
 
-// QueueStats aggregates structural counters across all handles, exposing
-// the data the ablation experiments (DESIGN.md E6–E8) are built on. The
-// snapshot is taken without stopping the queue, so counters from handles
-// that are mid-operation may be one event behind.
+// QueueStats is a snapshot of the queue's structural counters: the internals
+// the delete-min fast path is tuned by — candidate-window maintenance cost,
+// deletion-buffer hit rates, skip-shared stickiness — alongside the
+// structural event counts of the paper's ablations (DESIGN.md E6–E8). It is
+// also the public klsm.Stats. The snapshot is taken without stopping the
+// queue, so counters from handles mid-operation may be one event behind.
+// Every counter includes the handles closed so far; only Handles counts the
+// open ones alone.
 type QueueStats struct {
-	// Handles is the number of registered handles (T in ρ = T·k).
+	// Handles is the number of open handles (T in ρ = T·k).
 	Handles int
-	// Inserted and Deleted are the lifetime operation totals.
+	// Inserted is the lifetime number of inserted keys.
 	Inserted int64
-	Deleted  int64
-	// Merges counts block merges across all DistLSMs.
+	// Deleted counts successful delete-min operations.
+	Deleted int64
+	// Merges counts block merges across the per-handle structures.
 	Merges int64
-	// Overflows counts blocks transferred from DistLSMs to the shared
-	// k-LSM (the batching frequency of §4.3).
+	// Overflows counts blocks transferred from per-handle structures to the
+	// shared k-LSM (the batching frequency of paper §4.3).
 	Overflows int64
-	// Spies counts successful spy operations; SpiedBlocks the blocks
-	// copied by them (§4.2).
-	Spies       int64
+	// Spies counts successful spy operations (paper §4.2).
+	Spies int64
+	// SpiedBlocks counts blocks copied by spy operations.
 	SpiedBlocks int64
 	// SpyCalls counts delete-min rounds that resorted to spying.
 	SpyCalls int64
-	// Consolidates counts DistLSM consolidation passes.
+	// Consolidates counts per-handle consolidation passes.
 	Consolidates int64
 	// SharedConsolidatePushes counts successfully published consolidations
-	// of the shared k-LSM; SharedInsertRetries counts failed insert CAS
-	// attempts (the contention measure of §4.1's bottleneck discussion).
+	// of the shared k-LSM.
 	SharedConsolidatePushes int64
-	SharedInsertRetries     int64
-	// WindowBuilds counts full candidate-window materializations,
-	// WindowRepairs incremental ones, and WindowItems the total candidate
-	// entries materialized by either — the per-delete window cost the
-	// incremental window bounds (the E14/E15 metric).
-	WindowBuilds  int64
+	// SharedInsertRetries counts failed shared-insert CAS attempts (the
+	// contention measure of paper §4.1).
+	SharedInsertRetries int64
+	// WindowBuilds counts full candidate-window materializations.
+	// WindowItems/Deleted is the per-delete window cost the incremental
+	// window keeps bounded at large k (the E14/E15 metric).
+	WindowBuilds int64
+	// WindowRepairs counts incremental candidate-window repairs.
 	WindowRepairs int64
-	WindowItems   int64
-	// BufferFills/BufferPops/BufferFlushes count deletion-buffer refills,
-	// deletes served from the buffer, and invalidation flushes that
-	// discarded unconsumed entries.
-	BufferFills   int64
-	BufferPops    int64
+	// WindowItems counts candidate entries materialized into windows by
+	// builds and repairs.
+	WindowItems int64
+	// BufferFills counts deletion-buffer refills.
+	BufferFills int64
+	// BufferPops counts deletes served straight from the deletion buffer.
+	BufferPops int64
+	// BufferFlushes counts deletion-buffer invalidations that discarded
+	// unconsumed buffered candidates.
 	BufferFlushes int64
 	// HintSkips counts shared-side queries skipped on a valid skip-shared
-	// hint; HintSticks the sticky subset granted by minimum-key
-	// re-validation across a shared publication (MultiQueue-style
-	// stickiness).
-	HintSkips  int64
+	// hint.
+	HintSkips int64
+	// HintSticks counts the sticky subset of HintSkips: skips granted by
+	// minimum-key re-validation across a shared publication
+	// (MultiQueue-style stickiness).
 	HintSticks int64
 }
 
@@ -71,7 +81,7 @@ type ReclaimStats struct {
 	ItemsLostLive int64
 	// LimboLeaked counts blocks dropped at a limbo cap with their item
 	// references unreleased (per-handle pools plus the shared structure) —
-	// the one GC fallback left with reclamation on.
+	// the one GC fallback left in the reclamation scheme.
 	LimboLeaked int64
 }
 
@@ -93,13 +103,11 @@ func (q *Queue[V]) ReclaimStats() ReclaimStats {
 	}
 	q.reaperMu.Lock()
 	cr := q.closedReclaim
-	if q.reaperPool != nil {
-		ps := q.reaperPool.Stats()
-		cr.ItemsReclaimed += ps.ItemsReclaimed
-		cr.ItemsLostLive += ps.ItemsLostLive
-		cr.LimboLeaked += ps.LimboLeaked
-		cr.ItemPuts += q.reaperItems.Puts()
-	}
+	ps := q.reaperPool.Stats()
+	cr.ItemsReclaimed += ps.ItemsReclaimed
+	cr.ItemsLostLive += ps.ItemsLostLive
+	cr.LimboLeaked += ps.LimboLeaked
+	cr.ItemPuts += q.reaperItems.Puts()
 	q.reaperMu.Unlock()
 	rs.ItemsReclaimed += cr.ItemsReclaimed
 	rs.ItemPuts += cr.ItemPuts
@@ -111,33 +119,40 @@ func (q *Queue[V]) ReclaimStats() ReclaimStats {
 	return rs
 }
 
-// Stats returns an aggregated snapshot of the queue's structural counters.
+// Stats returns an aggregated snapshot of the queue's structural counters,
+// including those of closed handles.
 func (q *Queue[V]) Stats() QueueStats {
 	q.mu.Lock()
 	hs := append([]*Handle[V](nil), q.handles...)
+	s := q.closedStats
 	q.mu.Unlock()
-	var s QueueStats
 	s.Handles = len(hs)
 	for _, h := range hs {
-		s.Inserted += h.inserted.Load()
-		s.Deleted += h.deleted.Load()
-		ds := h.dist.Stats()
-		s.Merges += ds.Merges
-		s.Overflows += ds.Overflows
-		s.Spies += ds.Spies
-		s.SpiedBlocks += ds.SpiedBlocks
-		s.Consolidates += ds.Consolidates
-		s.SpyCalls += h.SpyCalls.Load()
-		s.SharedConsolidatePushes += h.cursor.ConsolidatePushes.Load()
-		s.SharedInsertRetries += h.cursor.InsertRetries.Load()
-		s.WindowBuilds += h.cursor.WindowBuilds.Load()
-		s.WindowRepairs += h.cursor.WindowRepairs.Load()
-		s.WindowItems += h.cursor.WindowItems.Load()
-		s.BufferFills += h.BufFills.Load()
-		s.BufferPops += h.BufPops.Load()
-		s.BufferFlushes += h.BufFlushes.Load()
-		s.HintSkips += h.cursor.HintSkips.Load()
-		s.HintSticks += h.cursor.HintSticks.Load()
+		h.addStats(&s)
 	}
 	return s
+}
+
+// addStats adds h's counters to s (all but Handles). Safe to call
+// concurrently with h's operations.
+func (h *Handle[V]) addStats(s *QueueStats) {
+	s.Inserted += h.inserted.Load()
+	s.Deleted += h.deleted.Load()
+	ds := h.dist.Stats()
+	s.Merges += ds.Merges
+	s.Overflows += ds.Overflows
+	s.Spies += ds.Spies
+	s.SpiedBlocks += ds.SpiedBlocks
+	s.Consolidates += ds.Consolidates
+	s.SpyCalls += h.SpyCalls.Load()
+	s.SharedConsolidatePushes += h.cursor.ConsolidatePushes.Load()
+	s.SharedInsertRetries += h.cursor.InsertRetries.Load()
+	s.WindowBuilds += h.cursor.WindowBuilds.Load()
+	s.WindowRepairs += h.cursor.WindowRepairs.Load()
+	s.WindowItems += h.cursor.WindowItems.Load()
+	s.BufferFills += h.BufFills.Load()
+	s.BufferPops += h.BufPops.Load()
+	s.BufferFlushes += h.BufFlushes.Load()
+	s.HintSkips += h.cursor.HintSkips.Load()
+	s.HintSticks += h.cursor.HintSticks.Load()
 }

@@ -7,26 +7,20 @@ import (
 	"klsm/internal/xrand"
 )
 
-// TestNoPoolingConcurrentStress exercises the pooling-disabled code paths —
-// nil block pools, nil item pools, nil guard on the shared k-LSM — under
-// real concurrency: a mixed insert/delete workload whose deletes force
-// spying (consumers outdelete their own inserts), with handle churn mixed
-// in. Every path that dereferences a pool must tolerate nil (pool methods
-// are nil-receiver-safe); this is the dedicated concurrent regression for
-// that mode, meant to run under -race.
-func TestNoPoolingConcurrentStress(t *testing.T) {
+// TestConcurrentStressAllModes runs every operating mode under real
+// concurrency: a mixed insert/delete workload whose deletes force spying
+// (consumers outdelete their own inserts), with handle churn mixed in, so
+// spies, closes and §4.4 retirements race each other. Every inserted key
+// must be extracted exactly once, and no live item may reach refcount zero.
+// Meant to run under -race.
+func TestConcurrentStressAllModes(t *testing.T) {
 	workers := 6
 	perWorker := 4000
 	if testing.Short() {
 		workers, perWorker = 4, 1000
 	}
 	for _, mode := range []Mode{Combined, DistOnly, SharedOnly} {
-		q := NewQueue(Config[int]{
-			K:              64,
-			Mode:           mode,
-			LocalOrdering:  true,
-			DisablePooling: true,
-		})
+		q := NewQueue(Config[int]{K: 64, Mode: mode, LocalOrdering: true})
 		var (
 			wg       sync.WaitGroup
 			inserted = make([][]uint64, workers)
@@ -88,20 +82,25 @@ func TestNoPoolingConcurrentStress(t *testing.T) {
 		if total != want {
 			t.Fatalf("mode %v: extracted %d keys, want %d", mode, total, want)
 		}
+		q.Quiesce()
+		if lost := q.ReclaimStats().ItemsLostLive; lost != 0 {
+			t.Fatalf("mode %v: %d live items hit refcount zero", mode, lost)
+		}
 	}
 }
 
-// TestNoPoolingMeldConcurrent stresses Meld with pooling off while both
-// queues are being deleted from concurrently: exactly-once deletion must
-// hold across the meld, and the nil-guard reader bracket must be a no-op
-// rather than a crash.
-func TestNoPoolingMeldConcurrent(t *testing.T) {
+// TestMeldConcurrent stresses Meld while both queues are being deleted from
+// concurrently: exactly-once deletion must hold across the meld, and so
+// must the §4.4 ledger — melded copies hold item references in both
+// queues, so after a drain and Quiesce on both, every item must have been
+// released exactly once between them and none while still live.
+func TestMeldConcurrent(t *testing.T) {
 	n := 5000
 	if testing.Short() {
 		n = 1000
 	}
-	dst := NewQueue(Config[int]{K: 16, Mode: Combined, LocalOrdering: true, DisablePooling: true})
-	src := NewQueue(Config[int]{K: 16, Mode: Combined, LocalOrdering: true, DisablePooling: true})
+	dst := NewQueue(Config[int]{K: 16, Mode: Combined, LocalOrdering: true})
+	src := NewQueue(Config[int]{K: 16, Mode: Combined, LocalOrdering: true})
 	hDst := dst.NewHandle()
 	hSrc := src.NewHandle()
 	for i := 0; i < n; i++ {
@@ -153,5 +152,16 @@ func TestNoPoolingMeldConcurrent(t *testing.T) {
 		if cnt != 1 {
 			t.Fatalf("key %d extracted %d times", k, cnt)
 		}
+	}
+
+	dst.Quiesce()
+	src.Quiesce()
+	rd, rs := dst.ReclaimStats(), src.ReclaimStats()
+	if rd.ItemsLostLive != 0 || rs.ItemsLostLive != 0 {
+		t.Fatalf("live items hit refcount zero: dst %d, src %d", rd.ItemsLostLive, rs.ItemsLostLive)
+	}
+	if puts := rd.ItemPuts + rs.ItemPuts; puts != int64(2*n) {
+		t.Fatalf("item releases = %d (dst %d + src %d), want %d; limbo leaked dst %d, src %d",
+			puts, rd.ItemPuts, rs.ItemPuts, 2*n, rd.LimboLeaked, rs.LimboLeaked)
 	}
 }

@@ -22,21 +22,20 @@
 // growing past the bound are handed to the overflow callback (the shared
 // k-LSM) instead of being stored locally.
 //
-// Memory reclamation (§4.4): the owner draws blocks from its per-handle
-// pool; private blocks (the per-insert level-0 block, merge intermediates)
-// recycle the moment they are merged away, while published blocks are
-// retired only after the stores that unlink them, gated by the queue-wide
-// spy guard. With item reclamation on, an item's reference is acquired once
-// at insert (the level-0 block) or at a spy copy, and every merge or
-// compaction in this package *transfers* its inputs' references to the
-// result (block.MergeTransferIn / ShrinkTransferIn) instead of
-// re-acquiring them — zero refcount traffic per generation for surviving
-// items. Items a merge filters out travel in the result's drops list and
-// are parked in the pool's item limbo right after the stores that unlink
-// their donor blocks; the pool releases every reference exactly when the
-// reuse contract proves the holder dead, returning taken items to the
-// handle's item pool. Blocks overflowing to the shared k-LSM carry their
-// references with them. See DESIGN.md, "Deterministic item reclamation".
+// Memory reclamation (§4.4): the owner draws blocks from its per-handle pool;
+// private blocks (the per-insert level-0 block, merge intermediates) recycle
+// the moment they are merged away, while published blocks are retired only
+// after the stores that unlink them, gated by the queue-wide spy guard. An
+// item's reference is acquired once at insert (the level-0 block) or at a spy
+// copy, and every merge or compaction in this package *transfers* its inputs'
+// references to the result (block.MergeTransferIn / ShrinkTransferIn) instead
+// of re-acquiring them — zero refcount traffic per generation for surviving
+// items. Items a merge filters out travel in the result's drops list and are
+// parked in the pool's item limbo right after the stores that unlink their
+// donor blocks; the pool releases every reference exactly when the reuse
+// contract proves the holder dead, returning taken items to the handle's item
+// pool. Blocks overflowing to the shared k-LSM carry their references with
+// them. See DESIGN.md, "Deterministic item reclamation".
 package distlsm
 
 import (
@@ -89,12 +88,12 @@ type Dist[V any] struct {
 	drop  block.DropFunc[V]
 	stats statCounters
 
-	// pool is the owner handle's §4.4 block free list (nil: pooling off).
-	// Private blocks (the per-insert level-0 block, merge intermediates)
-	// recycle immediately; published blocks that the owner unlinks go
-	// through Retire, whose guard keeps them parked while any spy that
-	// might still hold their pointer is active. All pools of one queue
-	// share that queue's guard, which Spy brackets.
+	// pool is the owner handle's §4.4 block free list. Private blocks
+	// (the per-insert level-0 block, merge intermediates) recycle
+	// immediately; published blocks that the owner unlinks go through
+	// Retire, whose guard keeps them parked while any spy that might
+	// still hold their pointer is active. All pools of one queue share
+	// that queue's guard, which Spy brackets.
 	pool *block.Pool[V]
 	// retireScratch and consolidation scratch buffers avoid per-call slice
 	// allocations on the owner's hot paths; itemScratch briefly holds
@@ -115,7 +114,6 @@ type Dist[V any] struct {
 	// item *is* still its block's minimum. A taken entry triggers a rescan
 	// of that block only. cacheLen == current size marks the cache valid;
 	// -1 invalidates it (the next FindMin repopulates with its full scan).
-	minCache bool
 	cacheLen int
 	mins     [block.MaxLevel + 1]*item.Item[V]
 }
@@ -141,9 +139,11 @@ func maxLevelFor(k int) int {
 }
 
 // New returns a Dist owned by handle ownerID, bounded for relaxation
-// parameter k. k < 0 means unbounded (standalone DLSM mode).
-func New[V any](ownerID uint64, k int) *Dist[V] {
-	d := &Dist[V]{ownerID: ownerID, ownerMask: bloom.Mask(ownerID), cacheLen: -1}
+// parameter k, drawing its blocks from the owner handle's pool (§4.4). k < 0
+// means unbounded (standalone DLSM mode). The pool's guard must be shared by
+// every pool of the queue so Spy and Retire agree on reader quiescence.
+func New[V any](ownerID uint64, k int, pool *block.Pool[V]) *Dist[V] {
+	d := &Dist[V]{ownerID: ownerID, ownerMask: bloom.Mask(ownerID), pool: pool, cacheLen: -1}
 	if k < 0 {
 		d.maxLevel.Store(UnboundedLevel)
 	} else {
@@ -167,22 +167,8 @@ func (d *Dist[V]) SetK(k int) {
 // SetDrop installs the lazy-deletion callback applied during merges.
 func (d *Dist[V]) SetDrop(drop block.DropFunc[V]) { d.drop = drop }
 
-// SetPool installs the owner handle's block free list (§4.4). Must be set
-// before the Dist is used; the pool's guard must be shared by every pool of
-// the queue so Spy and Retire agree on reader quiescence.
-func (d *Dist[V]) SetPool(p *block.Pool[V]) { d.pool = p }
-
-// SetMinCaching toggles the owner-local per-block min cache (owner only;
-// set before first use). Off, every FindMin re-walks the block array.
-func (d *Dist[V]) SetMinCaching(enabled bool) {
-	d.minCache = enabled
-	d.cacheLen = -1
-}
-
 // cacheValid reports whether the min cache mirrors blocks[0:sz].
-func (d *Dist[V]) cacheValid(sz int) bool {
-	return d.minCache && d.cacheLen == sz
-}
+func (d *Dist[V]) cacheValid(sz int) bool { return d.cacheLen == sz }
 
 // Stats returns a snapshot of the structural event counters. Safe to call
 // from any goroutine.
@@ -359,18 +345,12 @@ func (d *Dist[V]) insertBlock(b *block.Block[V], overflow func(*block.Block[V]) 
 	newLen := -1
 	switch {
 	case b.Empty():
-		// Everything merged away (drop callback / logical deletions). With
-		// reclamation on, b still owns the consumed blocks' item references
-		// as drops, so it goes through Retire — releasing is safe only once
-		// the size store has unlinked the consumed blocks and the guard is
-		// quiescent. An obligation-free b (reclamation off) stays a plain
-		// private block and recycles instantly.
+		// Everything merged away (drop callback / logical deletions). b
+		// still owns the consumed blocks' item references as drops, so it
+		// goes through Retire — releasing is safe only once the size store
+		// has unlinked the consumed blocks and the guard is quiescent.
 		d.size.Store(int64(i))
-		if b.HoldsRefs() || b.DropsLen() != 0 {
-			d.pool.Retire(b)
-		} else {
-			d.pool.Put(b)
-		}
+		d.pool.Retire(b)
 		if cached {
 			newLen = i
 		}
@@ -424,11 +404,11 @@ func (d *Dist[V]) insertBlock(b *block.Block[V], overflow func(*block.Block[V]) 
 // nil if the Dist holds no live item. It opportunistically trims logically
 // deleted tails and triggers consolidation when blocks have died.
 //
-// With min caching on, a valid cache reduces the steady-state call to one
-// key compare per block, rescanning only blocks whose cached minimum has
-// been taken since the last scan (typically the one block a failed TryTake
-// hit); without it — or after a structural mutation invalidated the cache —
-// the call performs the full trimming scan and repopulates the cache.
+// A valid min cache reduces the steady-state call to one key compare per
+// block, rescanning only blocks whose cached minimum has been taken since
+// the last scan (typically the one block a failed TryTake hit); after a
+// structural mutation invalidated the cache, the call performs the full
+// trimming scan and repopulates the cache.
 //
 // The returned item stays referenced by a published block of this Dist
 // until the owner's next mutation, so the caller may read its key and claim
@@ -465,9 +445,7 @@ func (d *Dist[V]) scanMin(trim bool) (best *item.Item[V], dead bool) {
 			} else {
 				it = nil
 			}
-			if d.minCache {
-				d.mins[i] = it
-			}
+			d.mins[i] = it
 		}
 		if it == nil {
 			dead = true
@@ -477,9 +455,7 @@ func (d *Dist[V]) scanMin(trim bool) (best *item.Item[V], dead bool) {
 			best = it
 		}
 	}
-	if d.minCache {
-		d.cacheLen = sz
-	}
+	d.cacheLen = sz
 	return best, dead
 }
 
@@ -505,9 +481,7 @@ func (d *Dist[V]) FillMin(dst []item.Snap[V], perBlock int, capKey uint64) ([]it
 	for i := 0; i < sz; i++ {
 		b := d.blocks[i].Load()
 		if b == nil || b.ShrinkInPlace() == 0 {
-			if d.minCache {
-				d.mins[i] = nil
-			}
+			d.mins[i] = nil
 			continue
 		}
 		f := b.Filled()
@@ -528,7 +502,7 @@ func (d *Dist[V]) FillMin(dst []item.Snap[V], perBlock int, capKey uint64) ([]it
 			if ver&1 != 0 {
 				continue
 			}
-			if !foundMin && d.minCache {
+			if !foundMin {
 				d.mins[i] = it
 				foundMin = true
 			}
@@ -539,7 +513,7 @@ func (d *Dist[V]) FillMin(dst []item.Snap[V], perBlock int, capKey uint64) ([]it
 			dst = append(dst, item.Snap[V]{It: it, Ver: ver, Key: k})
 			got++
 		}
-		if !foundMin && d.minCache {
+		if !foundMin {
 			d.mins[i] = nil
 		}
 		if j >= 0 {
@@ -548,9 +522,7 @@ func (d *Dist[V]) FillMin(dst []item.Snap[V], perBlock int, capKey uint64) ([]it
 			}
 		}
 	}
-	if d.minCache {
-		d.cacheLen = sz
-	}
+	d.cacheLen = sz
 	return dst, guard
 }
 
@@ -606,15 +578,11 @@ func (d *Dist[V]) Consolidate() {
 			unlinked = append(unlinked, b) // replaced by the compacted copy
 		}
 		if s.Empty() {
-			// An empty fresh copy may still carry the original's references
-			// as drops; Retire (via the unlinked list) gates their release
-			// on the publication stores below and guard quiescence. An
-			// obligation-free fresh copy recycles instantly as before.
-			if sFresh && !s.HoldsRefs() && s.DropsLen() == 0 {
-				d.pool.Put(s)
-			} else {
-				unlinked = append(unlinked, s)
-			}
+			// An emptied original, or an empty fresh copy still carrying
+			// the original's references as drops: Retire (via the unlinked
+			// list) gates their release on the publication stores below and
+			// guard quiescence.
+			unlinked = append(unlinked, s)
 			continue
 		}
 		// Restore strictly decreasing levels with a merge stack; merges
@@ -638,8 +606,6 @@ func (d *Dist[V]) Consolidate() {
 		}
 		if !s.Empty() {
 			runs, fresh = append(runs, s), append(fresh, sFresh)
-		} else if sFresh && !s.HoldsRefs() && s.DropsLen() == 0 {
-			d.pool.Put(s)
 		} else {
 			unlinked = append(unlinked, s)
 		}
@@ -653,15 +619,13 @@ func (d *Dist[V]) Consolidate() {
 		d.blocks[i].Store(r)
 	}
 	d.size.Store(int64(len(runs)))
-	if d.minCache {
-		// Rebuild the min cache from the surviving runs: each is non-empty
-		// and its tail was live when built (staleness is caught by the
-		// taken-flag check on the next FindMin).
-		for i, r := range runs {
-			d.mins[i] = r.Min()
-		}
-		d.cacheLen = len(runs)
+	// Rebuild the min cache from the surviving runs: each is non-empty and
+	// its tail was live when built (staleness is caught by the taken-flag
+	// check on the next FindMin).
+	for i, r := range runs {
+		d.mins[i] = r.Min()
 	}
+	d.cacheLen = len(runs)
 	// Published runs hand their dropped-item references to the item limbo
 	// now that the stores above unlinked every donor block.
 	for _, r := range runs {
@@ -864,15 +828,13 @@ func (d *Dist[V]) DrainTo(overflow func(*block.Block[V]) *block.Block[V]) {
 		d.stats.overflows.Add(1)
 	}
 	d.size.Store(0)
-	if d.minCache {
-		d.cacheLen = 0
-	}
+	d.cacheLen = 0
 	// Retire the drained originals once the size store above unlinks them.
 	// The pool dies with the closing handle, so for pure block reuse this
-	// would be pointless — but with item reclamation on, Retire releases the
-	// originals' item references (immediately when the guard is quiescent,
-	// which is the common case on close), without which every item that
-	// passed through this handle would stay GC-backstopped forever.
+	// would be pointless — but Retire releases the originals' item
+	// references (immediately when the guard is quiescent, which is the
+	// common case on close), without which every item that passed through
+	// this handle would stay GC-backstopped forever.
 	for j, b := range unlinked {
 		unlinked[j] = nil
 		d.pool.Retire(b)

@@ -10,6 +10,15 @@ import (
 	"klsm/internal/xrand"
 )
 
+// testGuard is the reader guard every pool of newDist shares, as all pools
+// of one queue share the queue's guard.
+var testGuard block.Guard
+
+// newDist returns a Dist drawing from a fresh pool under testGuard.
+func newDist[V any](ownerID uint64, k int) *Dist[V] {
+	return New(ownerID, k, block.NewPool(&testGuard, item.NewPool[V]()))
+}
+
 // drain repeatedly takes the minimum from d (owner-style delete-min) until
 // empty, returning the key sequence.
 func drain(d *Dist[int]) []uint64 {
@@ -44,7 +53,7 @@ func TestMaxLevelFor(t *testing.T) {
 }
 
 func TestInsertFindMinSequential(t *testing.T) {
-	d := New[int](1, -1)
+	d := newDist[int](1, -1)
 	keys := []uint64{9, 3, 7, 1, 5}
 	for _, k := range keys {
 		if !d.Insert(item.New(k, 0), nil) {
@@ -68,7 +77,7 @@ func TestInsertFindMinSequential(t *testing.T) {
 }
 
 func TestSortedDrainLarge(t *testing.T) {
-	d := New[int](1, -1)
+	d := newDist[int](1, -1)
 	src := xrand.NewSeeded(31)
 	const n = 5000
 	for i := 0; i < n; i++ {
@@ -87,7 +96,7 @@ func TestOverflowAtBound(t *testing.T) {
 	const k = 7 // maxLevel = 3, local capacity 2^3-1 = 7 items
 	var overflowed []*block.Block[int]
 	take := func(b *block.Block[int]) *block.Block[int] { overflowed = append(overflowed, b); return nil }
-	d := New[int](1, k)
+	d := newDist[int](1, k)
 	for i := uint64(0); i < 16; i++ {
 		d.Insert(item.New(i, 0), take)
 		if live := d.LiveCount(); live > k {
@@ -117,7 +126,7 @@ func TestOverflowAtBound(t *testing.T) {
 
 func TestKZeroEverythingOverflows(t *testing.T) {
 	var got []uint64
-	d := New[int](1, 0)
+	d := newDist[int](1, 0)
 	take := func(b *block.Block[int]) *block.Block[int] {
 		for _, it := range b.Items() {
 			got = append(got, it.Key())
@@ -137,7 +146,7 @@ func TestKZeroEverythingOverflows(t *testing.T) {
 func TestBloomOwnership(t *testing.T) {
 	const owner = 42
 	var blocks []*block.Block[int]
-	d := New[int](owner, 1) // maxLevel 1: pairs overflow
+	d := newDist[int](owner, 1) // maxLevel 1: pairs overflow
 	take := func(b *block.Block[int]) *block.Block[int] { blocks = append(blocks, b); return nil }
 	for i := uint64(0); i < 8; i++ {
 		d.Insert(item.New(i, 0), take)
@@ -150,12 +159,12 @@ func TestBloomOwnership(t *testing.T) {
 }
 
 func TestSpyCopiesWithoutStealing(t *testing.T) {
-	victim := New[int](1, -1)
+	victim := newDist[int](1, -1)
 	for i := uint64(0); i < 100; i++ {
 		victim.Insert(item.New(i, 0), nil)
 	}
 	before := victim.LiveCount()
-	thief := New[int](2, -1)
+	thief := newDist[int](2, -1)
 	if !thief.Spy(victim) {
 		t.Fatal("spy of non-empty victim failed")
 	}
@@ -180,8 +189,8 @@ func TestSpyCopiesWithoutStealing(t *testing.T) {
 }
 
 func TestSpyEmptyVictim(t *testing.T) {
-	victim := New[int](1, -1)
-	thief := New[int](2, -1)
+	victim := newDist[int](1, -1)
+	thief := newDist[int](2, -1)
 	if thief.Spy(victim) {
 		t.Fatal("spy of empty victim reported success")
 	}
@@ -194,7 +203,7 @@ func TestSpyEmptyVictim(t *testing.T) {
 }
 
 func TestConsolidateRemovesDeadBlocks(t *testing.T) {
-	d := New[int](1, -1)
+	d := newDist[int](1, -1)
 	items := make([]*item.Item[int], 64)
 	for i := range items {
 		items[i] = item.New(uint64(i), 0)
@@ -218,7 +227,7 @@ func TestConsolidateRemovesDeadBlocks(t *testing.T) {
 }
 
 func TestFindMinSkipsTaken(t *testing.T) {
-	d := New[int](1, -1)
+	d := newDist[int](1, -1)
 	a, b, c := item.New(1, 0), item.New(2, 0), item.New(3, 0)
 	d.Insert(a, nil)
 	d.Insert(b, nil)
@@ -238,11 +247,8 @@ func TestFindMinSkipsTaken(t *testing.T) {
 // pop could then fire an item above its bound). The returned item must be
 // live and still referenced.
 func TestFindMinAfterConsolidateIsReferenced(t *testing.T) {
-	p := block.NewPool[int](nil) // nil guard: releases happen at once
 	ip := item.NewPool[int]()
-	p.SetItemPool(ip)
-	d := New[int](1, -1)
-	d.SetPool(p)
+	d := New(1, -1, block.NewPool(nil, ip)) // nil guard: releases happen at once
 	dead := map[uint64]bool{}
 	d.SetDrop(func(key uint64, _ int) bool { return dead[key] })
 
@@ -279,7 +285,7 @@ func TestFindMinAfterConsolidateIsReferenced(t *testing.T) {
 // semantics across the copies is enforced by draining everything at the end.
 func TestConcurrentSpyWhileInserting(t *testing.T) {
 	const items = 20000
-	owner := New[int](1, -1)
+	owner := newDist[int](1, -1)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 
@@ -294,7 +300,7 @@ func TestConcurrentSpyWhileInserting(t *testing.T) {
 					return
 				default:
 				}
-				thief := New[int](uint64(10+id), -1)
+				thief := newDist[int](uint64(10+id), -1)
 				if thief.Spy(owner) {
 					for {
 						it := thief.FindMin()
@@ -335,7 +341,7 @@ func TestConcurrentSpyWhileInserting(t *testing.T) {
 }
 
 func TestStatsCounters(t *testing.T) {
-	d := New[int](1, 3) // maxLevel 2
+	d := newDist[int](1, 3) // maxLevel 2
 	var overflows int
 	for i := uint64(0); i < 32; i++ {
 		d.Insert(item.New(i, 0), func(*block.Block[int]) *block.Block[int] { overflows++; return nil })
@@ -350,7 +356,7 @@ func TestStatsCounters(t *testing.T) {
 }
 
 func BenchmarkInsertUnbounded(b *testing.B) {
-	d := New[struct{}](1, -1)
+	d := newDist[struct{}](1, -1)
 	src := xrand.NewSeeded(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -359,7 +365,7 @@ func BenchmarkInsertUnbounded(b *testing.B) {
 }
 
 func BenchmarkInsertDeletePair(b *testing.B) {
-	d := New[struct{}](1, -1)
+	d := newDist[struct{}](1, -1)
 	src := xrand.NewSeeded(1)
 	for i := 0; i < 1024; i++ {
 		d.Insert(item.New(src.Uint64(), struct{}{}), nil)

@@ -5,18 +5,11 @@ import (
 	"sync"
 	"testing"
 
+	"klsm/internal/binheap"
 	"klsm/internal/block"
 	"klsm/internal/item"
 	"klsm/internal/xrand"
 )
-
-// newCached returns a Dist with the per-block min cache on, as the combined
-// queue configures it by default.
-func newCached(ownerID uint64, k int) *Dist[int] {
-	d := New[int](ownerID, k)
-	d.SetMinCaching(true)
-	return d
-}
 
 // TestMaxLevelForHugeK is the regression test for the shift overflow: for k
 // near the int range the naive `1<<uint(level+1) <= k+1` loop shifts past
@@ -42,51 +35,51 @@ func TestMaxLevelForHugeK(t *testing.T) {
 			t.Fatalf("maxLevelFor(%d) = %d violates capacity bound", k, got)
 		}
 	}
-	if got := New[int](1, math.MaxInt).MaxLevel(); got != block.MaxLevel {
+	if got := newDist[int](1, math.MaxInt).MaxLevel(); got != block.MaxLevel {
 		t.Fatalf("New with huge k: MaxLevel() = %d, want %d", got, block.MaxLevel)
 	}
-	d := New[int](1, 0)
+	d := newDist[int](1, 0)
 	d.SetK(math.MaxInt) // the run-time reconfiguration path must clamp too
 	if got := d.MaxLevel(); got != block.MaxLevel {
 		t.Fatalf("SetK with huge k: MaxLevel() = %d, want %d", got, block.MaxLevel)
 	}
 }
 
-// TestMinCacheSequentialEquivalence runs the same randomized owner workload
-// against a cached and an uncached Dist: every FindMin observation and the
-// full drain order must be identical — the cache is a pure optimization.
+// TestMinCacheSequentialEquivalence runs a randomized owner workload against
+// an exact heap: every FindMin observation and the full drain order must
+// match it — the cache is a pure optimization.
 func TestMinCacheSequentialEquivalence(t *testing.T) {
-	cached := newCached(1, -1)
-	plain := New[int](1, -1)
+	d := newDist[int](1, -1)
+	oracle := binheap.New(4)
 	rng := xrand.NewSeeded(99)
 	for op := 0; op < 20_000; op++ {
 		if rng.Intn(2) == 0 {
 			k := rng.Uint64n(1 << 20)
-			cached.Insert(item.New(k, 0), nil)
-			plain.Insert(item.New(k, 0), nil)
-		} else {
-			a, b := cached.FindMin(), plain.FindMin()
-			switch {
-			case (a == nil) != (b == nil):
-				t.Fatalf("op %d: cached FindMin %v, plain %v", op, a, b)
-			case a == nil:
-				continue
-			case a.Key() != b.Key():
-				t.Fatalf("op %d: cached min %d, plain min %d", op, a.Key(), b.Key())
-			}
-			if !a.TryTake() || !b.TryTake() {
-				t.Fatalf("op %d: sequential TryTake failed", op)
-			}
+			d.Insert(item.New(k, 0), nil)
+			oracle.Push(k)
+			continue
+		}
+		it := d.FindMin()
+		want, ok := oracle.Pop()
+		switch {
+		case (it == nil) == ok:
+			t.Fatalf("op %d: FindMin %v, oracle non-empty %v", op, it, ok)
+		case it == nil:
+			continue
+		case it.Key() != want:
+			t.Fatalf("op %d: min %d, oracle %d", op, it.Key(), want)
+		}
+		if !it.TryTake() {
+			t.Fatalf("op %d: sequential TryTake failed", op)
 		}
 	}
-	got, want := drain(cached), drain(plain)
-	if len(got) != len(want) {
-		t.Fatalf("drain lengths differ: %d vs %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("drain diverges at %d: cached %d, plain %d", i, got[i], want[i])
+	for i, k := range drain(d) {
+		if want, ok := oracle.Pop(); !ok || k != want {
+			t.Fatalf("drain diverges at %d: got %d, oracle %d (ok=%v)", i, k, want, ok)
 		}
+	}
+	if !oracle.Empty() {
+		t.Fatalf("drain stopped with %d oracle keys left", oracle.Len())
 	}
 }
 
@@ -103,7 +96,7 @@ func TestMinCacheOverflowAndSetK(t *testing.T) {
 		}
 		return nil
 	}
-	d := newCached(1, 255)
+	d := newDist[int](1, 255)
 	rng := xrand.NewSeeded(5)
 	inserted := map[uint64]bool{}
 	for i := 0; i < 4_000; i++ {
@@ -135,11 +128,11 @@ func TestMinCacheOverflowAndSetK(t *testing.T) {
 // extend the cache consistently — the spied minima are immediately visible
 // to FindMin.
 func TestMinCacheSpyAppends(t *testing.T) {
-	victim := New[int](2, -1)
+	victim := newDist[int](2, -1)
 	for _, k := range []uint64{80, 40, 60, 20} {
 		victim.Insert(item.New(k, 0), nil)
 	}
-	d := newCached(1, -1)
+	d := newDist[int](1, -1)
 	d.Insert(item.New(100, 0), nil)
 	it := d.FindMin() // warm the cache
 	if it == nil || it.Key() != 100 {
@@ -171,7 +164,7 @@ func TestMinCacheConcurrentTakers(t *testing.T) {
 		spies = 4
 		n     = 20_000
 	)
-	owner := newCached(1, -1)
+	owner := newDist[int](1, -1)
 	var wg sync.WaitGroup
 	taken := make([][]uint64, spies+1)
 	stop := make(chan struct{})
@@ -179,7 +172,7 @@ func TestMinCacheConcurrentTakers(t *testing.T) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			d := New[int](uint64(id+2), -1)
+			d := newDist[int](uint64(id+2), -1)
 			for {
 				select {
 				case <-stop:

@@ -1,6 +1,7 @@
 package distlsm
 
 import (
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,41 +11,41 @@ import (
 	"klsm/internal/xrand"
 )
 
-// TestPooledDistSequential checks that a pooled Dist behaves like an
-// unpooled one and actually recycles blocks.
+// TestPooledDistSequential checks that a pooled Dist drains in exact key
+// order, recycles blocks, and releases every taken item exactly once.
 func TestPooledDistSequential(t *testing.T) {
-	plain := New[int](1, -1)
-	pooled := New[int](2, -1)
-	pooled.SetPool(block.NewPool[int](nil)) // single-threaded: nil guard
+	ip := item.NewPool[int]()
+	pool := block.NewPool(nil, ip) // single-threaded: nil guard
+	d := New(1, -1, pool)
 
 	rng := xrand.NewSeeded(21)
 	var keys []uint64
 	for i := 0; i < 4000; i++ {
 		k := rng.Uint64n(1 << 30)
 		keys = append(keys, k)
-		plain.Insert(item.New(k, int(k)), nil)
-		pooled.Insert(item.New(k, int(k)), nil)
+		d.Insert(ip.Get(k, int(k)), nil)
 	}
-	for i := 0; i < len(keys); i++ {
-		a, b := plain.FindMin(), pooled.FindMin()
-		if (a == nil) != (b == nil) {
-			t.Fatalf("FindMin presence diverged at %d", i)
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	for i, want := range keys {
+		it := d.FindMin()
+		if it == nil || it.Key() != want {
+			t.Fatalf("FindMin %d = %v, want key %d", i, it, want)
 		}
-		if a == nil {
-			break
-		}
-		if a.Key() != b.Key() {
-			t.Fatalf("FindMin key diverged at %d: %d vs %d", i, a.Key(), b.Key())
-		}
-		if !a.TryTake() || !b.TryTake() {
+		if !it.TryTake() {
 			t.Fatal("sequential take failed")
 		}
 	}
-	if plain.FindMin() != nil || pooled.FindMin() != nil {
-		t.Fatal("queues not drained")
+	if d.FindMin() != nil {
+		t.Fatal("queue not drained")
 	}
-	if !pooled.CheckInvariants() {
+	if !d.CheckInvariants() {
 		t.Fatal("pooled invariants violated")
+	}
+	if st := pool.Stats(); st.Hits == 0 || st.ItemsLostLive != 0 {
+		t.Fatalf("pool stats %+v: want recycled blocks and no live item released", st)
+	}
+	if got := ip.Puts(); got != int64(len(keys)) {
+		t.Fatalf("item releases = %d, want %d", got, len(keys))
 	}
 }
 
@@ -56,8 +57,7 @@ func TestPooledDistSequential(t *testing.T) {
 // any premature reuse.
 func TestPooledEvictionPrivateCopies(t *testing.T) {
 	var g block.Guard
-	d := New[int](1, -1) // unbounded: grow big local blocks first
-	d.SetPool(block.NewPool[int](&g))
+	d := New(1, -1, block.NewPool(&g, item.NewPool[int]())) // unbounded: grow big local blocks first
 
 	rng := xrand.NewSeeded(41)
 	inserted := 0
@@ -73,8 +73,7 @@ func TestPooledEvictionPrivateCopies(t *testing.T) {
 		defer wg.Done()
 		for !stop.Load() {
 			// A fresh spy each round keeps copying the full structure.
-			spy := New[int](7, -1)
-			spy.SetPool(block.NewPool[int](&g))
+			spy := New(7, -1, block.NewPool(&g, item.NewPool[int]()))
 			spy.Spy(d)
 			if !spy.CheckInvariants() {
 				panic("spy invariants violated during eviction")
@@ -134,8 +133,7 @@ func TestPooledSpyConcurrent(t *testing.T) {
 		t.Skip("concurrency stress; skipped with -short")
 	}
 	var g block.Guard
-	victim := New[int](1, -1)
-	victim.SetPool(block.NewPool[int](&g))
+	victim := New(1, -1, block.NewPool(&g, item.NewPool[int]()))
 
 	const ops = 30000
 	var stop atomic.Bool
@@ -144,8 +142,7 @@ func TestPooledSpyConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			spy := New[int](uint64(id)+10, -1)
-			spy.SetPool(block.NewPool[int](&g))
+			spy := New(uint64(id)+10, -1, block.NewPool(&g, item.NewPool[int]()))
 			for !stop.Load() {
 				spy.Spy(victim)
 				// Drain the copies so the spy's own structure keeps cycling.

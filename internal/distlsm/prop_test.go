@@ -14,7 +14,7 @@ import (
 // structure invariants hold throughout.
 func TestPropOwnerSequenceMatchesOracle(t *testing.T) {
 	f := func(ops []uint16) bool {
-		d := New[int](1, -1)
+		d := newDist[int](1, -1)
 		var ref []uint64
 		for _, op := range ops {
 			if op&1 == 0 || len(ref) == 0 {
@@ -51,7 +51,7 @@ func TestPropBoundNeverExceeded(t *testing.T) {
 	f := func(keys []uint64, kSel uint8) bool {
 		ks := []int{0, 1, 3, 7, 15, 64, 255}
 		k := ks[int(kSel)%len(ks)]
-		d := New[int](1, k)
+		d := newDist[int](1, k)
 		sink := func(*block.Block[int]) *block.Block[int] { return nil }
 		for _, key := range keys {
 			d.Insert(item.New(key, 0), sink)
@@ -70,7 +70,7 @@ func TestPropBoundNeverExceeded(t *testing.T) {
 // live item the victim holds.
 func TestPropSpyIsComplete(t *testing.T) {
 	f := func(keys []uint64, deletions uint8) bool {
-		victim := New[int](1, -1)
+		victim := newDist[int](1, -1)
 		for _, k := range keys {
 			victim.Insert(item.New(k, 0), nil)
 		}
@@ -80,7 +80,7 @@ func TestPropSpyIsComplete(t *testing.T) {
 			}
 		}
 		want := victim.LiveCount()
-		thief := New[int](2, -1)
+		thief := newDist[int](2, -1)
 		thief.Spy(victim)
 		return thief.LiveCount() == want
 	}

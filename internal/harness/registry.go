@@ -71,11 +71,7 @@ func Figure4Specs(k int) []QueueSpec {
 // the throughput tool but are not part of the paper's Figure 3 legend (so
 // "all" and the figure benchmarks stay faithful to the paper).
 func ExtraSpecs() []QueueSpec {
-	specs := []QueueSpec{
-		{Name: "kLSM(256)-nomincache", New: func(int) pqs.Queue { return klsmq.NewNoMinCache(256) }},
-		{Name: "kLSM(256)-nopool", New: func(int) pqs.Queue { return klsmq.NewNoPooling(256) }},
-		{Name: "kLSM(256)-noreclaim", New: func(int) pqs.Queue { return klsmq.NewNoReclaim(256) }},
-	}
+	var specs []QueueSpec
 	// Deletion-buffer and sticky-hint ablations (E15/E16) plus the large-k
 	// frontier points of the window sweep, at every k the sweep visits.
 	for _, k := range []int{256, 4096, 8192, 65536} {

@@ -15,16 +15,10 @@ const slabSize = 256
 //
 //   - the sequential LSM, where each item lives in exactly one block and is
 //     provably sole-referenced the moment DeleteMin trims it, and
-//   - the lineage reference-count scheme (§4.4 proper): block pools with
-//     an attached item pool release a lineage's references when its blocks
-//     and dropped items clear the §4.4 quiescence proofs, and hand the item
-//     here when the last reference dies on a taken item.
-//
-// Without either (reclamation disabled), taken items are simply left to the
-// garbage collector — the Go backstop the paper's C++ implementation lacks.
-//
-// A nil *Pool is valid and falls back to plain allocation, so pooling can be
-// disabled by simply not creating pools.
+//   - the lineage reference-count scheme (§4.4 proper): block pools release
+//     a lineage's references when its blocks and dropped items clear the
+//     §4.4 quiescence proofs, and hand the item here when the last
+//     reference dies on a taken item.
 type Pool[V any] struct {
 	free []*Item[V]
 	slab []Item[V]
@@ -33,9 +27,9 @@ type Pool[V any] struct {
 	// the free list; exposed for tests and diagnostics.
 	allocs int64
 	reuses int64
-	// puts counts items recycled through Put — with reference counting on,
-	// exactly one Put happens per taken incarnation, so the accounting tests
-	// compare this against the number of successful deletes.
+	// puts counts items recycled through Put — exactly one Put happens per
+	// taken incarnation, so the accounting tests compare this against the
+	// number of successful deletes.
 	puts int64
 }
 
@@ -45,9 +39,6 @@ func NewPool[V any]() *Pool[V] { return &Pool[V]{} }
 // Get returns a live item holding key and value, recycling a retired item
 // when one is available.
 func (p *Pool[V]) Get(key uint64, value V) *Item[V] {
-	if p == nil {
-		return New(key, value)
-	}
 	if n := len(p.free); n > 0 {
 		it := p.free[n-1]
 		p.free[n-1] = nil
@@ -71,9 +62,6 @@ func (p *Pool[V]) Get(key uint64, value V) *Item[V] {
 // every published structure (the caller owns the only remaining reference).
 // Panics on a live item — that is always a contract violation.
 func (p *Pool[V]) Put(it *Item[V]) {
-	if p == nil || it == nil {
-		return
-	}
 	if !it.Taken() {
 		panic("item: Put of a live item")
 	}
@@ -92,35 +80,19 @@ func (p *Pool[V]) Put(it *Item[V]) {
 // the GC take them is safe and their ledger accounting (Puts) is already
 // done.
 func (p *Pool[V]) TrimFree(max int) {
-	if p == nil || len(p.free) <= max {
+	if len(p.free) <= max {
 		return
 	}
 	clear(p.free[max:])
 	p.free = p.free[:max]
 }
 
-// Puts returns the number of items recycled through Put. With reference
-// counting on this is the exactly-once release count the accounting tests
-// assert against.
-func (p *Pool[V]) Puts() int64 {
-	if p == nil {
-		return 0
-	}
-	return p.puts
-}
+// Puts returns the number of items recycled through Put: the exactly-once
+// release count the accounting tests assert against.
+func (p *Pool[V]) Puts() int64 { return p.puts }
 
 // FreeLen returns the current free-list length, for tests.
-func (p *Pool[V]) FreeLen() int {
-	if p == nil {
-		return 0
-	}
-	return len(p.free)
-}
+func (p *Pool[V]) FreeLen() int { return len(p.free) }
 
 // Stats returns (slab allocations, recycled Gets) for tests and diagnostics.
-func (p *Pool[V]) Stats() (allocs, reuses int64) {
-	if p == nil {
-		return 0, 0
-	}
-	return p.allocs, p.reuses
-}
+func (p *Pool[V]) Stats() (allocs, reuses int64) { return p.allocs, p.reuses }

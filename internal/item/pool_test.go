@@ -150,16 +150,3 @@ func TestPoolRecyclesAndSlabs(t *testing.T) {
 		t.Fatalf("stats = %d slabs, %d reuses", slabAllocs, reuses)
 	}
 }
-
-func TestNilPoolFallsBack(t *testing.T) {
-	var p *Pool[int]
-	it := p.Get(7, 70)
-	if it == nil || it.Key() != 7 {
-		t.Fatal("nil pool Get failed")
-	}
-	it.TryTake()
-	p.Put(it) // must not panic
-	if a, r := p.Stats(); a != 0 || r != 0 {
-		t.Fatal("nil pool stats non-zero")
-	}
-}

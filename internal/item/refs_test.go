@@ -70,8 +70,6 @@ func TestTrimFreeDropsToGC(t *testing.T) {
 	if p.FreeLen() != 0 {
 		t.Fatalf("free = %d after trim to 0", p.FreeLen())
 	}
-	var np *Pool[int]
-	np.TrimFree(0) // nil-safe
 }
 
 func TestPoolPutsCounter(t *testing.T) {
@@ -81,10 +79,5 @@ func TestPoolPutsCounter(t *testing.T) {
 	p.Put(it)
 	if p.Puts() != 1 || p.FreeLen() != 1 {
 		t.Fatalf("puts=%d freeLen=%d, want 1/1", p.Puts(), p.FreeLen())
-	}
-	// A nil pool stays a no-op.
-	var np *Pool[int]
-	if np.Puts() != 0 || np.FreeLen() != 0 {
-		t.Fatal("nil pool reports nonzero counters")
 	}
 }

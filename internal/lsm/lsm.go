@@ -28,21 +28,24 @@ type LSM[V any] struct {
 	// minus items removed by the drop callback during maintenance.
 	live int
 
-	// pool/items are the §4.4 recycling free lists (NewPooled). The
-	// sequential LSM is the one structure where the full scheme applies:
-	// with a single thread and no spies, every item lives in exactly one
-	// reachable block, so a block is recyclable the moment it is merged
-	// away and an item the moment DeleteMin trims it — no guard needed
-	// (a nil-guard pool treats Retire as an immediate Put).
+	// pool/items are the §4.4 recycling free lists. The sequential LSM is
+	// the one structure where the full scheme applies without reference
+	// counts: with a single thread and no spies, every item lives in
+	// exactly one reachable block, so a block is recyclable the moment it
+	// is merged away and an item the moment DeleteMin trims it — no guard
+	// needed (a nil-guard pool treats Retire as an immediate Put). Blocks
+	// always recycle; items only on a NewPooled LSM (items is nil on New).
 	pool  *block.Pool[V]
 	items *item.Pool[V]
 	// scratch backs shrinkAt's suffix rebuild without a per-call allocation.
 	scratch []*block.Block[V]
 }
 
-// New returns an empty sequential LSM priority queue.
+// New returns an empty sequential LSM priority queue. Its blocks recycle
+// through a private free list; its items are plain allocations it never
+// reuses, so InsertItem is allowed.
 func New[V any]() *LSM[V] {
-	return &LSM[V]{}
+	return &LSM[V]{pool: block.NewPool[V](nil, item.NewPool[V]())}
 }
 
 // NewPooled returns an empty sequential LSM that recycles blocks and items
@@ -52,10 +55,8 @@ func New[V any]() *LSM[V] {
 // items it did not allocate... it cannot tell them apart, so with pooling
 // enabled InsertItem is disallowed and panics).
 func NewPooled[V any]() *LSM[V] {
-	return &LSM[V]{
-		pool:  block.NewPool[V](nil),
-		items: item.NewPool[V](),
-	}
+	items := item.NewPool[V]()
+	return &LSM[V]{pool: block.NewPool[V](nil, items), items: items}
 }
 
 // SetDrop installs the lazy-deletion callback (paper §4.5). Items for which
@@ -65,6 +66,10 @@ func (l *LSM[V]) SetDrop(drop block.DropFunc[V]) { l.drop = drop }
 
 // Insert adds key with its payload.
 func (l *LSM[V]) Insert(key uint64, value V) {
+	if l.items == nil {
+		l.insertItem(item.New(key, value))
+		return
+	}
 	l.insertItem(l.items.Get(key, value))
 }
 
@@ -166,7 +171,9 @@ func (l *LSM[V]) DeleteMin() (key uint64, value V, ok bool) {
 		// so it is unreachable and recycles (§4.4). Pooled LSMs allocate
 		// every item themselves (InsertItem is disallowed), so the pointer
 		// is exclusively ours.
-		l.items.Put(it)
+		if l.items != nil {
+			l.items.Put(it)
+		}
 		if l.drop != nil && l.drop(key, value) {
 			continue
 		}

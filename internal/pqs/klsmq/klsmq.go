@@ -37,41 +37,6 @@ func NewDLSM() *Queue {
 	return &Queue{q: core.NewQueue(core.Config[struct{}]{Mode: core.DistOnly})}
 }
 
-// NewNoPooling returns a combined k-LSM with the §4.4 block/item recycling
-// disabled (allocation ablation).
-func NewNoPooling(k int) *Queue {
-	return &Queue{q: core.NewQueue(core.Config[struct{}]{
-		K:              k,
-		Mode:           core.Combined,
-		LocalOrdering:  true,
-		DisablePooling: true,
-	})}
-}
-
-// NewNoReclaim returns a combined k-LSM with pooling on but the §4.4
-// deterministic item reclamation disabled — deleted items fall back to the
-// garbage collector (reclamation ablation E11).
-func NewNoReclaim(k int) *Queue {
-	return &Queue{q: core.NewQueue(core.Config[struct{}]{
-		K:                      k,
-		Mode:                   core.Combined,
-		LocalOrdering:          true,
-		DisableItemReclamation: true,
-	})}
-}
-
-// NewNoMinCache returns a combined k-LSM with the delete-min fast path
-// (per-block min cache, candidate window, skip-shared hint) disabled
-// (min-cache ablation).
-func NewNoMinCache(k int) *Queue {
-	return &Queue{q: core.NewQueue(core.Config[struct{}]{
-		K:                 k,
-		Mode:              core.Combined,
-		LocalOrdering:     true,
-		DisableMinCaching: true,
-	})}
-}
-
 // NewNoDelBuf returns a combined k-LSM with the per-handle deletion buffer
 // disabled (deletion-buffer ablation E16): every delete-min walks the
 // candidate window / min-cache path directly.

@@ -11,8 +11,8 @@
 //
 // Delete-min relaxation: each BlockArray carries pivot offsets separating,
 // per block, the keys guaranteed to be among the k+1 smallest of the whole
-// array. find-min draws uniformly from that candidate set, falling back to
-// the exact block minimum when the drawn item was already taken — this is
+// array. find-min draws uniformly from that candidate set (through each
+// cursor's incrementally maintained candidate window, candWindow) — this is
 // the "any of the k+1 smallest" relaxation of the paper. Local ordering is
 // layered on top through per-block Bloom filters: the minimum of every block
 // that may contain the calling handle's items is compared against the random
@@ -26,14 +26,13 @@
 // but a cursor must never take it as proof that the array it published
 // itself is still its private snapshot (Shared.stale).
 //
-// Memory reclamation (§4.4): blocks a winning CAS drops from the array
-// park in an epoch-tagged limbo list and recycle once every registered
-// cursor's stamp has passed their epoch (and the queue-wide spy guard is
-// quiescent) — see the Shared type for the full scheme. With item
-// reclamation on, the same proof releases each dead block's per-item
-// references: a winning cursor acquires references for the blocks it
-// created (creator-only, after its CAS; Insert acquires the incoming
-// block's on entry — a no-op for DistLSM overflow blocks that arrive
+// Memory reclamation (§4.4): blocks a winning CAS drops from the array park
+// in an epoch-tagged limbo list and recycle once every registered cursor's
+// stamp has passed their epoch (and the queue-wide spy guard is quiescent) —
+// see the Shared type for the full scheme. The same proof releases each dead
+// block's per-item references: a winning cursor acquires references for the
+// blocks it created (creator-only, after its CAS; Insert acquires the
+// incoming block's on entry — a no-op for DistLSM overflow blocks that arrive
 // carrying transferred references), and the pool that finally recycles or
 // drops a block releases them, returning taken items whose last reference
 // died to that handle's item pool. Failed attempts never touch the counts:
@@ -101,7 +100,7 @@ func (a *BlockArray[V]) copyInto(dst *BlockArray[V]) {
 // mutations: the owning handle's block pool, the list of blocks created
 // during the current attempt (private until the snapshot wins its CAS, so
 // recyclable if it does not), and scratch buffers for the hot consolidate/
-// pivot paths. A nil *alloc disables pooling and scratch reuse.
+// pivot paths.
 type alloc[V any] struct {
 	pool  *block.Pool[V]
 	fresh []*block.Block[V]
@@ -111,28 +110,13 @@ type alloc[V any] struct {
 	pivotFilled []int
 }
 
-// blockPool returns the pool, nil-safe.
-func (al *alloc[V]) blockPool() *block.Pool[V] {
-	if al == nil {
-		return nil
-	}
-	return al.pool
-}
-
 // note records a block created during the current attempt.
-func (al *alloc[V]) note(b *block.Block[V]) {
-	if al != nil {
-		al.fresh = append(al.fresh, b)
-	}
-}
+func (al *alloc[V]) note(b *block.Block[V]) { al.fresh = append(al.fresh, b) }
 
 // unnote removes b from the fresh list, reporting whether it was there. A
 // true result proves b is private (created this attempt, never published),
 // so the caller may recycle it immediately.
 func (al *alloc[V]) unnote(b *block.Block[V]) bool {
-	if al == nil {
-		return false
-	}
 	for i, f := range al.fresh {
 		if f == b {
 			last := len(al.fresh) - 1
@@ -147,9 +131,6 @@ func (al *alloc[V]) unnote(b *block.Block[V]) bool {
 
 // discardFresh recycles every block created during a failed attempt.
 func (al *alloc[V]) discardFresh() {
-	if al == nil {
-		return
-	}
 	for i, b := range al.fresh {
 		al.fresh[i] = nil
 		al.pool.Put(b)
@@ -160,9 +141,6 @@ func (al *alloc[V]) discardFresh() {
 // commitFresh forgets the fresh list after a successful publication (the
 // blocks are now shared and must not be recycled from here).
 func (al *alloc[V]) commitFresh() {
-	if al == nil {
-		return
-	}
 	clear(al.fresh)
 	al.fresh = al.fresh[:0]
 }
@@ -208,13 +186,8 @@ func (a *BlockArray[V]) insert(nb *block.Block[V], drop block.DropFunc[V], al *a
 // the O(k log B) selection would otherwise dominate large-k delete-min.
 func (a *BlockArray[V]) consolidate(drop block.DropFunc[V], needPivots bool, al *alloc[V]) bool {
 	changed := false
-	pool := al.blockPool()
-	var runs []*block.Block[V]
-	if al != nil {
-		runs = al.runScratch[:0]
-	} else {
-		runs = make([]*block.Block[V], 0, len(a.blocks))
-	}
+	pool := al.pool
+	runs := al.runScratch[:0]
 	for idx, b := range a.blocks {
 		if b == nil || b.Filled() == 0 {
 			changed = true
@@ -306,10 +279,8 @@ func (a *BlockArray[V]) consolidate(drop block.DropFunc[V], needPivots bool, al 
 	if len(runs) != len(a.blocks) {
 		changed = true
 	}
-	if al != nil {
-		// Keep the superseded backing array as scratch for the next pass.
-		al.runScratch = a.blocks
-	}
+	// Keep the superseded backing array as scratch for the next pass.
+	al.runScratch = a.blocks
 	a.blocks = runs
 	if changed || needPivots {
 		a.calculatePivots(al)
@@ -345,26 +316,19 @@ func (a *BlockArray[V]) calculatePivots(al *alloc[V]) {
 	// its tail (minimum) toward its head with a cursor, always advancing the
 	// block whose cursor key is globally smallest, k+1 times. A tiny manual
 	// heap keyed by cursor key keeps this O(k log B). The heap and filled
-	// scratch come from the cursor's recycling context when available.
+	// scratch come from the cursor's recycling context.
 	type cur = pivotCur
-	var heapArr []cur
-	var filled []int
-	if al != nil {
-		if cap(al.pivotHeap) < n {
-			al.pivotHeap = make([]cur, 0, n)
-		}
-		if cap(al.pivotFilled) < n {
-			al.pivotFilled = make([]int, n)
-		}
-		heapArr = al.pivotHeap[:0]
-		filled = al.pivotFilled[:n]
-		defer func() {
-			al.pivotHeap = heapArr[:0]
-		}()
-	} else {
-		heapArr = make([]cur, 0, n)
-		filled = make([]int, n)
+	if cap(al.pivotHeap) < n {
+		al.pivotHeap = make([]cur, 0, n)
 	}
+	if cap(al.pivotFilled) < n {
+		al.pivotFilled = make([]int, n)
+	}
+	heapArr := al.pivotHeap[:0]
+	filled := al.pivotFilled[:n]
+	defer func() {
+		al.pivotHeap = heapArr[:0]
+	}()
 	heapPush := func(c cur) {
 		heapArr = append(heapArr, c)
 		i := len(heapArr) - 1
@@ -626,13 +590,14 @@ func (w *candWindow[V]) consume() {
 
 // localOverlay applies local ordering on top of the drawn candidate: the
 // current minima of all Bloom-matching blocks compete with cand and the
-// smaller key wins, as in findMin's per-call scan. Each block's logically
-// deleted tail is trimmed in place first (the paper's benign only-shrinking
-// race on filled) — otherwise the item the caller took one call ago would be
-// handed back as a dead candidate and trigger a full consolidation per
-// delete. The returned snap may reference a logically deleted item under a
-// race (odd Ver) — the caller treats that as the consolidate signal, because
-// the block's true live minimum may still undercut the candidate.
+// smaller key wins, as in the paper's per-call find_min scan. Each block's
+// logically deleted tail is trimmed in place first (the paper's benign
+// only-shrinking race on filled) — otherwise the item the caller took one
+// call ago would be handed back as a dead candidate and trigger a full
+// consolidation per delete. The returned snap may reference a logically
+// deleted item under a race (odd Ver) — the caller treats that as the
+// consolidate signal, because the block's true live minimum may still
+// undercut the candidate.
 func (w *candWindow[V]) localOverlay(cand item.Snap[V]) item.Snap[V] {
 	for _, b := range w.local {
 		if b.ShrinkInPlace() == 0 {
@@ -744,116 +709,6 @@ func (w *candWindow[V]) overlayBound() uint64 {
 		}
 	}
 	return ov
-}
-
-// findMin draws one item uniformly from the candidate set (Listing 2's
-// find_min). It returns nil when no candidates remain (all ranges consumed),
-// signalling the caller to consolidate. The returned item may be logically
-// deleted — per the paper, the caller reacts to that by consolidating.
-//
-// With localID >= 0, local ordering is enforced: the minima of all blocks
-// whose Bloom filter may contain localID compete with the random choice and
-// the smaller key wins.
-func (a *BlockArray[V]) findMin(rng *xrand.Source, localID int64) *item.Item[V] {
-	n := len(a.blocks)
-	if n == 0 {
-		return nil
-	}
-	// Snapshot filled once per block: it may shrink concurrently and the
-	// two-pass selection below must agree with the totals.
-	var rangesBuf [block.MaxLevel + 2]int
-	var filledBuf [block.MaxLevel + 2]int
-	ranges := rangesBuf[:n]
-	filled := filledBuf[:n]
-	total := 0
-	for i, b := range a.blocks {
-		f := b.Filled()
-		p := a.pivots[i]
-		if p > f {
-			p = f
-		}
-		filled[i] = f
-		ranges[i] = f - p
-		total += f - p
-	}
-
-	// Draw uniformly from the candidate set. Every live item in the set has
-	// a key <= pivot, so *any* of them preserves the k+1 bound; when a draw
-	// lands on a logically deleted item we re-draw a few times and try a
-	// bounded backward scan near the tail (trimming the dead tail in place
-	// via the paper's benign only-shrinking race on filled) before giving
-	// up. Only when the set appears mostly dead do we hand back a dead item
-	// to trigger the caller's consolidation — without the bounds on the
-	// salvage work, large-k configurations degrade to O(dead) per delete.
-	const (
-		redraws  = 4
-		tailScan = 64
-	)
-	var candidate *item.Item[V]
-	if total > 0 {
-	attempts:
-		for attempt := 0; attempt < redraws; attempt++ {
-			r := rng.Intn(total)
-			for i, b := range a.blocks {
-				if ranges[i] <= 0 {
-					continue
-				}
-				if r >= ranges[i] {
-					r -= ranges[i]
-					continue
-				}
-				// Candidate set of block i is the suffix [filled-ranges, filled).
-				if r != ranges[i]-1 {
-					it := b.Item(filled[i] - ranges[i] + r)
-					if !it.Taken() {
-						candidate = it
-						break attempts
-					}
-					candidate = it // dead; remember as consolidate signal
-					continue attempts
-				}
-				// Tail draw: trim the dead tail, then scan a bounded window
-				// backwards for a live minimum.
-				b.ShrinkInPlace()
-				lo := filled[i] - ranges[i]
-				if bounded := filled[i] - tailScan; bounded > lo {
-					lo = bounded
-				}
-				for j := filled[i] - 1; j >= lo; j-- {
-					it := b.Item(j)
-					if !it.Taken() {
-						candidate = it
-						break attempts
-					}
-				}
-				candidate = b.Item(filled[i] - 1) // dead; consolidate signal
-				continue attempts
-			}
-			break // r exhausted all ranges (concurrent shrink); bail out
-		}
-	}
-
-	if localID >= 0 && candidate != nil {
-		// Local ordering competes *downward* only: the overlay minimum may
-		// replace a drawn candidate (its key then stays within the pivot
-		// bound), but with no candidate at all it would bound nothing — the
-		// caller must consolidate instead, which recalculates pivots and
-		// produces a bounded candidate set.
-		id := uint64(localID)
-		for i, b := range a.blocks {
-			if !b.Bloom().MayContain(id) {
-				continue
-			}
-			if filled[i] == 0 {
-				continue
-			}
-			it := b.Item(filled[i] - 1)
-			if it.Key() < candidate.Key() {
-				candidate = it
-			}
-		}
-	}
-	return candidate
 }
 
 // LiveCount scans all blocks for live items (tests and diagnostics only).

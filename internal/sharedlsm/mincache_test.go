@@ -8,20 +8,12 @@ import (
 	"klsm/internal/xrand"
 )
 
-// newCached returns a Shared with the candidate-window cache enabled, the
-// configuration the combined queue uses by default.
-func newCached(k int, localOrdering bool) *Shared[int] {
-	s := New[int](k, localOrdering)
-	s.SetMinCaching(true)
-	return s
-}
-
 // TestMinCachingRelaxationBound mirrors TestRelaxationBoundSingleThread with
 // the candidate window on: popping successive cached candidates must stay
 // within the k+1-smallest bound at every step.
 func TestMinCachingRelaxationBound(t *testing.T) {
 	for _, k := range []int{0, 1, 4, 16, 64} {
-		s := newCached(k, true)
+		s := New[int](k, true)
 		c := newCursor(s, 1)
 		src := xrand.NewSeeded(uint64(k) + 7)
 
@@ -58,7 +50,7 @@ func TestMinCachingRelaxationBound(t *testing.T) {
 // TestMinCachingLocalOrdering: the cached window's local-ordering overlay
 // must still hand a handle its own minimum first.
 func TestMinCachingLocalOrdering(t *testing.T) {
-	s := newCached(1<<20, true)
+	s := New[int](1<<20, true)
 	mine := newCursor(s, 1)
 	other := newCursor(s, 2)
 	for i := uint64(0); i < 200; i++ {
@@ -76,7 +68,7 @@ func TestMinCachingLocalOrdering(t *testing.T) {
 // TestMinHintLifecycle: a successful FindMin arms the hint; any publication
 // that moves the shared pointer disarms it.
 func TestMinHintLifecycle(t *testing.T) {
-	s := newCached(4, true)
+	s := New[int](4, true)
 	c := newCursor(s, 1)
 	if _, ok := s.MinHint(c); ok {
 		t.Fatal("fresh cursor has a hint")
@@ -112,20 +104,6 @@ func TestMinHintLifecycle(t *testing.T) {
 	}
 }
 
-// TestMinHintDisabled: with caching off the hint must never arm, so the
-// combined queue's skip-shared fast path stays off too.
-func TestMinHintDisabled(t *testing.T) {
-	s := New[int](4, true)
-	c := newCursor(s, 1)
-	insertKeys(s, c, 10)
-	if it := s.FindMin(c); it == nil {
-		t.Fatal("FindMin found nothing")
-	}
-	if _, ok := s.MinHint(c); ok {
-		t.Fatal("hint armed with min caching disabled")
-	}
-}
-
 // TestStickyHintCrossPublication covers the sticky generalization of the
 // skip-shared hint: a publication that moves the shared pointer no longer
 // kills the hint outright — the skip is re-granted when the new array's
@@ -133,7 +111,7 @@ func TestMinHintDisabled(t *testing.T) {
 // key, re-arming the hint on the new array; the budget bounds consecutive
 // sticks and an undercutting publication denies and resets.
 func TestStickyHintCrossPublication(t *testing.T) {
-	s := newCached(4, true)
+	s := New[int](4, true)
 	s.SetStickyHint(2)
 	c := newCursor(s, 1)
 	insertKeys(s, c, 100, 200, 300)
@@ -192,7 +170,7 @@ func TestStickyHintCrossPublication(t *testing.T) {
 // TestStickyHintDisabled: with a zero sticky budget the hint dies with its
 // array — the pre-sticky MinHint behavior.
 func TestStickyHintDisabled(t *testing.T) {
-	s := newCached(4, true)
+	s := New[int](4, true)
 	c := newCursor(s, 1)
 	insertKeys(s, c, 100)
 	if s.FindMin(c) == nil {
@@ -211,7 +189,7 @@ func TestStickyHintDisabled(t *testing.T) {
 // candidates so exhaustion → pivot recalculation → rebuild cycles are
 // exercised.
 func TestMinCachingWindowExhaustion(t *testing.T) {
-	s := newCached(2, true)
+	s := New[int](2, true)
 	c := newCursor(s, 1)
 	const n = 500
 	for i := 0; i < n; i++ {
@@ -242,7 +220,7 @@ func TestMinCachingConcurrentConservation(t *testing.T) {
 		n = 500
 	}
 	for _, k := range []int{0, 4, 256} {
-		s := newCached(k, true)
+		s := New[int](k, true)
 		var wg sync.WaitGroup
 		extracted := make([][]uint64, workers)
 		for w := 0; w < workers; w++ {

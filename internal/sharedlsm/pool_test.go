@@ -9,15 +9,6 @@ import (
 	"klsm/internal/xrand"
 )
 
-// newPooledCursor builds a cursor wired to a fresh pool sharing guard g,
-// mirroring what core does per handle.
-func newPooledCursor(s *Shared[int], g *block.Guard, id uint64) (*Cursor[int], *block.Pool[int]) {
-	p := block.NewPool[int](g)
-	c := s.NewCursor(id, xrand.NewSeeded(id*77+13))
-	c.SetPool(p)
-	return c, p
-}
-
 func singletonIn(p *block.Pool[int], id uint64, key uint64) *block.Block[int] {
 	b := p.Get(0)
 	b.AddOwner(id)
@@ -30,8 +21,7 @@ func singletonIn(p *block.Pool[int], id uint64, key uint64) *block.Block[int] {
 func TestPooledSharedSequential(t *testing.T) {
 	var g block.Guard
 	s := New[int](8, true)
-	s.SetGuard(&g)
-	c, p := newPooledCursor(s, &g, 1)
+	c, p, _ := newReclaimCursor(s, &g, 1)
 
 	const n = 5000
 	inserted := make(map[uint64]bool, n)
@@ -66,7 +56,7 @@ func TestPooledSharedSequential(t *testing.T) {
 	if st.Hits == 0 || st.Puts == 0 {
 		t.Fatalf("pooled shared path never recycled: %+v", st)
 	}
-	if !s.guard.Quiescent() {
+	if !g.Quiescent() {
 		t.Fatal("guard not quiescent after sequential run")
 	}
 }
@@ -81,7 +71,6 @@ func TestPooledSharedConcurrent(t *testing.T) {
 	}
 	var g block.Guard
 	s := New[int](64, true)
-	s.SetGuard(&g)
 
 	const (
 		workers = 4
@@ -93,7 +82,7 @@ func TestPooledSharedConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			c, p := newPooledCursor(s, &g, uint64(id)+1)
+			c, p, _ := newReclaimCursor(s, &g, uint64(id)+1)
 			rng := xrand.NewSeeded(uint64(id)*991 + 7)
 			for i := 0; i < perW; i++ {
 				if rng.Bool() {
@@ -110,7 +99,7 @@ func TestPooledSharedConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	// Drain what remains; conservation demands inserts == takes + drained.
-	c, _ := newPooledCursor(s, &g, 99)
+	c, _, _ := newReclaimCursor(s, &g, 99)
 	var drained int64
 	for {
 		it := s.FindMin(c)

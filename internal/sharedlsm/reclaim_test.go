@@ -8,27 +8,22 @@ import (
 	"klsm/internal/xrand"
 )
 
-// newReclaimCursor is newPooledCursor plus an attached item pool, mirroring
-// what core does per handle with item reclamation on.
+// newReclaimCursor builds a cursor wired to a fresh pool sharing guard g,
+// mirroring what core does per handle, and returns the pool's item pool too.
 func newReclaimCursor(s *Shared[int], g *block.Guard, id uint64) (*Cursor[int], *block.Pool[int], *item.Pool[int]) {
-	p := block.NewPool[int](g)
 	ip := item.NewPool[int]()
-	p.SetItemPool(ip)
-	c := s.NewCursor(id, xrand.NewSeeded(id*77+13))
-	c.SetPool(p)
-	return c, p, ip
+	p := block.NewPool(g, ip)
+	return s.NewCursor(id, xrand.NewSeeded(id*77+13), p), p, ip
 }
 
 // TestLimboOverflowReleasesItemsExactlyOnce covers the limbo-overflow drop
 // path: a pinned cursor keeps the epoch scheme from draining, the limbo
-// list grows past the old 256-block bound (the non-reclaiming cap, at which
-// blocks used to fall to the GC with their items), and once the pin lifts,
-// every deleted item must still be released to the item pool exactly once —
-// including the items of blocks that were parked beyond that bound.
+// list grows to hundreds of blocks, and once the pin lifts, every deleted
+// item must still be released to the item pool exactly once — including the
+// items of the blocks parked longest.
 func TestLimboOverflowReleasesItemsExactlyOnce(t *testing.T) {
 	var g block.Guard
 	s := New[int](4, true)
-	s.SetGuard(&g)
 	cA, pA, ipA := newReclaimCursor(s, &g, 1)
 	cB, _, _ := newReclaimCursor(s, &g, 2)
 
@@ -115,7 +110,6 @@ func TestLimboOverflowReleasesItemsExactlyOnce(t *testing.T) {
 func TestInsertReturnsMergedAwayLineageBlock(t *testing.T) {
 	var g block.Guard
 	s := New[int](4, true)
-	s.SetGuard(&g)
 	c, p, ip := newReclaimCursor(s, &g, 1)
 
 	// Seed the array so the next insert triggers a level-collision merge.
@@ -152,28 +146,5 @@ func TestInsertReturnsMergedAwayLineageBlock(t *testing.T) {
 	p.Retire(got)
 	if it.Refs() != 1 {
 		t.Fatalf("refs = %d after caller retire, want 1", it.Refs())
-	}
-}
-
-// TestLimboCapNonReclaiming: without an item pool the old 256-block cap
-// still applies and overflow falls to the GC (counted, not released).
-func TestLimboCapNonReclaiming(t *testing.T) {
-	var g block.Guard
-	s := New[int](4, true)
-	s.SetGuard(&g)
-	cA, pA := newPooledCursor(s, &g, 1)
-	cB, _ := newPooledCursor(s, &g, 2)
-	rng := xrand.NewSeeded(7)
-	s.Insert(cA, singletonIn(pA, 1, rng.Uint64n(1<<40)))
-	s.FindMin(cB) // pin (the seed insert makes the shared pointer non-nil)
-
-	for i := 0; i < 800; i++ {
-		s.Insert(cA, singletonIn(pA, 1, rng.Uint64n(1<<40)))
-	}
-	if got := s.LimboLen(); got > sharedLimboCap {
-		t.Fatalf("limbo grew to %d, cap is %d", got, sharedLimboCap)
-	}
-	if s.LimboLeaked() == 0 {
-		t.Fatal("expected overflow drops at the non-reclaiming cap")
 	}
 }

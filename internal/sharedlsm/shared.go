@@ -11,13 +11,9 @@ import (
 
 // sharedLimboCap bounds the queue of dropped-but-not-yet-reclaimable blocks;
 // overflow is abandoned to the garbage collector (the Go backstop §4.4's C++
-// original lacks). With item reclamation on, a dropped block leaks its item
-// references too, so reclaiming queues use the larger bound before giving
-// up; either way the overflow is counted in LimboLeaked.
-const (
-	sharedLimboCap        = 256
-	sharedLimboCapReclaim = 2048
-)
+// original lacks), leaking the block's item references too. The overflow is
+// counted in LimboLeaked.
+const sharedLimboCap = 2048
 
 // retiredBlock is a block dropped from a published BlockArray, tagged with
 // the epoch of the CAS that dropped it.
@@ -38,10 +34,11 @@ type retiredBlock[V any] struct {
 // cursor can ever reach lives in an array it loaded at-or-after its stamp.
 // A winning CAS that drops blocks bumps the epoch to E and parks the blocks
 // in a limbo list tagged E; they recycle once every stamped cursor has
-// advanced to a stamp >= E (and the queue-wide spy guard is quiescent, which
-// covers non-cursor readers such as melds and spies on blocks that migrated
-// in from a DistLSM eviction). Cursors that never refreshed — or that have
-// been deactivated — carry the ^0 sentinel and pin nothing.
+// advanced to a stamp >= E (and the queue-wide spy guard — the guard of
+// every cursor's pool — is quiescent, which covers non-cursor readers such
+// as melds and spies on blocks that migrated in from a DistLSM eviction).
+// Cursors that never refreshed — or that have been deactivated — carry the
+// ^0 sentinel and pin nothing.
 type Shared[V any] struct {
 	ptr atomic.Pointer[BlockArray[V]]
 	// k is the relaxation parameter. It is atomic because the paper allows
@@ -54,14 +51,6 @@ type Shared[V any] struct {
 	// never skips its own items. On by default; the ablation benchmark
 	// switches it off.
 	localOrdering bool
-	// minCaching enables the per-cursor candidate-window cache (and the
-	// MinHint fast path built on it): FindMin pops successive candidates
-	// from a window maintained incrementally across snapshot states instead
-	// of re-running the pivot-range draw and Bloom scan on every call.
-	// Semantics are identical either way — every candidate the window
-	// supplies is within the same k+1-smallest bound. Set before the queue
-	// is shared.
-	minCaching bool
 	// stickyOps bounds how many consecutive skip-shared decisions a cursor
 	// may re-validate across shared publications (the MultiQueue-style
 	// sticky hint); 0 disables the sticky extension and the hint dies with
@@ -70,9 +59,6 @@ type Shared[V any] struct {
 
 	// epoch counts winning publications that dropped blocks.
 	epoch atomic.Uint64
-	// guard is the queue-wide reader guard shared with the DistLSM pools;
-	// nil when pooling is disabled.
-	guard *block.Guard
 	// cursors is the copy-on-write registry of stamped cursors, scanned for
 	// the minimum stamp when draining limbo. Registration is rare; regMu
 	// serializes it.
@@ -87,8 +73,8 @@ type Shared[V any] struct {
 	limboMu       sync.Mutex
 	limbo         []retiredBlock[V]
 	limboMinEpoch uint64
-	// limboLeaked counts blocks dropped to the GC at the limbo cap — with
-	// item reclamation on, the one escape that also leaks item references.
+	// limboLeaked counts blocks dropped to the GC at the limbo cap — the
+	// one escape that also leaks item references.
 	limboLeaked atomic.Int64
 }
 
@@ -106,22 +92,11 @@ func New[V any](k int, localOrdering bool) *Shared[V] {
 // called before the queue is shared.
 func (s *Shared[V]) SetDrop(drop block.DropFunc[V]) { s.drop = drop }
 
-// SetMinCaching toggles the candidate-window cache on cursors of this
-// structure. Must be called before the queue is shared.
-func (s *Shared[V]) SetMinCaching(enabled bool) { s.minCaching = enabled }
-
 // SetStickyHint sets the sticky skip-shared budget: the number of
 // consecutive operations a cursor's hint may survive shared publications by
 // re-validating against the new array's minimum-key floor (see SkipShared).
 // 0 disables stickiness. Must be called before the queue is shared.
 func (s *Shared[V]) SetStickyHint(ops int) { s.stickyOps = ops }
-
-// SetGuard installs the queue-wide reader guard gating block reclamation
-// (§4.4). Must be called before the queue is shared; leaving it unset only
-// matters for cursors with pools, whose limbo then drains on cursor stamps
-// alone — pass the same guard the DistLSM pools use so spy traffic is
-// respected.
-func (s *Shared[V]) SetGuard(g *block.Guard) { s.guard = g }
 
 // K returns the current relaxation parameter.
 func (s *Shared[V]) K() int { return int(s.k.Load()) }
@@ -154,8 +129,8 @@ type Cursor[V any] struct {
 	// every refresh (the only point where old references are dropped);
 	// inactiveStamp pins nothing.
 	stamp atomic.Uint64
-	// al is the §4.4 recycling context (nil: pooling off).
-	al *alloc[V]
+	// al is the §4.4 recycling context.
+	al alloc[V]
 	// pending holds blocks this cursor dropped from the shared structure
 	// but could not hand to the limbo list because limboMu was contended.
 	// Owner-only; flushed on the next refresh, push, or explicit drain, so
@@ -165,9 +140,8 @@ type Cursor[V any] struct {
 	// the next refresh reuses.
 	spare *BlockArray[V]
 
-	// win is the cached candidate window (used when the Shared has
-	// minCaching on); gen counts snapshot replacements and in-place
-	// snapshot mutations, invalidating the window. Owner-only.
+	// win is the cached candidate window; gen counts snapshot replacements
+	// and in-place snapshot mutations, invalidating the window. Owner-only.
 	win candWindow[V]
 	gen uint64
 	// hintArr/hintKey record the shared array and candidate key of the last
@@ -206,10 +180,12 @@ type Cursor[V any] struct {
 	HintSticks atomic.Int64
 }
 
-// NewCursor returns a cursor for handle id and registers it with the
-// reclamation epoch scheme.
-func (s *Shared[V]) NewCursor(id uint64, rng *xrand.Source) *Cursor[V] {
-	c := &Cursor[V]{id: id, rng: rng}
+// NewCursor returns a cursor for handle id, drawing its blocks from the
+// owning handle's pool (§4.4), and registers it with the reclamation epoch
+// scheme. Every cursor's pool must share one guard: limbo drains consult it
+// so spy and meld traffic is respected.
+func (s *Shared[V]) NewCursor(id uint64, rng *xrand.Source, pool *block.Pool[V]) *Cursor[V] {
+	c := &Cursor[V]{id: id, rng: rng, al: alloc[V]{pool: pool}}
 	c.stamp.Store(inactiveStamp)
 	s.regMu.Lock()
 	var next []*Cursor[V]
@@ -220,16 +196,6 @@ func (s *Shared[V]) NewCursor(id uint64, rng *xrand.Source) *Cursor[V] {
 	s.cursors.Store(&next)
 	s.regMu.Unlock()
 	return c
-}
-
-// SetPool installs the owning handle's block pool on the cursor (§4.4).
-// Must be called before the cursor is used.
-func (c *Cursor[V]) SetPool(p *block.Pool[V]) {
-	if p == nil {
-		c.al = nil
-		return
-	}
-	c.al = &alloc[V]{pool: p}
 }
 
 // RetireCursor withdraws a cursor from the epoch scheme and deregisters it.
@@ -329,24 +295,21 @@ func (s *Shared[V]) push(c *Cursor[V]) bool {
 		}
 		return false
 	}
-	if c.al != nil {
-		// §4.4 proper: acquire item references for the blocks this cursor
-		// created and just published. Only the creator ever walks a block
-		// (carried-over blocks acquired at their own publication), so the
-		// reffed flag needs no synchronization; and acquiring only after a
-		// *winning* CAS keeps failed attempts free of refcount traffic,
-		// which contended workloads feel directly. Safety of the deferred
-		// walk: every item in a fresh block is still referenced by the
-		// superseded array's blocks, which this cursor parks only below —
-		// and any holder a concurrent winner drops meanwhile stays pinned
-		// by this cursor's epoch stamp, which advances strictly after this
-		// push completes.
-		for _, b := range c.al.fresh {
-			b.AcquireRefs()
-		}
-		c.al.commitFresh()
-		s.retireDropped(c)
+	// §4.4 proper: acquire item references for the blocks this cursor
+	// created and just published. Only the creator ever walks a block
+	// (carried-over blocks acquired at their own publication), so the
+	// reffed flag needs no synchronization; and acquiring only after a
+	// *winning* CAS keeps failed attempts free of refcount traffic, which
+	// contended workloads feel directly. Safety of the deferred walk: every
+	// item in a fresh block is still referenced by the superseded array's
+	// blocks, which this cursor parks only below — and any holder a
+	// concurrent winner drops meanwhile stays pinned by this cursor's epoch
+	// stamp, which advances strictly after this push completes.
+	for _, b := range c.al.fresh {
+		b.AcquireRefs()
 	}
+	c.al.commitFresh()
+	s.retireDropped(c)
 	return true
 }
 
@@ -389,12 +352,8 @@ func (s *Shared[V]) flushPending(c *Cursor[V]) {
 // the cap; overflow falls to the GC and is counted in LimboLeaked. Caller
 // holds limboMu.
 func (s *Shared[V]) appendPendingLocked(c *Cursor[V]) {
-	limboCap := sharedLimboCap
-	if c.al != nil && c.al.pool.Reclaiming() {
-		limboCap = sharedLimboCapReclaim
-	}
 	for i := range c.pending {
-		if len(s.limbo) >= limboCap {
+		if len(s.limbo) >= sharedLimboCap {
 			s.limboLeaked.Add(int64(len(c.pending) - i))
 			break
 		}
@@ -409,10 +368,10 @@ func (s *Shared[V]) appendPendingLocked(c *Cursor[V]) {
 
 // drainLimboLocked moves every limbo block whose epoch every stamped cursor
 // has passed — other than c itself, which provably re-reads the shared
-// pointer before touching any block again — into c's pool. Caller holds
-// limboMu.
+// pointer before touching any block again — into c's pool, once the
+// queue-wide guard is quiescent. Caller holds limboMu.
 func (s *Shared[V]) drainLimboLocked(c *Cursor[V]) {
-	if len(s.limbo) == 0 || !s.guard.Quiescent() {
+	if len(s.limbo) == 0 || !c.al.pool.Guard().Quiescent() {
 		return
 	}
 	minStamp := inactiveStamp
@@ -484,9 +443,7 @@ func (s *Shared[V]) Insert(c *Cursor[V], nb *block.Block[V]) *block.Block[V] {
 		return nil
 	}
 	entryReffed := nb.HoldsRefs()
-	if c.al != nil {
-		nb.AcquireRefs()
-	}
+	nb.AcquireRefs()
 	for {
 		s.refresh(c)
 		if c.snapshot == nil {
@@ -497,7 +454,7 @@ func (s *Shared[V]) Insert(c *Cursor[V], nb *block.Block[V]) *block.Block[V] {
 			shell.k = s.K()
 			c.snapshot = shell
 		}
-		c.snapshot.insert(nb, s.drop, c.al)
+		c.snapshot.insert(nb, s.drop, &c.al)
 		if c.snapshot.empty() {
 			// Everything (including nb) was consumed by the drop callback
 			// or concurrent deletion; publish the empty state as nil. An
@@ -517,7 +474,7 @@ func (s *Shared[V]) Insert(c *Cursor[V], nb *block.Block[V]) *block.Block[V] {
 			// mode, where every insert passes a level-0 block.
 			// Lineage-carrying blocks go back to the caller instead of
 			// being recycled here (see above).
-			if c.al != nil && (c.snapshot == nil || !containsBlock(c.snapshot.blocks, nb)) {
+			if c.snapshot == nil || !containsBlock(c.snapshot.blocks, nb) {
 				if entryReffed {
 					return nb
 				}
@@ -575,10 +532,10 @@ func (s *Shared[V]) localID(c *Cursor[V]) int64 {
 //
 // This is Listing 3's find_min loop: stale candidates trigger consolidation
 // of the private snapshot, and structural changes are pushed so other
-// threads benefit from the cleanup. With min caching on, the per-call
-// pivot-range draw and Bloom scan are replaced by draws from the cursor's
-// candidate window, which is repaired incrementally when the snapshot state
-// changes and rebuilt in full only when entries may have been stranded (see
+// threads benefit from the cleanup. The paper's per-call pivot-range draw
+// and Bloom scan are replaced by draws from the cursor's candidate window,
+// which is repaired incrementally when the snapshot state changes and
+// rebuilt in full only when entries may have been stranded (see
 // candWindow).
 func (s *Shared[V]) FindMinSnap(c *Cursor[V]) (item.Snap[V], bool) {
 	for {
@@ -590,57 +547,47 @@ func (s *Shared[V]) FindMinSnap(c *Cursor[V]) (item.Snap[V], bool) {
 		}
 		localID := s.localID(c)
 		dry := false
-		if s.minCaching {
-			s.syncWindow(c, localID)
-			// Only a window-backed candidate may be returned: the local-
-			// ordering overlay competes *downward* against it, so the
-			// result's key is <= the window entry's key <= pivot and the
-			// k+1 bound holds. When the window runs dry, an overlay-only
-			// block minimum would bound nothing — arbitrarily many smaller
-			// live keys can sit in other blocks — so fall through to the
-			// consolidation below (dry forces the pivot recalculation),
-			// which extends the window. (Returning the overlay-only minimum
-			// here was a genuine relaxation violation, caught by the k-bound
-			// quality suite at k=0.)
-			if e, ok := c.win.next(c.rng); ok {
-				e = c.win.localOverlay(e)
-				if e.Ver&1 == 0 {
-					// Record the skip-shared hint: e.Key <= the drawn entry's
-					// key <= pivot (so at most k live shared keys are
-					// smaller) and <= every Bloom-matching block minimum (so
-					// skipping cannot violate local ordering). A real query
-					// ran, so the sticky streak restarts.
-					c.hintArr, c.hintKey = c.observed, e.Key
-					c.hintStreak = 0
-					return e, true
-				}
-				// Overlay handed back a taken block minimum: the block's
-				// live minimum may undercut every candidate — consolidate.
-			} else if c.win.dirty {
-				// The window ran dry but entries were consumed unclaimed or
-				// stranded since the last full build; they are still live in
-				// the blocks, so rebuild before concluding exhaustion.
-				mat, _ := c.win.sync(c.snapshot, c.gen, localID, true)
-				c.WindowBuilds.Add(1)
-				c.WindowItems.Add(int64(mat))
-				continue
-			} else {
-				dry = true
+		s.syncWindow(c, localID)
+		// Only a window-backed candidate may be returned: the local-ordering
+		// overlay competes *downward* against it, so the result's key is <=
+		// the window entry's key <= pivot and the k+1 bound holds. When the
+		// window runs dry, an overlay-only block minimum would bound nothing
+		// — arbitrarily many smaller live keys can sit in other blocks — so
+		// fall through to the consolidation below (dry forces the pivot
+		// recalculation), which extends the window. (Returning the
+		// overlay-only minimum here was a genuine relaxation violation,
+		// caught by the k-bound quality suite at k=0.)
+		if e, ok := c.win.next(c.rng); ok {
+			e = c.win.localOverlay(e)
+			if e.Ver&1 == 0 {
+				// Record the skip-shared hint: e.Key <= the drawn entry's key
+				// <= pivot (so at most k live shared keys are smaller) and <=
+				// every Bloom-matching block minimum (so skipping cannot
+				// violate local ordering). A real query ran, so the sticky
+				// streak restarts.
+				c.hintArr, c.hintKey = c.observed, e.Key
+				c.hintStreak = 0
+				return e, true
 			}
+			// Overlay handed back a taken block minimum: the block's live
+			// minimum may undercut every candidate — consolidate.
+		} else if c.win.dirty {
+			// The window ran dry but entries were consumed unclaimed or
+			// stranded since the last full build; they are still live in the
+			// blocks, so rebuild before concluding exhaustion.
+			mat, _ := c.win.sync(c.snapshot, c.gen, localID, true)
+			c.WindowBuilds.Add(1)
+			c.WindowItems.Add(int64(mat))
+			continue
 		} else {
-			it := c.snapshot.findMin(c.rng, localID)
-			if it == nil {
-				dry = true
-			} else if v := it.Version(); v&1 == 0 {
-				return item.Snap[V]{It: it, Ver: v, Key: it.Key()}, true
-			}
+			dry = true
 		}
 		// Candidate stale (or no candidates): clean up. When the candidate
 		// set is exhausted (dry), pivots must be recalculated to extend it;
 		// for a merely-stale candidate the recalculation is only worth it
 		// if the pass changes the structure (consolidate decides).
 		c.gen++ // consolidate mutates the snapshot in place
-		push := c.snapshot.consolidate(s.drop, dry, c.al)
+		push := c.snapshot.consolidate(s.drop, dry, &c.al)
 		if c.snapshot.empty() {
 			if !c.snapshot.published {
 				c.al.discardFresh()
@@ -685,7 +632,7 @@ func (s *Shared[V]) Purge(c *Cursor[V]) {
 			return
 		}
 		a := c.snapshot
-		pool := c.al.blockPool()
+		pool := c.al.pool
 		for i, b := range a.blocks {
 			if b == nil || b.Empty() {
 				continue
@@ -695,16 +642,14 @@ func (s *Shared[V]) Purge(c *Cursor[V]) {
 				// Nothing dropped or dead in this block: keep the original.
 				// The copy was never noted and never acquired references, so
 				// recycling it releases nothing.
-				if pool != nil {
-					pool.Put(nb)
-				}
+				pool.Put(nb)
 				continue
 			}
 			c.al.note(nb)
 			a.blocks[i] = nb
 		}
 		c.gen++ // the snapshot was mutated in place: invalidate the window
-		a.consolidate(s.drop, true, c.al)
+		a.consolidate(s.drop, true, &c.al)
 		if a.empty() {
 			if !a.published {
 				c.al.discardFresh()
@@ -735,15 +680,12 @@ func (s *Shared[V]) Purge(c *Cursor[V]) {
 // the buffer must be discarded when it stops holding. anchor is nil (with
 // capKey ^0) when the shared structure is empty, which the caller validates
 // the same way: the shared pointer still being nil means zero shared keys
-// exist. ok is false only when min caching is off (no window to fill from).
+// exist.
 //
 // The entries are *not* taken: a flushed buffer simply discards them, and
 // the items remain live in the blocks (the window marks itself dirty so a
 // later dry-window rebuild re-materializes them).
-func (s *Shared[V]) FillCandidates(c *Cursor[V], dst []item.Snap[V], max int) (_ []item.Snap[V], anchor *BlockArray[V], capKey uint64, ok bool) {
-	if !s.minCaching {
-		return dst, nil, 0, false
-	}
+func (s *Shared[V]) FillCandidates(c *Cursor[V], dst []item.Snap[V], max int) (_ []item.Snap[V], anchor *BlockArray[V], capKey uint64) {
 	base := len(dst)
 	repivoted := false
 	for {
@@ -751,7 +693,7 @@ func (s *Shared[V]) FillCandidates(c *Cursor[V], dst []item.Snap[V], max int) (_
 			s.refresh(c)
 		}
 		if c.snapshot == nil {
-			return dst, nil, ^uint64(0), true
+			return dst, nil, ^uint64(0)
 		}
 		localID := s.localID(c)
 		s.syncWindow(c, localID)
@@ -807,7 +749,7 @@ func (s *Shared[V]) FillCandidates(c *Cursor[V], dst []item.Snap[V], max int) (_
 				repivoted = true
 				dst = dst[:base]
 				c.gen++
-				push := c.snapshot.consolidate(s.drop, true, c.al)
+				push := c.snapshot.consolidate(s.drop, true, &c.al)
 				if c.snapshot.empty() {
 					if !c.snapshot.published {
 						c.al.discardFresh()
@@ -829,7 +771,7 @@ func (s *Shared[V]) FillCandidates(c *Cursor[V], dst []item.Snap[V], max int) (_
 				c.hintArr, c.hintKey = c.observed, hint
 				c.hintStreak = 0
 			}
-			return dst, c.observed, capKey, true
+			return dst, c.observed, capKey
 		}
 		// Window dry: run the same maintenance FindMinSnap would, then
 		// retry. Stranded entries rebuild first; then consolidation extends
@@ -841,7 +783,7 @@ func (s *Shared[V]) FillCandidates(c *Cursor[V], dst []item.Snap[V], max int) (_
 			continue
 		}
 		c.gen++
-		push := c.snapshot.consolidate(s.drop, true, c.al)
+		push := c.snapshot.consolidate(s.drop, true, &c.al)
 		if c.snapshot.empty() {
 			if !c.snapshot.published {
 				c.al.discardFresh()
@@ -862,8 +804,8 @@ func (s *Shared[V]) FillCandidates(c *Cursor[V], dst []item.Snap[V], max int) (_
 func (s *Shared[V]) PtrIs(a *BlockArray[V]) bool { return s.ptr.Load() == a }
 
 // MinHint returns the key of c's last successful FindMin candidate, valid
-// only while the shared pointer still equals the array that produced it
-// (and min caching is on). While valid, the hint guarantees two things about
+// only while the shared pointer still equals the array that produced it.
+// While valid, the hint guarantees two things about
 // the current shared structure: at most k live keys in it are smaller than
 // the hint (the candidate was within the array's pivot range, and a
 // published array only loses items), and no block that may contain c's own
@@ -872,7 +814,7 @@ func (s *Shared[V]) PtrIs(a *BlockArray[V]) bool { return s.ptr.Load() == a }
 // minimum without consulting the shared side at all — both the ρ = T·k
 // bound and local ordering are preserved.
 func (s *Shared[V]) MinHint(c *Cursor[V]) (uint64, bool) {
-	if !s.minCaching || c.hintArr == nil || s.ptr.Load() != c.hintArr {
+	if c.hintArr == nil || s.ptr.Load() != c.hintArr {
 		return 0, false
 	}
 	return c.hintKey, true
@@ -895,7 +837,7 @@ func (s *Shared[V]) MinHint(c *Cursor[V]) (uint64, bool) {
 // failed re-validation, the decision — resets so a handle cannot indefinitely
 // avoid the shared-side maintenance its deletes are meant to share.
 func (s *Shared[V]) SkipShared(c *Cursor[V], localKey uint64) bool {
-	if !s.minCaching || c.hintArr == nil {
+	if c.hintArr == nil {
 		return false
 	}
 	cur := s.ptr.Load()
@@ -945,9 +887,6 @@ func (s *Shared[V]) RefreshStamp(c *Cursor[V]) {
 // for shutdown and test quiesce paths (after RefreshStamp on every cursor);
 // the operation paths drain opportunistically instead and never block.
 func (s *Shared[V]) DrainRetired(c *Cursor[V]) {
-	if c.al == nil {
-		return
-	}
 	s.limboMu.Lock()
 	s.appendPendingLocked(c)
 	s.drainLimboLocked(c)
@@ -955,7 +894,7 @@ func (s *Shared[V]) DrainRetired(c *Cursor[V]) {
 }
 
 // LimboLeaked returns the number of retired blocks dropped to the GC at the
-// limbo cap (each leaking its item references when reclamation is on).
+// limbo cap (each leaking its item references).
 func (s *Shared[V]) LimboLeaked() int64 { return s.limboLeaked.Load() }
 
 // LimboLen returns the current limbo length, for tests.

@@ -46,8 +46,13 @@ func deleteMin(s *Shared[int], c *Cursor[int]) (uint64, bool) {
 	}
 }
 
+// testGuard is the reader guard every pool of newCursor shares, as all pools
+// of one queue share the queue's guard.
+var testGuard block.Guard
+
+// newCursor returns a cursor drawing from a fresh pool under testGuard.
 func newCursor(s *Shared[int], id uint64) *Cursor[int] {
-	return s.NewCursor(id, xrand.NewSeeded(id*2654435761+1))
+	return s.NewCursor(id, xrand.NewSeeded(id*2654435761+1), block.NewPool(&testGuard, item.NewPool[int]()))
 }
 
 func TestEmptySharedLSM(t *testing.T) {
@@ -272,11 +277,12 @@ func TestDropCallbackDuringConsolidate(t *testing.T) {
 
 func BenchmarkSharedInsertK256(b *testing.B) {
 	s := New[struct{}](256, true)
-	c := s.NewCursor(1, xrand.NewSeeded(1))
+	p := block.NewPool(nil, item.NewPool[struct{}]())
+	c := s.NewCursor(1, xrand.NewSeeded(1), p)
 	src := xrand.NewSeeded(2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		blk := block.New[struct{}](0)
+		blk := p.Get(0)
 		blk.Append(item.New(src.Uint64(), struct{}{}))
 		s.Insert(c, blk)
 	}

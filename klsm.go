@@ -75,17 +75,13 @@ type DropFunc[V any] func(key uint64, value V) bool
 type Ref[V any] struct{ r core.Ref[V] }
 
 // resolveOptions applies opts to the defaults: the paper's recommended
-// general-purpose setting (combined k-LSM, k = 256, local ordering) with
-// §4.4 memory pooling enabled, and — for persistent queues — 2ms
-// timer-driven group commit.
+// general-purpose setting (combined k-LSM, k = 256, local ordering) and —
+// for persistent queues — 2ms timer-driven group commit.
 func resolveOptions(opts []Option) options {
 	cfg := options{
 		k:             256,
 		mode:          core.Combined,
 		localOrdering: true,
-		pooling:       true,
-		minCaching:    true,
-		reclaim:       true,
 		delBuf:        32,
 		stickyOps:     64,
 		syncInterval:  2 * time.Millisecond,
@@ -102,16 +98,13 @@ func resolveOptions(opts []Option) options {
 // coreConfig translates resolved options into the engine configuration.
 func coreConfig[V any](cfg options) core.Config[V] {
 	return core.Config[V]{
-		K:                      cfg.k,
-		Mode:                   cfg.mode,
-		LocalOrdering:          cfg.localOrdering,
-		DisablePooling:         !cfg.pooling,
-		DisableMinCaching:      !cfg.minCaching,
-		DisableItemReclamation: !cfg.reclaim,
-		DisableDeletionBuffer:  cfg.delBuf <= 0,
-		DeletionBufferSize:     cfg.delBuf,
-		DisableStickyHint:      cfg.stickyOps <= 0,
-		StickyHintOps:          cfg.stickyOps,
+		K:                     cfg.k,
+		Mode:                  cfg.mode,
+		LocalOrdering:         cfg.localOrdering,
+		DisableDeletionBuffer: cfg.delBuf <= 0,
+		DeletionBufferSize:    cfg.delBuf,
+		DisableStickyHint:     cfg.stickyOps <= 0,
+		StickyHintOps:         cfg.stickyOps,
 	}
 }
 
@@ -125,9 +118,9 @@ func newCoreQueue[V any](cfg options, drop func(key uint64, value V) bool) *core
 
 // New returns an empty queue configured by opts. The default configuration
 // is the paper's recommended general-purpose setting: the combined k-LSM
-// with k = 256, local ordering enabled, §4.4 memory pooling with
-// deterministic item reclamation on, and the delete-min min-caching fast
-// path on. For a durable queue use Open — New panics if WithPersistence is
+// with k = 256 and local ordering enabled. Every queue recycles its memory
+// through §4.4 pooling with deterministic item reclamation, and caches
+// delete-min candidates. For a durable queue use Open — New panics if WithPersistence is
 // among opts, because persistence needs a ValueCodec that cannot travel
 // through the non-generic Option type.
 func New[V any](opts ...Option) *Queue[V] {

@@ -10,12 +10,12 @@ import (
 )
 
 // qualityConfigs enumerates the option combinations the k-bound suite runs
-// across: the §4.4 reclamation, the min-caching fast path, the deletion
-// buffer, and the sticky skip-shared hint must all be invisible to the
-// relaxation guarantee. The default rows run buffer and stickiness on (their
-// defaults), so the ablation rows complete the buffer on/off × sticky on/off
-// square; buffered-but-untaken candidates stay live and must count toward
-// the bound, which is exactly what the treap's live multiset asserts.
+// across: the deletion buffer and the sticky skip-shared hint must both be
+// invisible to the relaxation guarantee. The default row (§4.4 reclamation
+// and min caching, which every queue runs) has buffer and stickiness on, so
+// the ablation rows complete the buffer on/off × sticky on/off square;
+// buffered-but-untaken candidates stay live and must count toward the
+// bound, which is exactly what the treap's live multiset asserts.
 func qualityConfigs() []struct {
 	name string
 	opts []Option
@@ -25,9 +25,6 @@ func qualityConfigs() []struct {
 		opts []Option
 	}{
 		{"reclaim=on/mincache=on", nil},
-		{"reclaim=off/mincache=on", []Option{WithItemReclamation(false)}},
-		{"reclaim=on/mincache=off", []Option{WithMinCaching(false)}},
-		{"reclaim=off/mincache=off", []Option{WithItemReclamation(false), WithMinCaching(false)}},
 		{"delbuf=off/sticky=on", []Option{WithDeletionBuffer(0)}},
 		{"delbuf=on/sticky=off", []Option{WithStickyHint(0)}},
 		{"delbuf=off/sticky=off", []Option{WithDeletionBuffer(0), WithStickyHint(0)}},

@@ -1,6 +1,7 @@
 package klsm
 
 import (
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
@@ -171,5 +172,44 @@ func TestEndToEndConcurrent(t *testing.T) {
 	}
 	if total != workers*n {
 		t.Fatalf("deleted %d of %d inserted", total, workers*n)
+	}
+}
+
+// TestStatsKeepClosedHandles: closing a handle must not take its counters
+// out of Stats — every counter but Handles is a lifetime total, as Size
+// already is across handle churn.
+func TestStatsKeepClosedHandles(t *testing.T) {
+	q := New[int](WithRelaxation(4)) // small k: merges and overflows
+	producer, consumer := q.NewHandle(), q.NewHandle()
+	for i := 0; i < 2000; i++ {
+		producer.Insert(uint64(i), i)
+	}
+	for i := 0; i < 1500; i++ {
+		if _, _, ok := consumer.TryDeleteMin(); !ok {
+			t.Fatalf("delete %d failed with items left", i)
+		}
+	}
+	before := q.Stats()
+	if before.Merges == 0 || before.Overflows == 0 || before.WindowBuilds == 0 || before.BufferPops == 0 {
+		t.Fatalf("workload too small to exercise the counters: %+v", before)
+	}
+	producer.Close()
+	consumer.Close()
+	after := q.Stats()
+	if after.Handles != 0 {
+		t.Fatalf("Handles = %d after closing every handle", after.Handles)
+	}
+	b, a := reflect.ValueOf(before), reflect.ValueOf(after)
+	for i := 0; i < b.NumField(); i++ {
+		name := b.Type().Field(i).Name
+		if name == "Handles" {
+			continue
+		}
+		if a.Field(i).Int() < b.Field(i).Int() {
+			t.Errorf("%s went down on close: %d -> %d", name, b.Field(i).Int(), a.Field(i).Int())
+		}
+	}
+	if q.Size() != 500 {
+		t.Fatalf("Size = %d, want 500", q.Size())
 	}
 }

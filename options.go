@@ -11,9 +11,6 @@ type options struct {
 	k             int
 	mode          core.Mode
 	localOrdering bool
-	pooling       bool
-	minCaching    bool
-	reclaim       bool
 	delBuf        int
 	stickyOps     int
 
@@ -65,44 +62,6 @@ func WithoutLocalOrdering() Option {
 	return func(o *options) { o.localOrdering = false }
 }
 
-// WithPooling toggles the §4.4 block/item recycling free lists (default
-// on). With pooling enabled every handle keeps per-level block pools and an
-// item slab allocator, recycling retired memory once it is provably
-// unreachable from every published structure; steady-state insert and
-// delete-min then run nearly allocation-free. Disabling it exists for the
-// allocation ablation benchmarks and as an escape hatch: semantics are
-// identical either way.
-func WithPooling(enabled bool) Option {
-	return func(o *options) { o.pooling = enabled }
-}
-
-// WithItemReclamation toggles the §4.4 deterministic item-reclamation
-// scheme (default on). With it enabled, items are reference-counted at
-// block-lineage granularity: a reference is acquired when an item enters
-// the structure, transferred through every local merge instead of being
-// re-acquired, and released when its lineage dies — under the same
-// quiescence proofs that govern block reuse. When the last reference on a
-// deleted item drops, it returns to a per-handle free list and is reused
-// by a later insert, instead of waiting for the garbage collector.
-// Disabling it keeps block pooling but leaves deleted items to the GC (the
-// ablation baseline and an escape hatch); semantics are identical either
-// way. Reclamation requires pooling: with WithPooling(false) this option
-// has no effect and items are always GC-reclaimed.
-func WithItemReclamation(enabled bool) Option {
-	return func(o *options) { o.reclaim = enabled }
-}
-
-// WithMinCaching toggles the delete-min fast path (default on): each handle
-// caches its DistLSM's per-block minima and its shared-k-LSM candidate
-// window across TryDeleteMin calls, invalidating precisely on the mutations
-// that can change them, so a steady-state delete-min costs O(1) instead of a
-// rescan of both structures. Semantics — the ρ = T·k relaxation bound and
-// local ordering — are identical either way; disabling exists for the
-// ablation benchmarks and as an escape hatch.
-func WithMinCaching(enabled bool) Option {
-	return func(o *options) { o.minCaching = enabled }
-}
-
 // WithDeletionBuffer sets the per-handle deletion-buffer capacity (default
 // 32). TryDeleteMin refills a small owner-local buffer of version-validated
 // candidates from the shared candidate window and the handle's local min
@@ -112,8 +71,7 @@ func WithMinCaching(enabled bool) Option {
 // popped, so the ρ = T·k relaxation bound and local ordering hold exactly as
 // without the buffer; any event that could undercut a buffered key (an
 // insert by this handle, a spy, a meld, any shared-structure publication)
-// discards the buffer. n <= 0 disables the buffer. The buffer requires min
-// caching: with WithMinCaching(false) it is implicitly disabled.
+// discards the buffer. n <= 0 disables the buffer.
 func WithDeletionBuffer(n int) Option {
 	return func(o *options) { o.delBuf = n }
 }
@@ -198,7 +156,7 @@ func WithAutoCheckpoint(maxWALBytes int64, maxAge time.Duration) Option {
 // local for longer on workloads whose small keys are handle-local;
 // the budget bounds how long a handle may defer its share of shared-side
 // maintenance. ops <= 0 disables stickiness, reverting to the exact
-// same-array hint. Requires min caching, like the hint itself.
+// same-array hint.
 func WithStickyHint(ops int) Option {
 	return func(o *options) { o.stickyOps = ops }
 }

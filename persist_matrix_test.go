@@ -15,9 +15,9 @@ import (
 )
 
 // matrixConfigs enumerates the engine-option rows of the crash-recovery
-// matrix: every §4.4 memory-management feature must be invisible to
-// durability, because the WAL records logical operations (key, seq), never
-// engine state. Each row runs every crash mode.
+// matrix: the deletion buffer must be invisible to durability, because the
+// WAL records logical operations (key, seq), never engine state. Each row
+// runs every crash mode.
 func matrixConfigs() []struct {
 	name string
 	opts []Option
@@ -27,9 +27,6 @@ func matrixConfigs() []struct {
 		opts []Option
 	}{
 		{"default", nil},
-		{"pooling=off", []Option{WithPooling(false)}},
-		{"reclaim=off", []Option{WithItemReclamation(false)}},
-		{"mincache=off", []Option{WithMinCaching(false)}},
 		{"delbuf=off", []Option{WithDeletionBuffer(0)}},
 	}
 }

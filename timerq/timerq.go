@@ -71,9 +71,8 @@ type config struct {
 type Option func(*config)
 
 // WithQueueOptions passes options through to the underlying klsm queue:
-// relaxation (klsm.WithRelaxation), mode, pooling, and every other
-// klsm.Option. The default is klsm's default configuration (combined
-// k-LSM, k = 256).
+// relaxation (klsm.WithRelaxation), mode, and every other klsm.Option.
+// The default is klsm's default configuration (combined k-LSM, k = 256).
 func WithQueueOptions(opts ...klsm.Option) Option {
 	return func(c *config) { c.queueOpts = append(c.queueOpts, opts...) }
 }
