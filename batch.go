@@ -67,17 +67,7 @@ func (h *Handle[V]) insertBatchLogged(p *persister[V], keys []uint64, values []V
 // On a persistent queue every pop logs its delete record, with the same
 // acknowledgement rule as TryDeleteMin.
 func (h *Handle[V]) DrainMin(dst []KV[uint64, V], n int) []KV[uint64, V] {
-	if p := h.persist(); p != nil {
-		h.h.DrainMinSeq(n, func(k uint64, v V, seq uint64) {
-			p.appendDelete(k, seq)
-			dst = append(dst, KV[uint64, V]{Key: k, Value: v})
-		})
-		return dst
-	}
-	h.h.DrainMin(n, func(k uint64, v V) {
-		dst = append(dst, KV[uint64, V]{Key: k, Value: v})
-	})
-	return dst
+	return drainMinDecoded(h, Uint64Key(), dst, n)
 }
 
 // DrainMinBounded is DrainMin restricted to keys at or below bound: it
@@ -88,15 +78,5 @@ func (h *Handle[V]) DrainMin(dst []KV[uint64, V], n int) []KV[uint64, V] {
 // not necessarily "the queue is empty". The per-pop relaxation contract and
 // the persistent-queue logging rule match DrainMin exactly.
 func (h *Handle[V]) DrainMinBounded(dst []KV[uint64, V], n int, bound uint64) []KV[uint64, V] {
-	if p := h.persist(); p != nil {
-		h.h.DrainMinBoundedSeq(bound, n, func(k uint64, v V, seq uint64) {
-			p.appendDelete(k, seq)
-			dst = append(dst, KV[uint64, V]{Key: k, Value: v})
-		})
-		return dst
-	}
-	h.h.DrainMinBounded(bound, n, func(k uint64, v V) {
-		dst = append(dst, KV[uint64, V]{Key: k, Value: v})
-	})
-	return dst
+	return drainMinBoundedDecoded(h, Uint64Key(), dst, n, bound)
 }

@@ -9,10 +9,8 @@
 //
 //	quality -klist 0,4,256,4096 -prefill 10000 -ops 100000
 //
-// With -ablate, each k also runs the PR 6 delete-min ablations (deletion
-// buffer off, sticky hint off). With -json <tag>, the results are
-// additionally written to BENCH_<tag>.json (-jsondir redirects the output
-// directory).
+// With -json <tag>, the results are additionally written to BENCH_<tag>.json
+// (-jsondir redirects the output directory).
 package main
 
 import (
@@ -63,7 +61,6 @@ func main() {
 		ops       = flag.Int("ops", 100_000, "measured operations (50/50 mix)")
 		seed      = flag.Uint64("seed", 7, "workload seed")
 		threads   = flag.Int("threads", 8, "design-point T for SprayList/MultiQueue sizing")
-		ablate    = flag.Bool("ablate", false, "add deletion-buffer/sticky-hint ablation rows per k")
 		csv       = flag.Bool("csv", false, "emit CSV")
 		jsonTag   = flag.String("json", "", "also write the results as BENCH_<tag>.json")
 		jsonDir   = flag.String("jsondir", ".", "directory for the -json output file")
@@ -100,20 +97,6 @@ func main() {
 			klsmq.NewNoLocalOrdering(k),
 			fmt.Sprintf("%d (=k)", k),
 		})
-	}
-	if *ablate {
-		for _, k := range klist {
-			entries = append(entries, entry{
-				fmt.Sprintf("kLSM(%d)-nobuf", k),
-				klsmq.NewNoDelBuf(k),
-				fmt.Sprintf("%d (=k, single handle)", k),
-			})
-			entries = append(entries, entry{
-				fmt.Sprintf("kLSM(%d)-nosticky", k),
-				klsmq.NewNoSticky(k),
-				fmt.Sprintf("%d (=k, single handle)", k),
-			})
-		}
 	}
 	entries = append(entries, entry{
 		fmt.Sprintf("SprayList(T=%d)", *threads),

@@ -85,18 +85,16 @@
 // batching structure per block and its shared-structure candidate window
 // across TryDeleteMin calls. The window is maintained incrementally — a
 // shared-structure change re-materializes only the candidates it added,
-// not the whole O(k) set — and feeds a small per-handle deletion buffer
-// (WithDeletionBuffer): candidates from both structures are staged locally
-// and the common delete is a buffer pop whose only shared-state touches
-// are one pointer check and the claiming CAS. A sticky skip-shared hint
-// (WithStickyHint) lets runs of deletes whose minimum is handle-local skip
-// the shared structure entirely, re-validated against each newly published
-// array's minimum-key floor. In the steady state a delete-min is a handful
-// of key compares instead of a rescan of both structures (see DESIGN.md).
-// All three are pure caches over the same take-CAS protocol: the ρ = T·k
-// bound, local ordering, and exactly-once deletion are identical with the
-// buffer or the stickiness disabled (WithDeletionBuffer(0),
-// WithStickyHint(0)).
+// not the whole O(k) set — and feeds a small per-handle deletion buffer:
+// candidates from both structures are staged locally and the common delete
+// is a buffer pop whose only shared-state touches are one pointer check and
+// the claiming CAS. A sticky skip-shared hint lets runs of deletes whose
+// minimum is handle-local skip the shared structure entirely, re-validated
+// against each newly published array's minimum-key floor. In the steady
+// state a delete-min is a handful of key compares instead of a rescan of
+// both structures (see DESIGN.md). All three are pure caches over the same
+// take-CAS protocol: they change which candidate a delete claims first,
+// never the ρ = T·k bound, local ordering, or exactly-once deletion.
 //
 // # Lazy deletion: the merge filter and delete-by-reference
 //

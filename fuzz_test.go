@@ -24,7 +24,13 @@ func (h *fuzzHeap) Pop() interface{} {
 
 // FuzzSingleHandleExact drives a single-handle queue with byte-decoded
 // operations and cross-checks every result against an exact heap: with one
-// handle and local ordering, every configuration must behave exactly.
+// handle and local ordering, every configuration must behave exactly. A
+// byte with bit 0 clear inserts; otherwise its low three bits pick an
+// unbounded pop (x01), a bounded pop (011) or a bounded drain (111), whose
+// bound is the fraction b>>3 / 31 of the keys inserted so far. A bounded pop
+// must return the oracle's minimum if it is at or below the bound and
+// otherwise return false, removing nothing; a bounded drain must return
+// exactly the oracle's keys at or below the bound, ascending, up to its n.
 // Run with `go test -fuzz FuzzSingleHandleExact` for coverage-guided
 // exploration; the seed corpus runs in ordinary `go test` invocations.
 func FuzzSingleHandleExact(f *testing.F) {
@@ -34,18 +40,22 @@ func FuzzSingleHandleExact(f *testing.F) {
 	// Long seeded runs, one per k: the queue grows for the first half of
 	// the input (two inserts per delete) and shrinks for the second, so the
 	// oracle checks thousands of pops across merges, overflows to the
-	// shared k-LSM and the drain back to empty.
-	for sel := 0; sel < 3; sel++ {
+	// shared k-LSM and the drain back to empty. The second set pops only
+	// through bounded pops and bounded drains.
+	for sel := 0; sel < 6; sel++ {
 		rng := xrand.NewSeeded(uint64(sel)*977 + 11)
 		data := make([]byte, 4096)
 		for i := range data {
 			b := byte(rng.Uint64()) &^ 1 // insert
 			if grow := i < len(data)/2; grow == (rng.Intn(3) == 0) {
-				b |= 1 // delete
+				b |= 1 // pop
+				if sel >= 3 {
+					b |= 3 // bounded pop or bounded drain
+				}
 			}
 			data[i] = b
 		}
-		data[0] = byte(sel) // selects k
+		data[0] = byte(sel % 3) // selects k
 		f.Add(data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -60,12 +70,15 @@ func FuzzSingleHandleExact(f *testing.F) {
 		q := New[struct{}](WithRelaxation(k))
 		h := q.NewHandle()
 		ref := &fuzzHeap{}
+		var drained []KV[uint64, struct{}]
 		for i, b := range data {
-			if b&1 == 0 || ref.Len() == 0 {
+			bound := uint64(i) << 7 * uint64(b>>3) / 31
+			switch {
+			case b&1 == 0 || ref.Len() == 0:
 				key := uint64(b>>1) + uint64(i)<<7
 				h.Insert(key, struct{}{})
 				heap.Push(ref, key)
-			} else {
+			case b&3 == 1:
 				got, _, ok := h.TryDeleteMin()
 				want := heap.Pop(ref).(uint64)
 				if !ok {
@@ -73,6 +86,33 @@ func FuzzSingleHandleExact(f *testing.F) {
 				}
 				if got != want {
 					t.Fatalf("op %d: got %d, want %d (single handle must be exact)", i, got, want)
+				}
+			case b&7 == 3:
+				got, _, ok := h.TryDeleteMinBounded(bound)
+				if min := (*ref)[0]; min > bound {
+					if ok {
+						t.Fatalf("op %d: bounded pop returned %d, but the minimum %d exceeds bound %d", i, got, min, bound)
+					}
+					break
+				}
+				want := heap.Pop(ref).(uint64)
+				if !ok || got != want {
+					t.Fatalf("op %d: bounded pop got %d (%v), want %d (bound %d)", i, got, ok, want, bound)
+				}
+			default:
+				n := 1 + i%64
+				drained = h.DrainMinBounded(drained[:0], n, bound)
+				for _, kv := range drained {
+					if ref.Len() == 0 || (*ref)[0] > bound {
+						t.Fatalf("op %d: bounded drain returned %d with nothing due at bound %d", i, kv.Key, bound)
+					}
+					if want := heap.Pop(ref).(uint64); kv.Key != want {
+						t.Fatalf("op %d: bounded drain got %d, want %d (bound %d)", i, kv.Key, want, bound)
+					}
+				}
+				if len(drained) < n && ref.Len() > 0 && (*ref)[0] <= bound {
+					t.Fatalf("op %d: bounded drain stopped after %d of %d with %d due at bound %d",
+						i, len(drained), n, (*ref)[0], bound)
 				}
 			}
 			if q.Size() != ref.Len() {
@@ -87,10 +127,9 @@ func FuzzSingleHandleExact(f *testing.F) {
 // relaxation-aware matching: every returned key must be among the ρ+1
 // smallest the model holds, with ρ = T·k for the peak number of open
 // handles (closed handles drain to the shared structure, so their items
-// stay matched). The first byte also selects the deletion-buffer capacity
-// (including off and a degenerate size 1), so the corpus exercises buffered
-// candidates surviving — and flushing across — Quiesce, handle close, and
-// the final drain. The seed corpus encodes interleavings that have been
+// stay matched). The corpus exercises buffered candidates surviving — and
+// flushing across — Quiesce, handle close, and the final drain. The first
+// byte selects k. The seed corpus encodes interleavings that have been
 // load-bearing in development: close-with-items mid-stream, quiesce between
 // bursts, drain-after-churn (the dry-candidate-window shape behind the
 // overlay-only relaxation bug the k-bound suite caught), handle churn
@@ -115,13 +154,11 @@ func FuzzMixedOpsRelaxed(f *testing.F) {
 			return
 		}
 		ks := []int{0, 4, 64}
-		bufs := []int{32, 0, 1, 4}
-		k, buf := 0, 32
+		k := 0
 		if len(data) > 0 {
 			k = ks[int(data[0]>>6)%len(ks)]
-			buf = bufs[int(data[0]>>4)%len(bufs)]
 		}
-		q := New[struct{}](WithRelaxation(k), WithDeletionBuffer(buf))
+		q := New[struct{}](WithRelaxation(k))
 		model := binheap.New(2)
 		const maxOpen = 4
 		handles := []*Handle[struct{}]{q.NewHandle()}

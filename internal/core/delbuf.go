@@ -7,7 +7,7 @@ import (
 )
 
 // Per-handle deletion buffer (MultiQueue-style, after "Engineering
-// MultiQueues" — see ISSUE/DESIGN): TryDeleteMin refills a small owner-local
+// MultiQueues" — see DESIGN.md): TryDeleteMin refills a small owner-local
 // buffer of version-stamped candidates from the shared candidate window and
 // the DistLSM min scan in one pass, and the common delete becomes a buffer
 // pop whose only shared-state touch is one pointer load (the anchor check)
@@ -47,17 +47,15 @@ import (
 // uniform-random draw, strictly better for rank quality — and ascending
 // order is also what lets one guard key validate the whole dist prefix.
 const (
-	// defaultDelBufSize is the deletion-buffer capacity when the
-	// configuration leaves DeletionBufferSize zero.
-	defaultDelBufSize = 32
-	// defaultStickyHintOps is the sticky-hint streak budget when the
-	// configuration leaves StickyHintOps zero.
-	defaultStickyHintOps = 64
+	// delBufSize is the deletion-buffer capacity. Larger buffers amortize
+	// refills further but pin the handle to its anchored view longer,
+	// surfacing staler (still bound-respecting) keys.
+	delBufSize = 32
 	// delBufPerBlock bounds how many candidates one DistLSM block
 	// contributes per fill.
 	delBufPerBlock = 8
 	// maxDrainFill caps the refill size DrainMin may request beyond the
-	// configured capacity.
+	// buffer capacity.
 	maxDrainFill = 1024
 )
 
@@ -103,7 +101,7 @@ func (h *Handle[V]) bufInsert(it *item.Item[V], ver, key uint64) {
 	h.buf = append(h.buf, item.Snap[V]{})
 	copy(h.buf[i+1:], h.buf[i:])
 	h.buf[i] = item.Snap[V]{It: it, Ver: ver, Key: key}
-	if len(h.buf)-h.bufPos > h.bufCap {
+	if len(h.buf)-h.bufPos > delBufSize {
 		// Keep the buffer bounded: the dropped tail entry stays live and
 		// findable, like any flushed candidate. The cap must come down to
 		// the largest remaining entry, though — at the old cap, a later
@@ -139,22 +137,15 @@ func (h *Handle[V]) bufTruncate(key uint64) {
 	h.buf = h.buf[:n]
 }
 
-// bufNext returns the next buffered candidate, re-validating the anchor
-// first: a shared publication since the fill voids the fill-time bounds, so
-// the buffer is flushed and the caller falls back to the slow path. The
-// entry itself is claimed by the caller via TryTakeAt.
-func (h *Handle[V]) bufNext() (item.Snap[V], bool) {
-	if h.bufPos >= len(h.buf) {
-		return item.Snap[V]{}, false
+// bufValid re-validates the anchor before the buffer serves a pop or a
+// peek: a shared publication since the fill voids the fill-time bounds, so
+// the buffer is flushed and reported invalid.
+func (h *Handle[V]) bufValid() bool {
+	if h.q.cfg.Mode == DistOnly || h.q.shared.PtrIs(h.bufAnchor) {
+		return true
 	}
-	if h.q.cfg.Mode != DistOnly && !h.q.shared.PtrIs(h.bufAnchor) {
-		h.bufInvalidate()
-		return item.Snap[V]{}, false
-	}
-	e := h.buf[h.bufPos]
-	h.buf[h.bufPos] = item.Snap[V]{}
-	h.bufPos++
-	return e, true
+	h.bufInvalidate()
+	return false
 }
 
 // bufRefill rebuilds the buffer from both sides in one pass: shared window
@@ -165,7 +156,7 @@ func (h *Handle[V]) bufNext() (item.Snap[V], bool) {
 // anchor holds. Reports whether any entries were buffered.
 func (h *Handle[V]) bufRefill() bool {
 	h.bufInvalidate()
-	max := h.bufCap
+	max := delBufSize
 	if h.fillHint > max {
 		max = min(h.fillHint, maxDrainFill)
 	}
@@ -180,7 +171,7 @@ func (h *Handle[V]) bufRefill() bool {
 		// big block, an 8-entry allowance would put the guard at that
 		// block's 9th key and truncate the whole fill to it.
 		perBlock := delBufPerBlock
-		if max > h.bufCap {
+		if max > delBufSize {
 			perBlock = max
 		}
 		var guard uint64
@@ -228,8 +219,7 @@ func (h *Handle[V]) bufRefill() bool {
 func (h *Handle[V]) bufPeek() (item.Snap[V], bool) {
 	drop := h.q.cfg.Drop
 	for h.bufPos < len(h.buf) {
-		if h.q.cfg.Mode != DistOnly && !h.q.shared.PtrIs(h.bufAnchor) {
-			h.bufInvalidate()
+		if !h.bufValid() {
 			return item.Snap[V]{}, false
 		}
 		e := h.buf[h.bufPos]
@@ -247,58 +237,24 @@ func (h *Handle[V]) bufPeek() (item.Snap[V], bool) {
 	return item.Snap[V]{}, false
 }
 
-// bufTryDeleteBounded is bufTryDelete restricted to keys at or below bound.
-// The buffer pops ascending, so a head above the bound proves no buffered
-// candidate qualifies; the head is left in place for a later unbounded pop
-// and the caller falls to the slow path (which re-proves dryness against
-// the live structure and runs the due-bounded spy).
-func (h *Handle[V]) bufTryDeleteBounded(bound uint64) (key uint64, value V, seq uint64, hit bool) {
+// bufTryDelete pops buffered candidates at or below bound until one take
+// succeeds, skipping entries taken elsewhere and, with a Drop callback,
+// discarding dropped items; an empty buffer is refilled first. hit is false
+// when the buffer cannot serve: the refill found nothing, a shared
+// publication moved the anchor (the buffer is flushed, the caller falls back
+// to take, and the next call refills), or the head is above the bound (the
+// buffer pops ascending, so no buffered candidate qualifies; the head stays
+// for a later pop). The unbounded pop passes ^0.
+func (h *Handle[V]) bufTryDelete(bound uint64) (key uint64, value V, seq uint64, hit bool) {
 	drop := h.q.cfg.Drop
 	for {
-		if h.bufPos < len(h.buf) {
-			if h.q.cfg.Mode != DistOnly && !h.q.shared.PtrIs(h.bufAnchor) {
-				h.bufInvalidate()
-				var zero V
-				return 0, zero, 0, false
-			}
-			if h.buf[h.bufPos].Key > bound {
-				var zero V
-				return 0, zero, 0, false
-			}
+		if (h.bufPos == len(h.buf) && !h.bufRefill()) || !h.bufValid() || h.buf[h.bufPos].Key > bound {
+			var zero V
+			return 0, zero, 0, false
 		}
-		e, ok := h.bufNext()
-		if !ok {
-			if !h.bufRefill() {
-				var zero V
-				return 0, zero, 0, false
-			}
-			continue
-		}
-		if e.It.TryTakeAt(e.Ver) {
-			h.deleted.Add(1)
-			h.BufPops.Add(1)
-			if drop == nil || !drop(e.It.Key(), e.It.Value()) {
-				return e.It.Key(), e.It.Value(), e.It.Seq(), true
-			}
-		}
-	}
-}
-
-// bufTryDelete pops buffered candidates until one take succeeds (skipping
-// entries taken elsewhere and, with a Drop callback, discarding dropped
-// items) or the buffer cannot serve (empty, invalidated, or refill found
-// nothing). hit reports whether a key was returned.
-func (h *Handle[V]) bufTryDelete() (key uint64, value V, seq uint64, hit bool) {
-	drop := h.q.cfg.Drop
-	for {
-		e, ok := h.bufNext()
-		if !ok {
-			if !h.bufRefill() {
-				var zero V
-				return 0, zero, 0, false
-			}
-			continue
-		}
+		e := h.buf[h.bufPos]
+		h.buf[h.bufPos] = item.Snap[V]{}
+		h.bufPos++
 		if e.It.TryTakeAt(e.Ver) {
 			h.deleted.Add(1)
 			h.BufPops.Add(1)

@@ -6,9 +6,9 @@ import (
 	"klsm/internal/xrand"
 )
 
-// TestDeletionBufferServesPops: with the buffer on, a run of deletes is
-// served mostly from the buffer (BufPops tracks deletes) and the results
-// stay exact for a single handle: ascending, no loss, no duplication.
+// TestDeletionBufferServesPops: a run of deletes is served mostly from the
+// buffer (BufPops tracks deletes) and the results stay exact for a single
+// handle: ascending, no loss, no duplication.
 func TestDeletionBufferServesPops(t *testing.T) {
 	q := NewQueue(Config[int]{K: 64, Mode: Combined, LocalOrdering: true})
 	h := q.NewHandle()
@@ -149,27 +149,5 @@ func TestDeletionBufferModes(t *testing.T) {
 		if h.BufFills.Load() == 0 {
 			t.Fatalf("mode %v: buffer never filled", mode)
 		}
-	}
-}
-
-// TestDeletionBufferDisabled: DisableDeletionBuffer keeps every delete on
-// the direct path; the buffer counters must stay zero.
-func TestDeletionBufferDisabled(t *testing.T) {
-	q := NewQueue(Config[int]{
-		K: 16, Mode: Combined, LocalOrdering: true,
-		DisableDeletionBuffer: true,
-	})
-	h := q.NewHandle()
-	const n = 300
-	for i := 0; i < n; i++ {
-		h.Insert(uint64(i), i)
-	}
-	for i := 0; i < n; i++ {
-		if _, _, ok := h.TryDeleteMin(); !ok {
-			t.Fatalf("empty after %d of %d", i, n)
-		}
-	}
-	if f, p := h.BufFills.Load(), h.BufPops.Load(); f != 0 || p != 0 {
-		t.Fatalf("disabled buffer still used: %d fills, %d pops", f, p)
 	}
 }

@@ -19,12 +19,10 @@ func (h *Handle[V]) Meld(other *Queue[V]) {
 	if other == nil || other.Queue() == h.q {
 		return
 	}
-	if h.bufCap > 0 {
-		// Melded-in keys may undercut the buffer's fill-time bounds. The
-		// shared-side inserts below would invalidate the anchor anyway;
-		// flushing up front keeps the reasoning local.
-		h.bufInvalidate()
-	}
+	// Melded-in keys may undercut the buffer's fill-time bounds. The
+	// shared-side inserts below would invalidate the anchor anyway; flushing
+	// up front keeps the reasoning local.
+	h.bufInvalidate()
 	// Announce this reader to other's guard for the §4.4 reuse contract:
 	// while active, none of other's handles recycles a retired published
 	// block, so every block pointer read below stays valid.
@@ -65,14 +63,16 @@ func (h *Handle[V]) Meld(other *Queue[V]) {
 	}
 	other.guard.Exit()
 	// Account the moved items on this handle so Size stays within its
-	// relaxed bound: melded items were counted in other's handles; transfer
-	// the balance.
-	var moved int64
-	for _, oh := range other.handlesSnapshot() {
-		moved += oh.inserted.Load() - oh.deleted.Load()
-		oh.inserted.Store(0)
-		oh.deleted.Store(0)
+	// relaxed bound: melded items were counted in other's balance — its open
+	// handles, the totals of its closed handles and its Deletes — so transfer
+	// all of it.
+	other.mu.Lock()
+	moved := other.closedStats.Inserted - other.closedStats.Deleted - other.refDeleted.Swap(0)
+	other.closedStats.Inserted, other.closedStats.Deleted = 0, 0
+	for _, oh := range other.handles {
+		moved += oh.inserted.Swap(0) - oh.deleted.Swap(0)
 	}
+	other.mu.Unlock()
 	if moved > 0 {
 		h.inserted.Add(moved)
 	}

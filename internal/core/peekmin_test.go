@@ -6,30 +6,24 @@ import (
 	"klsm/internal/xrand"
 )
 
-// peekMatrix is the configuration grid PeekMin must behave identically on:
-// the deletion buffer on and off.
+// peekMatrix is the configuration grid PeekMin must behave identically on.
 func peekMatrix() []struct {
 	name string
 	cfg  Config[uint64]
 } {
-	base := Config[uint64]{K: 64, Mode: Combined, LocalOrdering: true}
-	grid := []struct {
+	return []struct {
 		name string
 		cfg  Config[uint64]
 	}{
-		{"buf+cache", base},
-		{"nobuf+cache", base},
+		{"buf+cache", Config[uint64]{K: 64, Mode: Combined, LocalOrdering: true}},
 	}
-	grid[1].cfg.DisableDeletionBuffer = true
-	return grid
 }
 
 // TestPeekMinMatchesDelete is the single-handle consistency contract: with
 // one handle and no concurrent mutation, every PeekMin must return exactly
-// the key/value the immediately following TryDeleteMin pops — with the
-// deletion buffer on and off. This pins the fix for the buffered fast path
-// and the peek slow path disagreeing (peek rescanned the structure while
-// delete popped from the buffer).
+// the key/value the immediately following TryDeleteMin pops. This pins the
+// fix for the buffered fast path and the peek slow path disagreeing (peek
+// rescanned the structure while delete popped from the buffer).
 func TestPeekMinMatchesDelete(t *testing.T) {
 	for _, tc := range peekMatrix() {
 		t.Run(tc.name, func(t *testing.T) {

@@ -83,28 +83,6 @@ type Config[V any] struct {
 	// which it returns true are discarded during block maintenance and
 	// never returned from delete-min.
 	Drop block.DropFunc[V]
-	// DisableDeletionBuffer turns off the per-handle deletion buffer: the
-	// MultiQueue-style fast path where TryDeleteMin refills a small
-	// owner-local buffer of version-stamped candidates from the shared
-	// candidate window and the DistLSM min scan in one pass, and the common
-	// delete is a buffer pop validated only by the item's version. The zero
-	// value (buffer on) is the performant configuration. Semantics — the
-	// ρ = T·k bound and local ordering — are identical either way.
-	DisableDeletionBuffer bool
-	// DeletionBufferSize is the per-handle deletion-buffer capacity; 0 means
-	// the default (32). Larger buffers amortize refills further but pin the
-	// handle to its anchored view longer, surfacing staler (still
-	// bound-respecting) keys.
-	DeletionBufferSize int
-	// DisableStickyHint turns off the sticky skip-shared hint: the
-	// generalization of the exact-pointer MinHint that re-validates across
-	// shared publications against the new array's minimum-key floor, for a
-	// bounded streak of operations. Semantics are identical either way.
-	DisableStickyHint bool
-	// StickyHintOps is the sticky-hint streak budget: the number of
-	// consecutive cross-publication re-validations allowed before the hint
-	// must run a full shared-side query. 0 means the default (64).
-	StickyHintOps int
 }
 
 // Queue is the combined k-LSM relaxed priority queue. Create handles with
@@ -174,13 +152,6 @@ func NewQueue[V any](cfg Config[V]) *Queue[V] {
 	q := &Queue[V]{cfg: cfg}
 	q.kCurrent.Store(int64(cfg.K))
 	q.shared = sharedlsm.New[V](cfg.K, cfg.LocalOrdering)
-	if !cfg.DisableStickyHint {
-		ops := cfg.StickyHintOps
-		if ops <= 0 {
-			ops = defaultStickyHintOps
-		}
-		q.shared.SetStickyHint(ops)
-	}
 	if cfg.Drop != nil {
 		q.shared.SetDrop(cfg.Drop)
 	}
@@ -302,12 +273,6 @@ func (q *Queue[V]) NewHandle() *Handle[V] {
 	h.overflow = func(b *block.Block[V]) *block.Block[V] {
 		return h.q.shared.Insert(h.cursor, b)
 	}
-	if !q.cfg.DisableDeletionBuffer {
-		h.bufCap = q.cfg.DeletionBufferSize
-		if h.bufCap <= 0 {
-			h.bufCap = defaultDelBufSize
-		}
-	}
 
 	q.mu.Lock()
 	q.handles = append(q.handles, h)
@@ -344,14 +309,12 @@ type Handle[V any] struct {
 	// candidates popped in ascending key order; bufAnchor is the shared
 	// array they were validated against (nil anchors an empty shared
 	// structure). bufCapKey is the fill-time cap every buffered entry is at
-	// or below — the bound owner inserts are spliced against. bufCap == 0
-	// disables the buffer. fillHint temporarily raises the refill size
-	// inside DrainMin. All owner-only.
+	// or below — the bound owner inserts are spliced against. fillHint
+	// temporarily raises the refill size inside DrainMin. All owner-only.
 	buf       []item.Snap[V]
 	bufPos    int
 	bufAnchor *sharedlsm.BlockArray[V]
 	bufCapKey uint64
-	bufCap    int
 	fillHint  int
 
 	// BufFills/BufPops/BufFlushes count deletion-buffer refills, successful
@@ -379,11 +342,9 @@ func (h *Handle[V]) ID() uint64 { return h.id }
 // only the operation counters move. This mirrors the paper's model, which
 // has no thread departure story at all — see DESIGN.md.
 func (h *Handle[V]) Close() {
-	if h.bufCap > 0 {
-		// Buffered candidates were never taken; discarding them leaves the
-		// items live in their blocks.
-		h.bufInvalidate()
-	}
+	// Buffered candidates were never taken; discarding them leaves the items
+	// live in their blocks.
+	h.bufInvalidate()
 	if h.q.cfg.Mode != DistOnly {
 		h.dist.DrainTo(h.overflow)
 	}
@@ -588,9 +549,7 @@ func (h *Handle[V]) insertItem(it *item.Item[V]) uint64 {
 	switch h.q.cfg.Mode {
 	case DistOnly:
 		h.dist.Insert(it, nil)
-		if h.bufCap > 0 {
-			h.bufInsert(it, ver, key)
-		}
+		h.bufInsert(it, ver, key)
 	case SharedOnly:
 		// The publication moves the shared pointer, so the next buffered
 		// pop's anchor check flushes the buffer — nothing to do here.
@@ -600,12 +559,10 @@ func (h *Handle[V]) insertItem(it *item.Item[V]) uint64 {
 		h.q.shared.Insert(h.cursor, nb)
 	default:
 		h.dist.Insert(it, h.overflow)
-		if h.bufCap > 0 {
-			// Splice the new key into the buffer at its ascending position
-			// (see bufInsert); an overflow publication is caught by the
-			// anchor check like any other shared movement.
-			h.bufInsert(it, ver, key)
-		}
+		// Splice the new key into the buffer at its ascending position (see
+		// bufInsert); an overflow publication is caught by the anchor check
+		// like any other shared movement.
+		h.bufInsert(it, ver, key)
 	}
 	return ver
 }
@@ -654,17 +611,9 @@ func (h *Handle[V]) InsertBatchSeqs(keys []uint64, values []V, seqs []uint64) {
 		}
 		return
 	}
-	if h.bufCap > 0 {
-		// Truncate at the batch minimum: only buffered candidates above it
-		// can shadow a batch key.
-		minKey := keys[0]
-		for _, k := range keys[1:] {
-			if k < minKey {
-				minKey = k
-			}
-		}
-		h.bufTruncate(minKey)
-	}
+	// Truncate the buffer at the batch minimum: only buffered candidates
+	// above it can shadow a batch key.
+	h.bufTruncate(slices.Min(keys))
 	its := h.batchScratch[:0]
 	for i, k := range keys {
 		var v V
@@ -722,9 +671,9 @@ func (h *Handle[V]) DrainMin(max int, emit func(key uint64, value V)) int {
 // item passed to emit (see TryDeleteMinSeq); the persistence layer drains
 // through it so every pop can be logged as a (key, seq) delete record.
 func (h *Handle[V]) DrainMinSeq(max int, emit func(key uint64, value V, seq uint64)) int {
-	if h.bufCap > 0 && max > h.bufCap {
+	if max > delBufSize {
 		// Let refills inside this drain batch up to the drain size, so a
-		// large drain costs O(max / fill) refills instead of max / bufCap.
+		// large drain costs O(max / fill) refills instead of max / delBufSize.
 		h.fillHint = max
 		defer func() { h.fillHint = 0 }()
 	}
@@ -779,14 +728,8 @@ func (h *Handle[V]) findMinCandidate() *item.Item[V] {
 //
 // The common case is a deletion-buffer pop (see delbuf.go): one anchor
 // check, one version-stamped CAS, zero shared-structure walks. When the
-// buffer cannot serve, the inner loop below tracks which side — the
-// handle's DistLSM or the shared k-LSM — supplied each candidate: claiming
-// or losing an item only changes that side, so only it is re-queried, while
-// the other side's candidate is kept (a stale keeper is caught by its
-// version like any other candidate). On top of that, when the sticky hint
-// proves nothing smaller can be on the shared side
-// (sharedlsm.SkipShared), the shared side is skipped outright — both the ρ
-// bound and local ordering hold for the local minimum.
+// buffer cannot serve, take runs Listing 5's claim loop, and an unsuccessful
+// loop spies before reporting failure.
 func (h *Handle[V]) TryDeleteMin() (key uint64, value V, ok bool) {
 	key, value, _, ok = h.TryDeleteMinSeq()
 	return key, value, ok
@@ -797,96 +740,106 @@ func (h *Handle[V]) TryDeleteMin() (key uint64, value V, ok bool) {
 // inserted without one). The persistence layer logs a delete record as
 // (key, seq) so recovery can cancel exactly the consumed insert.
 func (h *Handle[V]) TryDeleteMinSeq() (key uint64, value V, seq uint64, ok bool) {
-	if h.bufCap > 0 {
-		if k, v, s, hit := h.bufTryDelete(); hit {
-			return k, v, s, true
+	if k, v, s, ok := h.bufTryDelete(^uint64(0)); ok {
+		return k, v, s, true
+	}
+	for {
+		if k, v, s, ok := h.take(^uint64(0)); ok || !h.spy() {
+			return k, v, s, ok
 		}
 	}
+}
+
+// take is Listing 5's claim loop behind both pops: it claims the better of
+// the DistLSM minimum and the shared k-LSM candidate, and fails, claiming
+// nothing, once both sides are empty or the better candidate's key exceeds
+// bound (the unbounded pop passes ^0). A candidate above the bound proves
+// dryness the same way emptiness does: it is a relaxed minimum, so
+// everything reachable from here is >= it > bound.
+//
+// The loop tracks which side supplied each candidate: claiming or losing an
+// item only changes that side, so only it is re-queried, while the other
+// side's candidate is kept (a stale keeper is caught by its version like any
+// other candidate). When the sticky hint proves nothing smaller can be on
+// the shared side (sharedlsm.SkipShared), the shared side is skipped
+// outright — both the ρ bound and local ordering hold for the local minimum.
+func (h *Handle[V]) take(bound uint64) (key uint64, value V, seq uint64, ok bool) {
 	drop := h.q.cfg.Drop
 	mode := h.q.cfg.Mode
+	var local *item.Item[V]
+	var shared item.Snap[V]
+	// In DistOnly mode there is no shared side; pretend it was fetched (and
+	// found empty) so the loop never consults it.
+	haveShared, sharedOK := mode == DistOnly, false
+	if mode != SharedOnly {
+		local = h.dist.FindMin()
+	}
 	for {
-		var local *item.Item[V]
-		var shared item.Snap[V]
-		var haveShared, sharedOK bool
-		// In DistOnly mode there is no shared side; pretend it was fetched
-		// (and found empty) so the loop below never consults it.
-		haveShared = mode == DistOnly
-		if mode != SharedOnly {
-			local = h.dist.FindMin()
+		if !haveShared && (local == nil || !h.q.shared.SkipShared(h.cursor, local.Key())) {
+			shared, sharedOK = h.q.shared.FindMinSnap(h.cursor)
+			haveShared = true
 		}
-		for {
-			if !haveShared {
-				if local != nil && h.q.shared.SkipShared(h.cursor, local.Key()) {
-					// Skip-shared fast path: nothing smaller over there.
-				} else {
-					shared, sharedOK = h.q.shared.FindMinSnap(h.cursor)
-					haveShared = true
-				}
-			}
-			var it *item.Item[V]
-			var ver uint64
-			fromShared := false
-			if local != nil {
-				it, ver = local, 0
-			}
-			if sharedOK && (local == nil || shared.Key < local.Key()) {
-				it, ver, fromShared = shared.It, shared.Ver, true
-			}
-			if it == nil {
-				break // both sides empty: fall through to spy
-			}
-			var won bool
-			if fromShared {
-				// Shared candidates may be window entries retained across
-				// snapshots; the version-stamped CAS claims exactly the
-				// captured incarnation or fails.
-				won = it.TryTakeAt(ver)
-			} else {
-				won = it.TryTake()
-			}
-			if won {
-				h.deleted.Add(1)
-				if drop == nil || !drop(it.Key(), it.Value()) {
-					return it.Key(), it.Value(), it.Seq(), true
-				}
-				// Stale: discard and keep looking on the side that lost it.
-			}
-			// Re-query only the side whose candidate was consumed (by us or
-			// by a faster handle); the failed take implies another handle
-			// progressed, so retrying preserves lock-freedom.
-			if fromShared {
-				shared, sharedOK = h.q.shared.FindMinSnap(h.cursor)
-			} else {
-				local = h.dist.FindMin()
-				if mode == Combined {
-					haveShared = haveShared && sharedOK
-				}
-			}
+		// candKey is the candidate's key as captured: a shared Snap is not
+		// validated until TryTakeAt, and its item may have been recycled
+		// since, so its live key must not be read here.
+		var it *item.Item[V]
+		var ver, candKey uint64
+		fromShared := false
+		if local != nil {
+			it, candKey = local, local.Key()
 		}
-		if !h.spy() {
+		if sharedOK && (local == nil || shared.Key < candKey) {
+			it, ver, candKey, fromShared = shared.It, shared.Ver, shared.Key, true
+		}
+		if it == nil || candKey > bound {
 			var zero V
 			return 0, zero, 0, false
+		}
+		var won bool
+		if fromShared {
+			// Shared candidates may be window entries retained across
+			// snapshots; the version-stamped CAS claims exactly the captured
+			// incarnation or fails.
+			won = it.TryTakeAt(ver)
+		} else {
+			won = it.TryTake()
+		}
+		if won {
+			h.deleted.Add(1)
+			if drop == nil || !drop(it.Key(), it.Value()) {
+				return it.Key(), it.Value(), it.Seq(), true
+			}
+			// Filter-positive: discard and keep looking on the side that
+			// lost it.
+		}
+		// Re-query only the side whose candidate was consumed (by us or by a
+		// faster handle); the failed take implies another handle progressed,
+		// so retrying preserves lock-freedom.
+		if fromShared {
+			shared, sharedOK = h.q.shared.FindMinSnap(h.cursor)
+		} else {
+			local = h.dist.FindMin()
+			if mode == Combined {
+				haveShared = haveShared && sharedOK
+			}
 		}
 	}
 }
 
 // PeekMin returns a key/payload that TryDeleteMin could return, without
 // deleting it. The view is relaxed exactly like TryDeleteMin's, and the two
-// observe the same candidate source: with the deletion buffer enabled,
-// PeekMin reads (and refills) the buffer head TryDeleteMin would pop next,
-// so on a single handle the peeked key is exactly the next deleted key.
+// observe the same candidate source: PeekMin reads (and refills) the
+// deletion-buffer head TryDeleteMin would pop next, so on a single handle
+// the peeked key is exactly the next deleted key.
 // Like TryDeleteMin, PeekMin never surfaces an item the Drop filter reports
 // stale — filter-positive candidates are claimed and discarded in passing.
 func (h *Handle[V]) PeekMin() (key uint64, value V, ok bool) {
-	if h.bufCap > 0 {
-		if e, hit := h.bufPeek(); hit {
-			return e.Key, e.It.Value(), true
-		}
-		if h.bufRefill() {
-			if e, hit := h.bufPeek(); hit {
-				return e.Key, e.It.Value(), true
-			}
-		}
+	e, hit := h.bufPeek()
+	if !hit && h.bufRefill() {
+		e, hit = h.bufPeek()
+	}
+	if hit {
+		return e.Key, e.It.Value(), true
 	}
 	drop := h.q.cfg.Drop
 	for {
@@ -936,10 +889,8 @@ func (h *Handle[V]) spy() bool {
 			continue
 		}
 		if h.dist.Spy(v) {
-			if h.bufCap > 0 {
-				// Spied-in items may undercut the fill-time local guard.
-				h.bufInvalidate()
-			}
+			// Spied-in items may undercut the fill-time local guard.
+			h.bufInvalidate()
 			return true
 		}
 	}
@@ -970,9 +921,7 @@ func (h *Handle[V]) spyDue(bound uint64) bool {
 	}
 	if copied {
 		h.SpyCalls.Add(1)
-		if h.bufCap > 0 {
-			h.bufInvalidate()
-		}
+		h.bufInvalidate()
 	}
 	return copied
 }
@@ -994,78 +943,13 @@ func (h *Handle[V]) TryDeleteMinBounded(bound uint64) (key uint64, value V, ok b
 // TryDeleteMinBoundedSeq is TryDeleteMinBounded additionally returning the
 // item's durability sequence number, mirroring TryDeleteMinSeq.
 func (h *Handle[V]) TryDeleteMinBoundedSeq(bound uint64) (key uint64, value V, seq uint64, ok bool) {
-	if h.bufCap > 0 {
-		if k, v, s, hit := h.bufTryDeleteBounded(bound); hit {
-			return k, v, s, true
-		}
+	if k, v, s, ok := h.bufTryDelete(bound); ok {
+		return k, v, s, true
 	}
-	drop := h.q.cfg.Drop
-	mode := h.q.cfg.Mode
-	spied := false
-	for {
-		var local *item.Item[V]
-		var shared item.Snap[V]
-		var haveShared, sharedOK bool
-		haveShared = mode == DistOnly
-		if mode != SharedOnly {
-			local = h.dist.FindMin()
-		}
-		for {
-			if !haveShared {
-				if local != nil && h.q.shared.SkipShared(h.cursor, local.Key()) {
-					// Skip-shared fast path: nothing smaller over there.
-				} else {
-					shared, sharedOK = h.q.shared.FindMinSnap(h.cursor)
-					haveShared = true
-				}
-			}
-			// candKey is the candidate's key as captured: a shared Snap is
-			// not validated until TryTakeAt, and its item may have been
-			// recycled since, so its live key must not be read here.
-			var it *item.Item[V]
-			var ver, candKey uint64
-			fromShared := false
-			if local != nil {
-				it, ver, candKey = local, 0, local.Key()
-			}
-			if sharedOK && (local == nil || shared.Key < candKey) {
-				it, ver, candKey, fromShared = shared.It, shared.Ver, shared.Key, true
-			}
-			if it == nil || candKey > bound {
-				// Both sides dry below the bound. (A candidate above the
-				// bound proves dryness the same way emptiness does: it is a
-				// relaxed minimum, so everything reachable from here is >=
-				// it > bound.) Fall through to the due-bounded spy.
-				break
-			}
-			var won bool
-			if fromShared {
-				won = it.TryTakeAt(ver)
-			} else {
-				won = it.TryTake()
-			}
-			if won {
-				h.deleted.Add(1)
-				if drop == nil || !drop(it.Key(), it.Value()) {
-					return it.Key(), it.Value(), it.Seq(), true
-				}
-				// Filter-positive: discard and keep looking.
-			}
-			if fromShared {
-				shared, sharedOK = h.q.shared.FindMinSnap(h.cursor)
-			} else {
-				local = h.dist.FindMin()
-				if mode == Combined {
-					haveShared = haveShared && sharedOK
-				}
-			}
-		}
-		if spied || !h.spyDue(bound) {
-			var zero V
-			return 0, zero, 0, false
-		}
-		spied = true
+	if k, v, s, ok := h.take(bound); ok || !h.spyDue(bound) {
+		return k, v, s, ok
 	}
+	return h.take(bound)
 }
 
 // DrainMinBounded removes up to max items with keys at or below bound,
@@ -1081,7 +965,7 @@ func (h *Handle[V]) DrainMinBounded(bound uint64, max int, emit func(key uint64,
 // DrainMinBoundedSeq is DrainMinBounded with each pop's durability sequence
 // number passed to emit, mirroring DrainMinSeq.
 func (h *Handle[V]) DrainMinBoundedSeq(bound uint64, max int, emit func(key uint64, value V, seq uint64)) int {
-	if h.bufCap > 0 && max > h.bufCap {
+	if max > delBufSize {
 		h.fillHint = max
 		defer func() { h.fillHint = 0 }()
 	}
@@ -1109,9 +993,7 @@ func (h *Handle[V]) DrainMinBoundedSeq(bound uint64, max int, emit func(key uint
 // Owner only, like every handle operation; other handles' DistLSMs are
 // untouched (their garbage is bounded by the per-handle size bound ~2(k+1)).
 func (h *Handle[V]) Compact() {
-	if h.bufCap > 0 {
-		h.bufInvalidate()
-	}
+	h.bufInvalidate()
 	if h.q.cfg.Mode != SharedOnly {
 		h.dist.Purge()
 	}

@@ -347,6 +347,34 @@ func TestMeld(t *testing.T) {
 	}
 }
 
+// TestMeldMovesClosedBalance: Meld moves the whole Size balance of the
+// source, including the totals of its closed handles; a balance left behind
+// makes dst count 0 while it holds the items, and src keep counting them
+// after dst drained them.
+func TestMeldMovesClosedBalance(t *testing.T) {
+	src := combined(8)
+	dst := combined(8)
+	hs := src.NewHandle()
+	for i := uint64(0); i < 100; i++ {
+		hs.Insert(i, 1)
+	}
+	hs.Close()
+	hd := dst.NewHandle()
+	hd.Meld(src)
+	if got := dst.Size(); got != 100 {
+		t.Fatalf("dst.Size() = %d after meld, want 100", got)
+	}
+	if got := src.Size(); got != 0 {
+		t.Fatalf("src.Size() = %d after meld, want 0", got)
+	}
+	if got := len(drainHandle(hd)); got != 100 {
+		t.Fatalf("drained %d keys after meld, want 100", got)
+	}
+	if s, d := src.Size(), dst.Size(); s != 0 || d != 0 {
+		t.Fatalf("after the drain src.Size() = %d, dst.Size() = %d, want 0 and 0", s, d)
+	}
+}
+
 func TestPayloadIntegrity(t *testing.T) {
 	type payload struct {
 		A string

@@ -67,20 +67,12 @@ func Figure4Specs(k int) []QueueSpec {
 	}
 }
 
-// ExtraSpecs returns ablation configurations that are selectable by name in
-// the throughput tool but are not part of the paper's Figure 3 legend (so
-// "all" and the figure benchmarks stay faithful to the paper).
+// ExtraSpecs returns the large-k frontier points of the window sweep,
+// selectable by name in the throughput tool but not part of the paper's
+// Figure 3 legend (so "all" and the figure benchmarks stay faithful to the
+// paper).
 func ExtraSpecs() []QueueSpec {
 	var specs []QueueSpec
-	// Deletion-buffer and sticky-hint ablations (E15/E16) plus the large-k
-	// frontier points of the window sweep, at every k the sweep visits.
-	for _, k := range []int{256, 4096, 8192, 65536} {
-		k := k
-		specs = append(specs,
-			QueueSpec{Name: fmt.Sprintf("kLSM(%d)-nobuf", k), New: func(int) pqs.Queue { return klsmq.NewNoDelBuf(k) }},
-			QueueSpec{Name: fmt.Sprintf("kLSM(%d)-nosticky", k), New: func(int) pqs.Queue { return klsmq.NewNoSticky(k) }},
-		)
-	}
 	for _, k := range []int{8192, 65536} {
 		k := k
 		specs = append(specs, QueueSpec{
@@ -92,8 +84,8 @@ func ExtraSpecs() []QueueSpec {
 }
 
 // LookupFigure3 returns the named specs (comma-separated list, "all" for
-// everything in the Figure 3 legend; the ExtraSpecs ablations resolve by
-// name only). Unknown names return an error listing the choices.
+// everything in the Figure 3 legend; the ExtraSpecs resolve by name
+// only). Unknown names return an error listing the choices.
 func LookupFigure3(names string) ([]QueueSpec, error) {
 	all := Figure3Specs()
 	if names == "" || names == "all" {

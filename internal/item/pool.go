@@ -11,14 +11,10 @@ const slabSize = 256
 // Get prefers recycled items, then carves from a slab, allocating a new slab
 // only when both run dry. Put recycles an item under the §4.4 reuse
 // contract: the item must be taken AND unreachable from every published
-// block. Two callers can supply that proof:
-//
-//   - the sequential LSM, where each item lives in exactly one block and is
-//     provably sole-referenced the moment DeleteMin trims it, and
-//   - the lineage reference-count scheme (§4.4 proper): block pools release
-//     a lineage's references when its blocks and dropped items clear the
-//     §4.4 quiescence proofs, and hand the item here when the last
-//     reference dies on a taken item.
+// block. The lineage reference-count scheme (§4.4 proper) supplies that
+// proof: block pools release a lineage's references when its blocks and
+// dropped items clear the §4.4 quiescence proofs, and hand the item here
+// when the last reference dies on a taken item.
 type Pool[V any] struct {
 	free []*Item[V]
 	slab []Item[V]

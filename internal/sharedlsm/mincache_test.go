@@ -65,42 +65,49 @@ func TestMinCachingLocalOrdering(t *testing.T) {
 	}
 }
 
-// TestMinHintLifecycle: a successful FindMin arms the hint; any publication
-// that moves the shared pointer disarms it.
-func TestMinHintLifecycle(t *testing.T) {
+// TestSkipSharedLifecycle: a successful FindMin arms the skip-shared hint
+// at the candidate's key on its array; a publication that undercuts the
+// hint denies the skip, and the next FindMin re-arms it at the smaller key.
+func TestSkipSharedLifecycle(t *testing.T) {
 	s := New[int](4, true)
 	c := newCursor(s, 1)
-	if _, ok := s.MinHint(c); ok {
-		t.Fatal("fresh cursor has a hint")
+	if s.SkipShared(c, 0) {
+		t.Fatal("fresh cursor skipped the shared side")
 	}
 	insertKeys(s, c, 30, 10, 20)
 	it := s.FindMin(c)
 	if it == nil {
 		t.Fatal("FindMin found nothing")
 	}
-	hint, ok := s.MinHint(c)
-	if !ok {
-		t.Fatal("no hint after successful FindMin")
+	// The hint is a lower bound on every key the shared side can supply:
+	// the candidate's own key qualifies, anything above it does not.
+	if it.Key() > 10 {
+		t.Fatalf("candidate %d exceeds live minimum 10", it.Key())
 	}
-	if hint != it.Key() {
-		t.Fatalf("hint %d != candidate key %d", hint, it.Key())
+	if !s.SkipShared(c, it.Key()) {
+		t.Fatal("no skip at the armed hint key")
 	}
-	// The hint is a lower bound on every key the shared side can supply.
-	if hint > 10 {
-		t.Fatalf("hint %d exceeds live minimum 10", hint)
+	if s.SkipShared(c, it.Key()+1) {
+		t.Fatal("skip granted above the armed hint key")
 	}
-	// A publication moves the pointer: the hint must expire.
+	// A publication below the local key moves the pointer and undercuts it:
+	// the skip must be denied.
 	insertKeys(s, c, 5)
-	if _, ok := s.MinHint(c); ok {
-		t.Fatal("hint survived a publication")
+	if s.SkipShared(c, 6) {
+		t.Fatal("skip survived an undercutting publication")
 	}
-	// The next FindMin re-arms it, now covering the smaller key.
+	// The next FindMin re-arms the hint, now at the smaller key, on the
+	// current array (an exact skip, not a sticky one).
 	it = s.FindMin(c)
 	if it == nil || it.Key() != 5 {
 		t.Fatalf("FindMin after insert = %v, want key 5", it)
 	}
-	if hint, ok := s.MinHint(c); !ok || hint != 5 {
-		t.Fatalf("re-armed hint = %d (%v), want 5", hint, ok)
+	sticks := c.HintSticks.Load()
+	if !s.SkipShared(c, 5) || s.SkipShared(c, 6) {
+		t.Fatal("re-armed hint does not sit at key 5")
+	}
+	if c.HintSticks.Load() != sticks {
+		t.Fatal("re-armed exact skip counted as a stick")
 	}
 }
 
@@ -112,7 +119,6 @@ func TestMinHintLifecycle(t *testing.T) {
 // sticks and an undercutting publication denies and resets.
 func TestStickyHintCrossPublication(t *testing.T) {
 	s := New[int](4, true)
-	s.SetStickyHint(2)
 	c := newCursor(s, 1)
 	insertKeys(s, c, 100, 200, 300)
 	it := s.FindMin(c)
@@ -142,12 +148,15 @@ func TestStickyHintCrossPublication(t *testing.T) {
 	if got := c.HintSticks.Load(); got != 1 {
 		t.Fatalf("exact skip after re-arm counted as a stick: %d", got)
 	}
-	// Budget: a second consecutive stick is the last the budget of 2 allows.
-	insertKeys(s, c, 160)
-	if !s.SkipShared(c, 50) {
-		t.Fatal("second sticky skip denied")
+	// Budget: the streak allows stickyOps consecutive sticks, one per
+	// publication, and denies the next.
+	for i := 2; i <= stickyOps; i++ {
+		insertKeys(s, c, uint64(1000+i))
+		if !s.SkipShared(c, 50) {
+			t.Fatalf("sticky skip %d of %d denied", i, stickyOps)
+		}
 	}
-	insertKeys(s, c, 170)
+	insertKeys(s, c, 2000)
 	if s.SkipShared(c, 50) {
 		t.Fatal("sticky skip granted past the budget")
 	}
@@ -155,7 +164,7 @@ func TestStickyHintCrossPublication(t *testing.T) {
 	if s.FindMin(c) == nil {
 		t.Fatal("FindMin found nothing")
 	}
-	insertKeys(s, c, 180)
+	insertKeys(s, c, 2001)
 	if !s.SkipShared(c, 50) {
 		t.Fatal("sticky skip denied after streak reset")
 	}
@@ -164,24 +173,6 @@ func TestStickyHintCrossPublication(t *testing.T) {
 	insertKeys(s, c, 10)
 	if s.SkipShared(c, 50) {
 		t.Fatal("skip granted with shared key 10 below local 50")
-	}
-}
-
-// TestStickyHintDisabled: with a zero sticky budget the hint dies with its
-// array — the pre-sticky MinHint behavior.
-func TestStickyHintDisabled(t *testing.T) {
-	s := New[int](4, true)
-	c := newCursor(s, 1)
-	insertKeys(s, c, 100)
-	if s.FindMin(c) == nil {
-		t.Fatal("FindMin found nothing")
-	}
-	if !s.SkipShared(c, 50) {
-		t.Fatal("exact-array skip denied")
-	}
-	insertKeys(s, c, 150)
-	if s.SkipShared(c, 50) {
-		t.Fatal("cross-publication skip granted with stickiness disabled")
 	}
 }
 

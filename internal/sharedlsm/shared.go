@@ -15,6 +15,11 @@ import (
 // counted in LimboLeaked.
 const sharedLimboCap = 2048
 
+// stickyOps bounds how many consecutive skip-shared decisions a cursor may
+// re-validate across shared publications (the MultiQueue-style sticky hint,
+// see SkipShared).
+const stickyOps = 64
+
 // retiredBlock is a block dropped from a published BlockArray, tagged with
 // the epoch of the CAS that dropped it.
 type retiredBlock[V any] struct {
@@ -51,11 +56,6 @@ type Shared[V any] struct {
 	// never skips its own items. On by default; the ablation benchmark
 	// switches it off.
 	localOrdering bool
-	// stickyOps bounds how many consecutive skip-shared decisions a cursor
-	// may re-validate across shared publications (the MultiQueue-style
-	// sticky hint); 0 disables the sticky extension and the hint dies with
-	// its array, as in MinHint. Set before the queue is shared.
-	stickyOps int
 
 	// epoch counts winning publications that dropped blocks.
 	epoch atomic.Uint64
@@ -91,12 +91,6 @@ func New[V any](k int, localOrdering bool) *Shared[V] {
 // SetDrop installs the lazy-deletion callback used during merges. Must be
 // called before the queue is shared.
 func (s *Shared[V]) SetDrop(drop block.DropFunc[V]) { s.drop = drop }
-
-// SetStickyHint sets the sticky skip-shared budget: the number of
-// consecutive operations a cursor's hint may survive shared publications by
-// re-validating against the new array's minimum-key floor (see SkipShared).
-// 0 disables stickiness. Must be called before the queue is shared.
-func (s *Shared[V]) SetStickyHint(ops int) { s.stickyOps = ops }
 
 // K returns the current relaxation parameter.
 func (s *Shared[V]) K() int { return int(s.k.Load()) }
@@ -150,7 +144,7 @@ type Cursor[V any] struct {
 	// k live keys in the shared structure are smaller) and the minima of
 	// every block that may hold this handle's items — so a caller whose
 	// local minimum is <= hintKey may skip the shared side entirely (see
-	// MinHint and SkipShared). Owner-only.
+	// SkipShared). Owner-only.
 	hintArr *BlockArray[V]
 	hintKey uint64
 	// hintStreak counts consecutive sticky re-validations (SkipShared skips
@@ -586,24 +580,29 @@ func (s *Shared[V]) FindMinSnap(c *Cursor[V]) (item.Snap[V], bool) {
 		// set is exhausted (dry), pivots must be recalculated to extend it;
 		// for a merely-stale candidate the recalculation is only worth it
 		// if the pass changes the structure (consolidate decides).
-		c.gen++ // consolidate mutates the snapshot in place
-		push := c.snapshot.consolidate(s.drop, dry, &c.al)
-		if c.snapshot.empty() {
-			if !c.snapshot.published {
-				c.al.discardFresh()
-				c.spare = c.snapshot
-			}
-			c.snapshot = nil
-			push = true
+		s.consolidate(c, dry)
+	}
+}
+
+// consolidate runs Listing 3's cleanup pass on c's private snapshot,
+// recalculating the pivots when repivot is set, and publishes the result
+// when the pass changed the structure or emptied it. Whatever the CAS
+// outcome, c's next use refreshes: either c published (its observed pointer
+// is stale now) or another cursor did (the shared pointer moved). Caller
+// guarantees c.snapshot != nil.
+func (s *Shared[V]) consolidate(c *Cursor[V], repivot bool) {
+	c.gen++ // the pass mutates the snapshot in place: invalidate the window
+	push := c.snapshot.consolidate(s.drop, repivot, &c.al)
+	if c.snapshot.empty() {
+		if !c.snapshot.published {
+			c.al.discardFresh()
+			c.spare = c.snapshot
 		}
-		if push {
-			if s.push(c) {
-				c.ConsolidatePushes.Add(1)
-			}
-			// Regardless of CAS outcome the next iteration refreshes:
-			// either we published (observed is stale now) or someone else
-			// did (shared moved).
-		}
+		c.snapshot = nil
+		push = true
+	}
+	if push && s.push(c) {
+		c.ConsolidatePushes.Add(1)
 	}
 }
 
@@ -748,19 +747,7 @@ func (s *Shared[V]) FillCandidates(c *Cursor[V], dst []item.Snap[V], max int) (_
 				// once, and refill at the extended bound.
 				repivoted = true
 				dst = dst[:base]
-				c.gen++
-				push := c.snapshot.consolidate(s.drop, true, &c.al)
-				if c.snapshot.empty() {
-					if !c.snapshot.published {
-						c.al.discardFresh()
-						c.spare = c.snapshot
-					}
-					c.snapshot = nil
-					push = true
-				}
-				if push && s.push(c) {
-					c.ConsolidatePushes.Add(1)
-				}
+				s.consolidate(c, true)
 				continue
 			}
 			if len(dst) > base {
@@ -782,19 +769,7 @@ func (s *Shared[V]) FillCandidates(c *Cursor[V], dst []item.Snap[V], max int) (_
 			c.WindowItems.Add(int64(mat))
 			continue
 		}
-		c.gen++
-		push := c.snapshot.consolidate(s.drop, true, &c.al)
-		if c.snapshot.empty() {
-			if !c.snapshot.published {
-				c.al.discardFresh()
-				c.spare = c.snapshot
-			}
-			c.snapshot = nil
-			push = true
-		}
-		if push && s.push(c) {
-			c.ConsolidatePushes.Add(1)
-		}
+		s.consolidate(c, true)
 	}
 }
 
@@ -803,39 +778,29 @@ func (s *Shared[V]) FillCandidates(c *Cursor[V], dst []item.Snap[V], max int) (_
 // FillCandidates (nil anchors validate an empty shared structure).
 func (s *Shared[V]) PtrIs(a *BlockArray[V]) bool { return s.ptr.Load() == a }
 
-// MinHint returns the key of c's last successful FindMin candidate, valid
-// only while the shared pointer still equals the array that produced it.
-// While valid, the hint guarantees two things about
-// the current shared structure: at most k live keys in it are smaller than
-// the hint (the candidate was within the array's pivot range, and a
-// published array only loses items), and no block that may contain c's own
-// items has a minimum below it (block minima only rise as tails are taken).
-// A caller whose local minimum is <= the hint may therefore return the local
-// minimum without consulting the shared side at all — both the ρ = T·k
-// bound and local ordering are preserved.
-func (s *Shared[V]) MinHint(c *Cursor[V]) (uint64, bool) {
-	if c.hintArr == nil || s.ptr.Load() != c.hintArr {
-		return 0, false
-	}
-	return c.hintKey, true
-}
-
 // SkipShared reports whether a caller holding a local candidate with key
 // localKey may return it without consulting the shared structure at all.
-// It is the sticky generalization of MinHint: while the shared pointer still
-// equals the hint's array, the skip is granted exactly as MinHint would
-// (localKey <= hintKey, no streak budget — the hint is proven for that
-// array). When the pointer has moved, the hint re-validates against the new
-// array's minimum-key floor instead of dying: a published array's minKey
+// The hint is armed by every real shared-side query (FindMinSnap,
+// FillCandidates) with the array it ran on and a key that, while the shared
+// pointer still equals that array, lower-bounds two things: at most k live
+// keys in the shared structure are smaller (the key is within the array's
+// pivot range, and a published array only loses items), and no block that
+// may contain c's own items has a smaller minimum (block minima only rise as
+// tails are taken). So on the same array the skip is granted whenever
+// localKey <= hintKey, with no streak budget — both the ρ = T·k bound and
+// local ordering hold for the local candidate.
+//
+// When the pointer has moved, the hint re-validates against the new array's
+// minimum-key floor instead of dying: a published array's minKey
 // lower-bounds every key it can ever hold, so minKey >= localKey proves the
 // shared structure holds *zero* live keys below localKey — the ρ bound
 // (0 <= k smaller keys) and local ordering (every own-block minimum >=
 // minKey >= localKey) both hold trivially, and the hint re-arms on the new
 // array with hintKey = minKey. Such cross-publication re-validations are
-// MultiQueue-style stickiness and are bounded by the configured budget
-// (SetStickyHint), counted per consecutive streak; the streak — and, on a
-// failed re-validation, the decision — resets so a handle cannot indefinitely
-// avoid the shared-side maintenance its deletes are meant to share.
+// MultiQueue-style stickiness and are bounded by stickyOps, counted per
+// consecutive streak; the streak — and, on a failed re-validation, the
+// decision — resets so a handle cannot indefinitely avoid the shared-side
+// maintenance its deletes are meant to share.
 func (s *Shared[V]) SkipShared(c *Cursor[V], localKey uint64) bool {
 	if c.hintArr == nil {
 		return false
@@ -848,7 +813,7 @@ func (s *Shared[V]) SkipShared(c *Cursor[V], localKey uint64) bool {
 		}
 		return false
 	}
-	if s.stickyOps <= 0 || c.hintStreak >= s.stickyOps {
+	if c.hintStreak >= stickyOps {
 		c.hintStreak = 0
 		return false
 	}

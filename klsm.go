@@ -82,8 +82,6 @@ func resolveOptions(opts []Option) options {
 		k:             256,
 		mode:          core.Combined,
 		localOrdering: true,
-		delBuf:        32,
-		stickyOps:     64,
 		syncInterval:  2 * time.Millisecond,
 	}
 	for _, o := range opts {
@@ -97,15 +95,7 @@ func resolveOptions(opts []Option) options {
 
 // coreConfig translates resolved options into the engine configuration.
 func coreConfig[V any](cfg options) core.Config[V] {
-	return core.Config[V]{
-		K:                     cfg.k,
-		Mode:                  cfg.mode,
-		LocalOrdering:         cfg.localOrdering,
-		DisableDeletionBuffer: cfg.delBuf <= 0,
-		DeletionBufferSize:    cfg.delBuf,
-		DisableStickyHint:     cfg.stickyOps <= 0,
-		StickyHintOps:         cfg.stickyOps,
-	}
+	return core.Config[V]{K: cfg.k, Mode: cfg.mode, LocalOrdering: cfg.localOrdering}
 }
 
 // newCoreQueue builds the engine queue for resolved options, wiring the
@@ -314,21 +304,18 @@ func (q *Queue[V]) Delete(r Ref[V]) bool {
 // will not reappear after a crash (unacknowledged deletes may be
 // redelivered — at-least-once, like any write-behind log).
 func (h *Handle[V]) TryDeleteMin() (key uint64, value V, ok bool) {
-	if p := h.persist(); p != nil {
-		k, v, seq, ok := h.h.TryDeleteMinSeq()
-		if ok {
-			p.appendDelete(k, seq)
-		}
-		return k, v, ok
+	p := h.persist()
+	key, value, seq, ok := h.h.TryDeleteMinSeq()
+	if ok && p != nil {
+		p.appendDelete(key, seq)
 	}
-	return h.h.TryDeleteMin()
+	return key, value, ok
 }
 
 // PeekMin returns a key TryDeleteMin could return, without removing it. The
 // result is relaxed exactly like TryDeleteMin's and may be stale by the
-// time the caller acts on it. With the deletion buffer enabled (the
-// default), PeekMin observes the same buffered candidate the next
-// TryDeleteMin on this handle would pop.
+// time the caller acts on it. PeekMin observes the same buffered candidate
+// the next TryDeleteMin on this handle would pop.
 func (h *Handle[V]) PeekMin() (key uint64, value V, ok bool) {
 	h.persist()
 	return h.h.PeekMin()
@@ -345,14 +332,12 @@ func (h *Handle[V]) PeekMin() (key uint64, value V, ok bool) {
 // persistent queue a successful delete logs its WAL record like
 // TryDeleteMin.
 func (h *Handle[V]) TryDeleteMinBounded(bound uint64) (key uint64, value V, ok bool) {
-	if p := h.persist(); p != nil {
-		k, v, seq, ok := h.h.TryDeleteMinBoundedSeq(bound)
-		if ok {
-			p.appendDelete(k, seq)
-		}
-		return k, v, ok
+	p := h.persist()
+	key, value, seq, ok := h.h.TryDeleteMinBoundedSeq(bound)
+	if ok && p != nil {
+		p.appendDelete(key, seq)
 	}
-	return h.h.TryDeleteMinBounded(bound)
+	return key, value, ok
 }
 
 // Compact physically reclaims logically deleted and merge-filter-dropped

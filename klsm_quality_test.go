@@ -9,13 +9,11 @@ import (
 	"klsm/internal/xrand"
 )
 
-// qualityConfigs enumerates the option combinations the k-bound suite runs
-// across: the deletion buffer and the sticky skip-shared hint must both be
-// invisible to the relaxation guarantee. The default row (§4.4 reclamation
-// and min caching, which every queue runs) has buffer and stickiness on, so
-// the ablation rows complete the buffer on/off × sticky on/off square;
-// buffered-but-untaken candidates stay live and must count toward the
-// bound, which is exactly what the treap's live multiset asserts.
+// qualityConfigs enumerates the option rows the k-bound suite runs across:
+// the default queue, which runs §4.4 reclamation, min caching, the deletion
+// buffer and the sticky skip-shared hint. Buffered-but-untaken candidates
+// stay live and must count toward the bound, which is exactly what the
+// treap's live multiset asserts.
 func qualityConfigs() []struct {
 	name string
 	opts []Option
@@ -25,9 +23,6 @@ func qualityConfigs() []struct {
 		opts []Option
 	}{
 		{"reclaim=on/mincache=on", nil},
-		{"delbuf=off/sticky=on", []Option{WithDeletionBuffer(0)}},
-		{"delbuf=on/sticky=off", []Option{WithStickyHint(0)}},
-		{"delbuf=off/sticky=off", []Option{WithDeletionBuffer(0), WithStickyHint(0)}},
 	}
 }
 

@@ -11,8 +11,6 @@ type options struct {
 	k             int
 	mode          core.Mode
 	localOrdering bool
-	delBuf        int
-	stickyOps     int
 
 	// Durability (Open-only; New panics when persistDir is set).
 	persistDir   string
@@ -60,20 +58,6 @@ func WithSharedOnly() Option {
 // ordering on.
 func WithoutLocalOrdering() Option {
 	return func(o *options) { o.localOrdering = false }
-}
-
-// WithDeletionBuffer sets the per-handle deletion-buffer capacity (default
-// 32). TryDeleteMin refills a small owner-local buffer of version-validated
-// candidates from the shared candidate window and the handle's local min
-// scan in one pass, so the common delete is a buffer pop with a single
-// shared-pointer check — the MultiQueue-style deletion-buffer idea grafted
-// onto the k-LSM. Buffered candidates are never logically deleted until
-// popped, so the ρ = T·k relaxation bound and local ordering hold exactly as
-// without the buffer; any event that could undercut a buffered key (an
-// insert by this handle, a spy, a meld, any shared-structure publication)
-// discards the buffer. n <= 0 disables the buffer.
-func WithDeletionBuffer(n int) Option {
-	return func(o *options) { o.delBuf = n }
 }
 
 // WithPersistence declares the directory a persistent queue lives in. It is
@@ -145,18 +129,4 @@ func WithAutoCheckpoint(maxWALBytes int64, maxAge time.Duration) Option {
 		o.ckptWALBytes = maxWALBytes
 		o.ckptInterval = maxAge
 	}
-}
-
-// WithStickyHint sets the sticky skip-shared budget (default 64): how many
-// consecutive deletes may skip querying the shared structure across its
-// publications, each skip re-validated against the newly published array's
-// minimum-key floor (a skip is granted only when that floor proves the
-// shared side holds no key below the handle's local minimum — the ρ bound
-// and local ordering hold unconditionally). Larger budgets keep delete-min
-// local for longer on workloads whose small keys are handle-local;
-// the budget bounds how long a handle may defer its share of shared-side
-// maintenance. ops <= 0 disables stickiness, reverting to the exact
-// same-array hint.
-func WithStickyHint(ops int) Option {
-	return func(o *options) { o.stickyOps = ops }
 }

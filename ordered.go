@@ -189,18 +189,14 @@ func insertBatchEncoded[K, V any](h *Handle[V], codec KeyCodec[K], keys []K, val
 	h.InsertBatch(enc, values)
 }
 
-// drainMinDecoded pops up to n items through h, decoding keys into dst,
-// with the same persistence routing as Handle.DrainMin (each pop logs its
-// delete record on a persistent queue).
+// drainMinDecoded pops up to n items through h, decoding keys into dst; on a
+// persistent queue each pop logs its delete record.
 func drainMinDecoded[K, V any](h *Handle[V], codec KeyCodec[K], dst []KV[K, V], n int) []KV[K, V] {
-	if p := h.persist(); p != nil {
-		h.h.DrainMinSeq(n, func(k uint64, v V, seq uint64) {
+	p := h.persist()
+	h.h.DrainMinSeq(n, func(k uint64, v V, seq uint64) {
+		if p != nil {
 			p.appendDelete(k, seq)
-			dst = append(dst, KV[K, V]{Key: codec.Decode(k), Value: v})
-		})
-		return dst
-	}
-	h.h.DrainMin(n, func(k uint64, v V) {
+		}
 		dst = append(dst, KV[K, V]{Key: codec.Decode(k), Value: v})
 	})
 	return dst
@@ -209,14 +205,11 @@ func drainMinDecoded[K, V any](h *Handle[V], codec KeyCodec[K], dst []KV[K, V], 
 // drainMinBoundedDecoded is drainMinDecoded restricted to encoded keys at or
 // below bound; see Handle.DrainMinBounded.
 func drainMinBoundedDecoded[K, V any](h *Handle[V], codec KeyCodec[K], dst []KV[K, V], n int, bound uint64) []KV[K, V] {
-	if p := h.persist(); p != nil {
-		h.h.DrainMinBoundedSeq(bound, n, func(k uint64, v V, seq uint64) {
+	p := h.persist()
+	h.h.DrainMinBoundedSeq(bound, n, func(k uint64, v V, seq uint64) {
+		if p != nil {
 			p.appendDelete(k, seq)
-			dst = append(dst, KV[K, V]{Key: codec.Decode(k), Value: v})
-		})
-		return dst
-	}
-	h.h.DrainMinBounded(bound, n, func(k uint64, v V) {
+		}
 		dst = append(dst, KV[K, V]{Key: codec.Decode(k), Value: v})
 	})
 	return dst

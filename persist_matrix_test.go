@@ -15,9 +15,7 @@ import (
 )
 
 // matrixConfigs enumerates the engine-option rows of the crash-recovery
-// matrix: the deletion buffer must be invisible to durability, because the
-// WAL records logical operations (key, seq), never engine state. Each row
-// runs every crash mode.
+// matrix. Each row runs every crash mode.
 func matrixConfigs() []struct {
 	name string
 	opts []Option
@@ -27,7 +25,6 @@ func matrixConfigs() []struct {
 		opts []Option
 	}{
 		{"default", nil},
-		{"delbuf=off", []Option{WithDeletionBuffer(0)}},
 	}
 }
 
