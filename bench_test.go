@@ -132,6 +132,31 @@ func BenchmarkBatchInsert(b *testing.B) {
 	}
 }
 
+// BenchmarkHandleFreeParallel runs the handle-free Insert + TryDeleteMin
+// pair under b.RunParallel on a prefilled queue, so the handle registry's
+// borrow and return — the cost every handle-free call adds to an explicit
+// Handle's — shows up per op as it scales with -cpu:
+//
+//	go test -bench HandleFreeParallel -run xxx -cpu 1,2,4
+//
+// b.N counts pairs.
+func BenchmarkHandleFreeParallel(b *testing.B) {
+	b.ReportAllocs()
+	q := New[int]()
+	rng := xrand.NewSeeded(42)
+	for i := 0; i < benchPrefill(); i++ {
+		q.Insert(rng.Uint64(), i)
+	}
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		rng := xrand.New()
+		for pb.Next() {
+			q.Insert(rng.Uint64(), 0)
+			q.TryDeleteMin()
+		}
+	})
+}
+
 // BenchmarkFig3Throughput is the Figure 3 queue line-up.
 func BenchmarkFig3Throughput(b *testing.B) {
 	for _, spec := range harness.Figure3Specs() {

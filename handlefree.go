@@ -14,40 +14,58 @@ package klsm
 // registry for the duration of one operation and return it afterwards.
 // Exclusive ownership while borrowed preserves the one-goroutine-per-handle
 // contract; returned handles are recycled instead of closed, so the handle
-// count T — and with it ρ — is bounded by the peak number of concurrent
+// count T — and with it ρ = T·k — is bounded by the peak number of concurrent
 // handle-free operations, not by the number of goroutines that ever touched
 // the queue.
 
-// borrowHandle takes a free handle from the registry, registering a new one
-// only when the registry is empty (first use, or all free handles are
-// borrowed by concurrent operations).
+// borrowHandle claims a free registry handle: first the one this P returned
+// last (the per-P hint), then any free handle in the registry, registering a
+// new one only when every handle was found borrowed. A claim is one
+// compare-and-swap on the handle's lent flag, so operations on different
+// CPUs neither share a lock nor trade handles, and each CPU's operations
+// keep reusing one cache-warm DistLSM.
 func (q *Queue[V]) borrowHandle() *Handle[V] {
-	q.freeMu.Lock()
-	if n := len(q.freeHandles); n > 0 {
-		h := q.freeHandles[n-1]
-		q.freeHandles[n-1] = nil
-		q.freeHandles = q.freeHandles[:n-1]
-		q.freeMu.Unlock()
+	if q.closed.Load() {
+		panic(ErrClosed)
+	}
+	if h, _ := q.hint.Get().(*Handle[V]); h != nil && h.lent.CompareAndSwap(false, true) {
 		return h
 	}
-	q.freeMu.Unlock()
-	return q.NewHandle()
+	if hs := q.registry.Load(); hs != nil {
+		for _, h := range *hs {
+			if !h.lent.Load() && h.lent.CompareAndSwap(false, true) {
+				return h
+			}
+		}
+	}
+	h := q.NewHandle()
+	h.lent.Store(true)
+	q.regMu.Lock()
+	var next []*Handle[V]
+	if cur := q.registry.Load(); cur != nil {
+		next = append(next, *cur...)
+	}
+	next = append(next, h)
+	q.registry.Store(&next)
+	q.regMu.Unlock()
+	return h
 }
 
-// returnHandle puts a borrowed handle back. The mutex hand-off orders the
-// borrower's operations before the next borrower's, so consecutive users of
-// one handle never overlap — the single-goroutine contract holds.
+// returnHandle frees a borrowed handle and leaves it as this P's hint. The
+// Store that clears lent orders the borrower's operations before those of
+// whoever claims the handle next, so consecutive users of one handle never
+// overlap — the single-goroutine contract holds.
 func (q *Queue[V]) returnHandle(h *Handle[V]) {
-	q.freeMu.Lock()
-	q.freeHandles = append(q.freeHandles, h)
-	q.freeMu.Unlock()
+	h.lent.Store(false)
+	q.hint.Put(h)
 }
 
 // Insert adds key with the given payload without an explicit Handle, using
 // a registry handle for the single operation. Semantics match
-// Handle.Insert. Prefer an explicit Handle on hot paths: the borrow costs
-// one uncontended mutex acquisition per operation and forfeits handle
-// affinity (local ordering applies per registry handle, not per goroutine).
+// Handle.Insert. Prefer an explicit Handle on hot paths: the borrow costs a
+// per-P cache lookup and a compare-and-swap per operation, and local
+// ordering applies per registry handle, not per goroutine (consecutive
+// operations on one CPU usually share a handle, but nothing guarantees it).
 //
 // All handle-free operations return their borrowed handle via defer: a
 // panic escaping the operation (a batch length mismatch, a faulty codec in

@@ -8,7 +8,7 @@
 // orientation.
 //
 // Concurrency contract: a Block is mutable only while it is private to the
-// thread constructing it (Append/MergeInto). Once published — stored into a
+// thread constructing it (Append and the copy and merge fills). Once published — stored into a
 // DistLSM slot or referenced from a shared BlockArray — its item slots are
 // immutable; only the filled counter may still shrink (ShrinkInPlace), which
 // is why filled is atomic. Items beyond filled are intentionally not nil'ed:
@@ -49,22 +49,24 @@ type Block[V any] struct {
 	items  []*item.Item[V]
 	filter bloom.Filter
 	// §4.4 reference counts: a reffed block holds one reference per slot
-	// in [0, refHi) plus one per entry of drops. References are acquired
-	// once per lineage: AcquireRefs walks the occupied slots (the
-	// insert-time level-0 block, spy copies, blocks entering the shared
-	// k-LSM) — and the owner-local transfer merges (MergeTransferIn,
-	// ShrinkTransferIn) move references from their donors to the merged
-	// block instead of re-acquiring, so the counts never move while an
-	// item survives generation churn. Items the transfer fill skips
-	// (logically deleted or dropped) land in drops, carrying their
-	// donor's reference until the owner hands them to the pool's
-	// quiescence-gated item limbo. A donated block's references have
-	// moved to its successor; its release is a no-op. Private merge
-	// intermediates never hold references.
+	// in [0, refHi). References are acquired once per lineage: AcquireRefs
+	// walks the occupied slots (the insert-time level-0 block, spy copies,
+	// plain copies entering the shared k-LSM) — and the transfer fills
+	// (MergeTransferIn, ShrinkTransferIn, CopyTransferIn) move references
+	// from their donors to the result instead of re-acquiring, so the
+	// counts never move while an item survives generation churn. Every
+	// other reference a donor held — slots the fill skipped (taken or
+	// dropped items) and the donor's trimmed tail — goes to the caller's
+	// obligation list, which the caller releases once the donors are
+	// unreachable. A donated block's references have moved to a successor;
+	// its release is a no-op. A block published in the shared k-LSM has
+	// its bookkeeping final before publication, written again only once
+	// the block is unreachable: other cursors read it (Relinquish). A
+	// DistLSM owner may mark its own published blocks donated before it
+	// unlinks them, since only its own pool reads the mark.
 	reffed  bool
 	donated bool
 	refHi   int64
-	drops   []*item.Item[V]
 }
 
 // New returns an empty block of the given level (capacity 1<<level).
@@ -140,7 +142,7 @@ func (b *Block[V]) Append(it *item.Item[V]) {
 func (b *Block[V]) AppendSorted(its []*item.Item[V]) {
 	f := b.filled.Load()
 	for _, it := range its {
-		f = b.appendAt(f, it, nil, false)
+		f = b.appendAt(f, it, nil, nil)
 	}
 	b.filled.Store(f)
 }
@@ -173,58 +175,29 @@ func (b *Block[V]) HoldsRefs() bool { return b.reffed && !b.donated }
 // successor, for tests.
 func (b *Block[V]) Donated() bool { return b.donated }
 
-// DropsLen returns the number of dropped-item references the block still
-// carries, for tests.
-func (b *Block[V]) DropsLen() int { return len(b.drops) }
+// Donate marks b's references as moved to a transfer successor, so its
+// release (Pool.Put, Pool.Retire) releases nothing. Only the party that
+// decides b's fate may call it: a definitive transfer's owner (the
+// DistLSM's single-writer paths), or whoever holds b privately — including
+// a speculative result whose attempt failed, whose references never left
+// its donors.
+func (b *Block[V]) Donate() { b.donated = true }
 
-// TakeDropsInto appends the block's dropped-item references to dst and
-// clears them; ownership of the obligations moves to the caller, which must
-// hand them to a quiescence-gated release (Pool.RetireItems).
-func (b *Block[V]) TakeDropsInto(dst []*item.Item[V]) []*item.Item[V] {
-	dst = append(dst, b.drops...)
-	b.clearDrops()
-	return dst
-}
-
-// clearDrops empties the drops list, keeping its capacity.
-func (b *Block[V]) clearDrops() {
-	clear(b.drops)
-	b.drops = b.drops[:0]
-}
-
-// resetReclaim clears all §4.4 bookkeeping for a block shell about to be
-// recycled or dropped.
-func (b *Block[V]) resetReclaim() {
-	b.reffed = false
-	b.donated = false
-	b.refHi = 0
-	if len(b.drops) != 0 {
-		b.clearDrops()
-	}
-}
-
-// absorb transfers donor's item references to b (§4.4 lineage transfer):
-// the live slots the fill pass just copied keep their counts untouched,
-// while everything else the donor was responsible for — the slots beyond
-// the fRead the fill saw (trimmed tails up to refHi) and the donor's own
-// pending drops — moves to b.drops. The donor is marked donated: its
-// release becomes a no-op. Owner-only, like every transfer operation.
-func (b *Block[V]) absorb(donor *Block[V], fRead int64) {
-	if !donor.reffed || donor.donated {
+// Relinquish appends the references b holds beyond slot from — the slots a
+// transfer fill that read b's first from slots did not take over — to
+// owed. b must hold references; it is only read, so a published donor stays
+// untouched.
+func (b *Block[V]) Relinquish(from int, owed *[]*item.Item[V]) {
+	if !b.reffed || b.donated {
 		panic("block: transfer from a block that owns no references")
 	}
-	donor.donated = true
-	if fRead < donor.refHi {
-		b.drops = append(b.drops, donor.items[fRead:donor.refHi]...)
-	}
-	if len(donor.drops) > 0 {
-		b.drops = append(b.drops, donor.drops...)
-		donor.clearDrops()
+	if int64(from) < b.refHi {
+		*owed = append(*owed, b.items[from:b.refHi]...)
 	}
 }
 
-// commitTransfer records that b now owns one reference per occupied slot
-// (all transferred from its donors) plus its drops.
+// commitTransfer records that b owns one reference per occupied slot, all
+// transferred from its donors.
 func (b *Block[V]) commitTransfer() {
 	b.reffed = true
 	b.refHi = b.filled.Load()
@@ -233,13 +206,13 @@ func (b *Block[V]) commitTransfer() {
 // appendAt is the bulk-copy fast path of Append: the caller owns b (still
 // private), tracks the filled count in f, and stores it once when the whole
 // copy or merge is done — turning two atomic filled operations per item
-// into one per block. Returns the new count. With capture set (transfer
-// fills), skipped items are recorded in drops: they carry a donor reference
-// the successor is now responsible for releasing.
-func (b *Block[V]) appendAt(f int64, it *item.Item[V], drop DropFunc[V], capture bool) int64 {
+// into one per block. Returns the new count. A non-nil owed (transfer
+// fills) collects the skipped items: each carries a donor reference the
+// transfer's caller is now responsible for releasing.
+func (b *Block[V]) appendAt(f int64, it *item.Item[V], drop DropFunc[V], owed *[]*item.Item[V]) int64 {
 	if it.Taken() {
-		if capture {
-			b.drops = append(b.drops, it)
+		if owed != nil {
+			*owed = append(*owed, it)
 		}
 		return f
 	}
@@ -247,8 +220,8 @@ func (b *Block[V]) appendAt(f int64, it *item.Item[V], drop DropFunc[V], capture
 		// Claim the item so copies of it in other blocks (stale merges,
 		// spied blocks) cannot resurrect it.
 		it.TryTake()
-		if capture {
-			b.drops = append(b.drops, it)
+		if owed != nil {
+			*owed = append(*owed, it)
 		}
 		return f
 	}
@@ -269,94 +242,72 @@ func (b *Block[V]) CopyDropIn(p *Pool[V], level int, drop DropFunc[V]) *Block[V]
 	nb.filter = b.filter
 	f := nb.filled.Load()
 	for _, it := range b.Items() {
-		f = nb.appendAt(f, it, drop, false)
+		f = nb.appendAt(f, it, drop, nil)
 	}
 	nb.filled.Store(f)
 	return nb
 }
 
-// copyTransferIn is the transfer variant of CopyIn: the copy inherits b's
-// references (live slots untouched, skipped items captured in drops) and b
-// is marked donated. Owner-only; b must hold references.
-func (b *Block[V]) copyTransferIn(p *Pool[V], level int) *Block[V] {
+// CopyTransferIn is CopyDropIn with §4.4 reference transfer: the copy
+// takes over b's references for the slots it copies, and the rest — the
+// skipped items and b's trimmed tail — go to owed. b is only read (see
+// Relinquish); b must hold references.
+func (b *Block[V]) CopyTransferIn(p *Pool[V], level int, drop DropFunc[V], owed *[]*item.Item[V]) *Block[V] {
 	nb := p.Get(level)
 	nb.filter = b.filter
 	src := b.Items()
 	f := nb.filled.Load()
 	for _, it := range src {
-		f = nb.appendAt(f, it, nil, true)
+		f = nb.appendAt(f, it, drop, owed)
 	}
 	nb.filled.Store(f)
-	nb.absorb(b, int64(len(src)))
+	b.Relinquish(len(src), owed)
 	nb.commitTransfer()
 	return nb
-}
-
-// MergeInto fills dst (a fresh private block) with the two-way merge of b1
-// and b2 in decreasing key order, filtering logically deleted and dropped
-// items and uniting the Bloom filters. dst must have capacity for
-// b1.Filled()+b2.Filled() items.
-func MergeInto[V any](dst, b1, b2 *Block[V], drop DropFunc[V]) {
-	dst.filter = b1.filter.Union(b2.filter)
-	dst.mergeSlices(b1.Items(), b2.Items(), drop, false)
 }
 
 // mergeSlices runs the two-way merge loop over item slices the caller
 // snapshotted (one Items() read each, so transfer bookkeeping agrees with
 // exactly what the fill saw).
-func (dst *Block[V]) mergeSlices(a, b []*item.Item[V], drop DropFunc[V], capture bool) {
+func (dst *Block[V]) mergeSlices(a, b []*item.Item[V], drop DropFunc[V], owed *[]*item.Item[V]) {
 	f := dst.filled.Load()
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		// >= keeps the merge stable and the order non-increasing.
 		if a[i].Key() >= b[j].Key() {
-			f = dst.appendAt(f, a[i], drop, capture)
+			f = dst.appendAt(f, a[i], drop, owed)
 			i++
 		} else {
-			f = dst.appendAt(f, b[j], drop, capture)
+			f = dst.appendAt(f, b[j], drop, owed)
 			j++
 		}
 	}
 	for ; i < len(a); i++ {
-		f = dst.appendAt(f, a[i], drop, capture)
+		f = dst.appendAt(f, a[i], drop, owed)
 	}
 	for ; j < len(b); j++ {
-		f = dst.appendAt(f, b[j], drop, capture)
+		f = dst.appendAt(f, b[j], drop, owed)
 	}
 	dst.filled.Store(f)
 }
 
-// MergeIn draws a block one level above the larger input from p, merges b1
-// and b2 into it, then shrinks it to the smallest fitting level, returning
-// intermediates to p. This is the "merge then shrink" step shared by all
-// LSM insert paths. The inputs are untouched: whether they can be recycled
-// is the caller's call (it knows which ones are private).
-func MergeIn[V any](p *Pool[V], b1, b2 *Block[V], drop DropFunc[V]) *Block[V] {
-	level := b1.level
-	if b2.level > level {
-		level = b2.level
-	}
-	dst := p.Get(level + 1)
-	MergeInto(dst, b1, b2, drop)
-	s := dst.ShrinkIn(p)
-	if s != dst {
-		p.Put(dst) // dst never left this function: private by construction
-	}
-	return s
-}
-
-// MergeTransferIn is MergeIn with §4.4 reference transfer: instead of the
-// merged block re-acquiring a reference per item and the donors releasing
-// theirs later (two atomic RMWs per item per generation), ownership of the
-// donors' references moves to the result — zero refcount traffic for
-// surviving items, with filtered items captured in the result's drops list.
-// Both inputs must hold references (published blocks of the owner's
-// structure, or earlier transfer results); they are marked donated and must
-// still be unlinked/retired by the caller as usual. Owner-only and
-// definitive — use only where the merge result is guaranteed to supersede
-// its inputs (the DistLSM's single-writer paths, not the shared k-LSM's
-// speculative snapshots).
-func MergeTransferIn[V any](p *Pool[V], b1, b2 *Block[V], drop DropFunc[V]) *Block[V] {
+// MergeTransferIn draws a block one level above the larger input from p,
+// fills it with the two-way merge of b1 and b2 in decreasing key order —
+// filtering logically deleted and dropped items and uniting the Bloom
+// filters — and shrinks it to the smallest fitting level, recycling
+// intermediates: the "merge then shrink" step of every LSM insert path.
+//
+// It moves references by §4.4 transfer: instead of the merged block
+// re-acquiring a reference per item and the donors releasing theirs later
+// (two atomic RMWs per item per generation), ownership of the donors'
+// references moves to the result — zero refcount traffic for surviving
+// items. The donors' other references (filtered items, trimmed
+// tails) are appended to owed, which the caller must release once the
+// donors are unreachable. Both inputs must hold references. They are only
+// read: a definitive caller (the DistLSM's single-writer paths) marks them
+// with Donate before retiring them, while the shared k-LSM's speculative
+// attempts leave published donors untouched until a CAS decides.
+func MergeTransferIn[V any](p *Pool[V], b1, b2 *Block[V], drop DropFunc[V], owed *[]*item.Item[V]) *Block[V] {
 	level := b1.level
 	if b2.level > level {
 		level = b2.level
@@ -364,13 +315,14 @@ func MergeTransferIn[V any](p *Pool[V], b1, b2 *Block[V], drop DropFunc[V]) *Blo
 	dst := p.Get(level + 1)
 	dst.filter = b1.filter.Union(b2.filter)
 	a, bb := b1.Items(), b2.Items()
-	dst.mergeSlices(a, bb, drop, true)
-	dst.absorb(b1, int64(len(a)))
-	dst.absorb(b2, int64(len(bb)))
+	dst.mergeSlices(a, bb, drop, owed)
+	b1.Relinquish(len(a), owed)
+	b2.Relinquish(len(bb), owed)
 	dst.commitTransfer()
-	s := dst.ShrinkTransferIn(p)
+	s := dst.ShrinkTransferIn(p, owed)
 	if s != dst {
-		p.Put(dst) // donated to s (or empty): private shell, recycle
+		dst.Donate() // its references moved to s: private shell, recycle
+		p.Put(dst)
 	}
 	return s
 }
@@ -414,17 +366,19 @@ func (b *Block[V]) ShrinkIn(p *Pool[V]) *Block[V] {
 }
 
 // ShrinkTransferIn is ShrinkIn with §4.4 reference transfer: a compaction
-// copy inherits the original's references (marking it donated) instead of
-// re-acquiring them. In-place trims transfer nothing — the references stay
-// with the block, whose release covers [0, refHi) regardless of filled.
-// Owner-only and definitive, like MergeTransferIn; b must hold references.
-func (b *Block[V]) ShrinkTransferIn(p *Pool[V]) *Block[V] {
+// copy takes over the original's references (CopyTransferIn, the trimmed
+// tail going to owed) instead of re-acquiring them, and b is only read,
+// like MergeTransferIn's donors. In-place trims transfer nothing — the
+// references stay with the block, whose release covers [0, refHi)
+// regardless of filled. b must hold references.
+func (b *Block[V]) ShrinkTransferIn(p *Pool[V], owed *[]*item.Item[V]) *Block[V] {
 	_, l := b.trimFit()
 	if l < b.level {
-		c := b.copyTransferIn(p, l)
-		s := c.ShrinkTransferIn(p)
+		c := b.CopyTransferIn(p, l, nil, owed)
+		s := c.ShrinkTransferIn(p, owed)
 		if s != c {
-			p.Put(c) // donated to s: private shell, recycle
+			c.Donate() // its references moved to s: private shell, recycle
+			p.Put(c)
 		}
 		return s
 	}

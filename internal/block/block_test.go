@@ -23,6 +23,15 @@ func desc(t testing.TB, keys ...uint64) *Block[int] {
 // testPool returns an unguarded pool to draw copies and merges from.
 func testPool() *Pool[int] { return NewPool(nil, item.NewPool[int]()) }
 
+// merge runs MergeTransferIn the way an LSM does, taking the inputs'
+// references first as a lineage entry would; the obligations are dropped.
+func merge(p *Pool[int], b1, b2 *Block[int], drop DropFunc[int]) *Block[int] {
+	b1.AcquireRefs()
+	b2.AcquireRefs()
+	var owed []*item.Item[int]
+	return MergeTransferIn(p, b1, b2, drop, &owed)
+}
+
 func keysOf(b *Block[int]) []uint64 {
 	var out []uint64
 	for _, it := range b.Items() {
@@ -118,7 +127,7 @@ func TestCopyDropAppliesCallback(t *testing.T) {
 func TestMergeBasic(t *testing.T) {
 	b1 := desc(t, 9, 7, 3)
 	b2 := desc(t, 11, 4, 1)
-	m := MergeIn(testPool(), b1, b2, nil)
+	m := merge(testPool(), b1, b2, nil)
 	got := keysOf(m)
 	want := []uint64{11, 9, 7, 4, 3, 1}
 	if len(got) != len(want) {
@@ -134,7 +143,7 @@ func TestMergeBasic(t *testing.T) {
 func TestMergeWithDuplicateKeys(t *testing.T) {
 	b1 := desc(t, 5, 5, 3)
 	b2 := desc(t, 5, 3, 1)
-	m := MergeIn(testPool(), b1, b2, nil)
+	m := merge(testPool(), b1, b2, nil)
 	if got := keysOf(m); len(got) != 6 || !m.SortedDesc() {
 		t.Fatalf("merge with duplicates = %v", got)
 	}
@@ -145,7 +154,7 @@ func TestMergeFiltersTaken(t *testing.T) {
 	b2 := desc(t, 7, 5, 3)
 	b1.Item(0).TryTake() // 8
 	b2.Item(2).TryTake() // 3
-	m := MergeIn(testPool(), b1, b2, nil)
+	m := merge(testPool(), b1, b2, nil)
 	got := keysOf(m)
 	want := []uint64{7, 6, 5, 4}
 	if len(got) != len(want) {
@@ -160,12 +169,12 @@ func TestMergeFiltersTaken(t *testing.T) {
 
 func TestMergeEmptyBlocks(t *testing.T) {
 	e1, e2 := New[int](0), New[int](0)
-	m := MergeIn(testPool(), e1, e2, nil)
+	m := merge(testPool(), e1, e2, nil)
 	if !m.Empty() {
 		t.Fatal("merge of empties not empty")
 	}
 	b := desc(t, 2, 1)
-	m2 := MergeIn(testPool(), b, New[int](0), nil)
+	m2 := merge(testPool(), b, New[int](0), nil)
 	if got := keysOf(m2); len(got) != 2 || got[0] != 2 {
 		t.Fatalf("merge with empty = %v", got)
 	}
@@ -175,7 +184,7 @@ func TestMergeUnitesBlooms(t *testing.T) {
 	b1, b2 := desc(t, 3), desc(t, 2)
 	b1.AddOwner(1)
 	b2.AddOwner(2)
-	m := MergeIn(testPool(), b1, b2, nil)
+	m := merge(testPool(), b1, b2, nil)
 	if !m.Bloom().MayContain(1) || !m.Bloom().MayContain(2) {
 		t.Fatal("merged bloom lost an owner")
 	}

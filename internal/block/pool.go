@@ -24,13 +24,14 @@
 // Item reclamation (§4.4 proper, lineage-batched): every pool carries its
 // handle's item pool and maintains per-item reference counts at
 // block-lineage granularity. AcquireRefs — called once when a lineage
-// begins (insert's level-0 block, spy copies, entry into the shared k-LSM)
-// — takes one reference per occupied slot, and the owner-local transfer
+// begins (insert's level-0 block, spy copies, plain copies entering the
+// shared k-LSM) — takes one reference per occupied slot, and the transfer
 // merges move those references to each generation's successor instead of
-// re-acquiring them. Items a
-// transfer merge filters out land in the successor's drops list and are
-// handed to RetireItems, the item-level limbo: they release under the same
-// guard quiescence that gates block reuse. Every reffed, undonated block
+// re-acquiring them. The references of items a transfer filters out land
+// in the caller's obligation list, which the DistLSM hands to RetireItems,
+// the item-level limbo: they release under the same guard quiescence that
+// gates block reuse (the shared k-LSM parks its own in its epoch limbo and
+// releases them through Release). Every reffed, undonated block
 // this pool recycles or drops releases its references first — releasing
 // happens exactly where the reuse contract already proves the block
 // unreachable, so the proofs carry over to the items. A release that drops
@@ -113,7 +114,7 @@ type PoolStats struct {
 
 	// Item-reclamation counters (§4.4 proper).
 	ItemsReclaimed int64 // taken items returned to the item pool by a final Unref
-	ItemsLostLive  int64 // final Unref on a live item (indicates a bug; see releaseItemRef)
+	ItemsLostLive  int64 // final Unref on a live item (indicates a bug; see Release)
 	LimboLeaked    int64 // blocks or item obligations dropped at a limbo cap, unreleased
 }
 
@@ -127,7 +128,7 @@ type Pool[V any] struct {
 	items *item.Pool[V]
 	free  [maxPoolLevel + 1][]*Block[V]
 	limbo []*Block[V]
-	// limboItems parks dropped-item references (transfer-merge drops)
+	// limboItems parks dropped-item references (transfer obligations)
 	// until the guard proves their donor blocks unreadable.
 	limboItems []*item.Item[V]
 	stats      PoolStats
@@ -157,11 +158,12 @@ func (p *Pool[V]) Get(level int) *Block[V] {
 	return New[V](level)
 }
 
-// releaseItemRef releases one lineage reference on it and reclaims the item
-// if that was the last one (§4.4 proper). The caller supplies the proof
-// that no reader can still acquire the item through the structure the
-// reference guarded (guard quiescence, epoch quiescence, or privacy).
-func (p *Pool[V]) releaseItemRef(it *item.Item[V]) {
+// Release releases one lineage reference on it and reclaims the item if
+// that was the last one (§4.4 proper). The caller supplies the proof that
+// no reader can still acquire the item through the structure the reference
+// guarded (guard quiescence, epoch quiescence, or privacy); the shared
+// k-LSM's epoch limbo releases its obligations through it.
+func (p *Pool[V]) Release(it *item.Item[V]) {
 	if !it.Unref() {
 		return
 	}
@@ -181,47 +183,29 @@ func (p *Pool[V]) releaseItemRef(it *item.Item[V]) {
 // releaseItems releases the references b owns — one per slot in [0, refHi),
 // the occupied range when the references were acquired or transferred
 // (filled may have shrunk since; the trimmed slots keep their pointers and
-// their references), plus any still-attached drops. Donated blocks release
-// nothing: their references moved to a successor. The bookkeeping is
-// cleared first, so a block can never double-release.
+// their references). Donated blocks release nothing: their references moved
+// to a successor.
 func (p *Pool[V]) releaseItems(b *Block[V]) {
-	if b.donated {
-		b.resetReclaim()
+	if !b.reffed || b.donated {
 		return
 	}
-	hi := b.refHi
-	drops := b.drops
-	b.reffed = false
-	b.refHi = 0
-	b.drops = nil
-	for _, it := range b.items[:hi] {
-		p.releaseItemRef(it)
+	for _, it := range b.items[:b.refHi] {
+		p.Release(it)
 	}
-	for i, it := range drops {
-		drops[i] = nil
-		p.releaseItemRef(it)
-	}
-	b.drops = drops[:0]
-	b.donated = false
 }
 
 // Put recycles a block immediately. Contract: b is private — it was never
 // published, or this call site can otherwise prove no other goroutine can
-// reach it (quiescent limbo drains). The
-// block's item references are released first (reclaiming taken items whose
-// last reference died), even when the caps below make the block itself fall
-// to the garbage collector.
+// reach it (quiescent limbo drains). The block's item references are
+// released first (reclaiming taken items whose last reference died), even
+// when the caps below make the block itself fall to the garbage collector;
+// the bookkeeping is cleared with them, so a block never releases twice.
 func (p *Pool[V]) Put(b *Block[V]) {
 	if b == nil {
 		return
 	}
-	if b.reffed {
-		p.releaseItems(b)
-	} else if len(b.drops) != 0 {
-		// An unreffed block never owns drop obligations; reaching here
-		// means a transfer path lost track of references.
-		panic("block: Put discards pending drop references")
-	}
+	p.releaseItems(b)
+	b.reffed, b.donated, b.refHi = false, false, 0
 	level := b.level
 	if level > maxPoolLevel || len(p.free[level]) >= p.freeCap(level) {
 		p.stats.Dropped++
@@ -259,9 +243,9 @@ func (p *Pool[V]) Retire(b *Block[V]) {
 	p.limbo = append(p.limbo, b)
 }
 
-// RetireItems parks dropped-item references (a transfer merge's drops,
-// detached by the owner) until guard quiescence proves no reader can still
-// reach the items through their donors' blocks. The same contract as
+// RetireItems parks transfer obligations (the references a transfer's
+// donors held beyond what its result took over) until guard quiescence
+// proves no reader can still reach the items through the donors' blocks. The same contract as
 // Retire: every store unlinking the donors must precede this call. The
 // slice contents are consumed; the slice itself stays with the caller.
 func (p *Pool[V]) RetireItems(items []*item.Item[V]) {
@@ -271,7 +255,7 @@ func (p *Pool[V]) RetireItems(items []*item.Item[V]) {
 	if p.guard.Quiescent() {
 		p.drainLimbo()
 		for _, it := range items {
-			p.releaseItemRef(it)
+			p.Release(it)
 		}
 		return
 	}
@@ -282,18 +266,6 @@ func (p *Pool[V]) RetireItems(items []*item.Item[V]) {
 		}
 		p.limboItems = append(p.limboItems, it)
 	}
-}
-
-// RetireBlockDrops detaches b's accumulated drops and parks them via
-// RetireItems. Owners call it right after the publication/unlink stores of
-// the operation that created b, so drops never travel across structure
-// boundaries or pile up on long-lived blocks.
-func (p *Pool[V]) RetireBlockDrops(b *Block[V]) {
-	if b == nil || len(b.drops) == 0 {
-		return
-	}
-	p.RetireItems(b.drops)
-	b.clearDrops()
 }
 
 // Adopt parks obligations handed over from a closing pool (DetachLimbo on
@@ -309,7 +281,7 @@ func (p *Pool[V]) Adopt(blocks []*Block[V], items []*item.Item[V]) {
 			p.Put(b)
 		}
 		for _, it := range items {
-			p.releaseItemRef(it)
+			p.Release(it)
 		}
 		return
 	}
@@ -369,7 +341,7 @@ func (p *Pool[V]) drainLimbo() {
 	p.limbo = p.limbo[:0]
 	for i, it := range p.limboItems {
 		p.limboItems[i] = nil
-		p.releaseItemRef(it)
+		p.Release(it)
 	}
 	p.limboItems = p.limboItems[:0]
 }

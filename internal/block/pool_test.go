@@ -135,22 +135,24 @@ func TestLimboCapDropsToGC(t *testing.T) {
 }
 
 // TestMergeInRecyclesIntermediates checks that the pooled merge/shrink path
-// produces the same results as the allocating one and feeds its private
+// (MergeTransferIn) produces the right result and feeds its private
 // intermediates back to the pool.
 func TestMergeInRecyclesIntermediates(t *testing.T) {
 	p := NewPool(nil, item.NewPool[int]())
 	// Two level-2 blocks with one live item each: the level-3 merge output
-	// shrinks to level 1, so MergeIn's dst is retired internally.
+	// shrinks to level 1, so the merge's own dst is recycled internally.
 	mk := func(key uint64) *Block[int] {
 		b := p.Get(2)
 		dead := item.New[int](key+100, 0)
 		dead.TryTake()
 		b.Append(item.New(key, int(key)))
 		b.Append(dead)
+		b.AcquireRefs()
 		return b
 	}
 	b1, b2 := mk(50), mk(40)
-	m := MergeIn(p, b1, b2, nil)
+	var owed []*item.Item[int]
+	m := MergeTransferIn(p, b1, b2, nil, &owed)
 	if m.Level() != 1 || m.Filled() != 2 || !m.SortedDesc() {
 		t.Fatalf("merge result: level=%d filled=%d", m.Level(), m.Filled())
 	}
@@ -158,9 +160,12 @@ func TestMergeInRecyclesIntermediates(t *testing.T) {
 		t.Fatal("merge order wrong")
 	}
 	if p.Stats().Puts == 0 {
-		t.Fatal("MergeIn recycled no intermediate")
+		t.Fatal("the merge recycled no intermediate")
 	}
-	// The pooled path must not allocate once the free lists are warm.
+	// The pooled path must not allocate once the free lists are warm. The
+	// inputs' references moved to the result, as in the DistLSM.
+	b1.Donate()
+	b2.Donate()
 	p.Put(b1)
 	p.Put(b2)
 	p.Put(m)
@@ -169,9 +174,14 @@ func TestMergeInRecyclesIntermediates(t *testing.T) {
 		x, y := p.Get(0), p.Get(0)
 		x.Append(its[0])
 		y.Append(its[1])
-		z := MergeIn(p, x, y, nil)
+		x.AcquireRefs()
+		y.AcquireRefs()
+		z := MergeTransferIn(p, x, y, nil, &owed)
+		x.Donate()
+		y.Donate()
 		p.Put(x)
 		p.Put(y)
+		z.Donate()
 		p.Put(z)
 	})
 	if allocs > 0 {

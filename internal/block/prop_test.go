@@ -33,7 +33,7 @@ func TestPropMergeIsSortedUnion(t *testing.T) {
 		if len(a) > 1<<MaxLevel || len(b) > 1<<MaxLevel {
 			return true
 		}
-		m := MergeIn(testPool(), buildBlock(a), buildBlock(b), nil)
+		m := merge(testPool(), buildBlock(a), buildBlock(b), nil)
 		if !m.SortedDesc() {
 			return false
 		}
@@ -155,7 +155,7 @@ func TestPropMergeChainMatchesSort(t *testing.T) {
 			if first {
 				acc, first = nb, false
 			} else {
-				acc = MergeIn(testPool(), acc, nb, nil)
+				acc = merge(testPool(), acc, nb, nil)
 			}
 		}
 		want := sortedDescKeys(keys)
@@ -183,10 +183,14 @@ func BenchmarkMerge1K(b *testing.B) {
 	}
 	b1 := buildBlock(keys[:512])
 	b2 := buildBlock(keys[512:])
+	b1.AcquireRefs()
+	b2.AcquireRefs()
 	p := testPool()
+	var owed []*item.Item[int]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = MergeIn(p, b1, b2, nil)
+		_ = MergeTransferIn(p, b1, b2, nil, &owed)
+		owed = owed[:0]
 	}
 }
 

@@ -47,9 +47,10 @@ func TestAcquireRefsAtLineageEntry(t *testing.T) {
 }
 
 // TestMergeTransfersRefs: a transfer merge moves the donors' references to
-// the result without a single count changing for surviving items, marks the
-// donors donated (their release is a no-op), and captures filtered items in
-// the result's drops.
+// the result without a single count changing for surviving items, hands the
+// filtered item's reference to the caller's obligations, and only reads its
+// donors — the caller marks them donated, after which their release is a
+// no-op.
 func TestMergeTransfersRefs(t *testing.T) {
 	p, ip := newReclaimPool(nil)
 	b1, b2 := p.Get(1), p.Get(1)
@@ -63,39 +64,43 @@ func TestMergeTransfersRefs(t *testing.T) {
 	b2.AcquireRefs()
 	dead.TryTake()
 
-	m := MergeTransferIn(p, b1, b2, nil)
+	var owed []*item.Item[int]
+	m := MergeTransferIn(p, b1, b2, nil, &owed)
 	for i, it := range lives {
 		if it.Refs() != 1 {
 			t.Fatalf("live item %d has %d refs after transfer merge, want 1 (untouched)", i, it.Refs())
 		}
 	}
 	if dead.Refs() != 1 {
-		t.Fatalf("dropped item has %d refs, want 1 (carried by drops)", dead.Refs())
+		t.Fatalf("dropped item has %d refs, want 1 (carried by the obligations)", dead.Refs())
 	}
-	if !b1.Donated() || !b2.Donated() {
-		t.Fatal("donors not marked donated")
+	if b1.Donated() || b2.Donated() {
+		t.Fatal("the merge wrote its donors")
 	}
-	if !m.HoldsRefs() || m.DropsLen() != 1 {
-		t.Fatalf("merged block holds=%v drops=%d, want true/1", m.HoldsRefs(), m.DropsLen())
+	if !m.HoldsRefs() || len(owed) != 1 || owed[0] != dead {
+		t.Fatalf("merged block holds=%v, %d obligations, want true and the dead item", m.HoldsRefs(), len(owed))
 	}
 	// Donated donors release nothing.
+	b1.Donate()
+	b2.Donate()
 	p.Put(b1)
 	p.Put(b2)
 	if got := ip.Puts(); got != 0 {
 		t.Fatalf("donated blocks released %d items", got)
 	}
-	// The merged block's release covers slots and drops exactly once.
+	// The merged block's slots and the obligations release exactly once.
 	for _, it := range lives {
 		it.TryTake()
 	}
 	p.Put(m)
+	p.RetireItems(owed)
 	if got := ip.Puts(); got != 4 {
 		t.Fatalf("released %d of 4 after lineage death", got)
 	}
 }
 
 // TestShrinkTransferDonatesToCopy: a compacting shrink moves the original's
-// references to the copy, including the references of the trimmed tail.
+// references to the copy, and the trimmed tail's to the obligations.
 func TestShrinkTransferDonatesToCopy(t *testing.T) {
 	p, ip := newReclaimPool(nil)
 	b := p.Get(3)
@@ -109,18 +114,20 @@ func TestShrinkTransferDonatesToCopy(t *testing.T) {
 	for _, it := range items[2:] {
 		it.TryTake()
 	}
-	s := b.ShrinkTransferIn(p)
+	var owed []*item.Item[int]
+	s := b.ShrinkTransferIn(p, &owed)
 	if s == b {
 		t.Fatal("expected a compacted copy")
 	}
-	if !b.Donated() || !s.HoldsRefs() {
-		t.Fatalf("donated=%v holds=%v after transfer shrink", b.Donated(), s.HoldsRefs())
+	if b.Donated() || !s.HoldsRefs() || len(owed) != 6 {
+		t.Fatalf("donated=%v holds=%v obligations=%d after transfer shrink, want false/true/6", b.Donated(), s.HoldsRefs(), len(owed))
 	}
 	for i, it := range items {
 		if it.Refs() != 1 {
 			t.Fatalf("item %d refs = %d after shrink, want 1", i, it.Refs())
 		}
 	}
+	b.Donate()
 	p.Put(b) // donated original: releases nothing
 	if got := ip.Puts(); got != 0 {
 		t.Fatalf("donated original released %d items", got)
@@ -128,6 +135,7 @@ func TestShrinkTransferDonatesToCopy(t *testing.T) {
 	items[0].TryTake()
 	items[1].TryTake()
 	p.Put(s)
+	p.RetireItems(owed)
 	if got := ip.Puts(); got != 8 {
 		t.Fatalf("released %d of 8 after copy death", got)
 	}

@@ -270,9 +270,7 @@ func (q *Queue[V]) NewHandle() *Handle[V] {
 		h.dist.SetDrop(q.cfg.Drop)
 	}
 	h.cursor = q.shared.NewCursor(id, xrand.NewSeeded(id*0xbf58476d1ce4e5b9+0x3c6ef372), h.pool)
-	h.overflow = func(b *block.Block[V]) *block.Block[V] {
-		return h.q.shared.Insert(h.cursor, b)
-	}
+	h.overflow = func(b *block.Block[V]) { q.shared.Insert(h.cursor, b) }
 
 	q.mu.Lock()
 	q.handles = append(q.handles, h)
@@ -290,7 +288,7 @@ type Handle[V any] struct {
 	cursor   *sharedlsm.Cursor[V]
 	rng      *xrand.Source
 	id       uint64
-	overflow func(*block.Block[V]) *block.Block[V]
+	overflow func(*block.Block[V])
 
 	// pool and items are the handle's §4.4 free lists.
 	pool  *block.Pool[V]

@@ -81,11 +81,31 @@ func TestReclaimAccountingSequential(t *testing.T) {
 // double-free (Unref panics on underflow, item.Pool.Put panics on live
 // items), no lost-live items. Run under -race in CI.
 func TestReclaimAccountingStress(t *testing.T) {
-	const (
-		workers = 4
-		ops     = 30_000
-	)
-	q := NewQueue(Config[uint64]{K: 128, Mode: Combined, LocalOrdering: true})
+	reclaimStress(t, Config[uint64]{K: 128, Mode: Combined, LocalOrdering: true}, 30_000)
+}
+
+// TestReclaimAccountingStressSharedOnly is the ledger stress with every
+// insert going straight to the shared k-LSM, so every reference moves
+// through the shared structure's speculative transfers, committed or
+// discarded by contended CASes.
+func TestReclaimAccountingStressSharedOnly(t *testing.T) {
+	reclaimStress(t, Config[uint64]{K: 16, Mode: SharedOnly, LocalOrdering: true}, 10_000)
+}
+
+// TestReclaimAccountingStressOverflow is the ledger stress at a small k:
+// DistLSM blocks overflow constantly, so blocks carrying transferred
+// references keep entering the shared k-LSM and being merged away there,
+// their obligations deferred until the inserting handle has unlinked the
+// blocks they came from.
+func TestReclaimAccountingStressOverflow(t *testing.T) {
+	reclaimStress(t, Config[uint64]{K: 4, Mode: Combined, LocalOrdering: true}, 30_000)
+}
+
+// reclaimStress churns a queue of cfg from four goroutines, ops operations
+// each, then drains and quiesces it and checks the exactly-once ledger.
+func reclaimStress(t *testing.T, cfg Config[uint64], ops int) {
+	const workers = 4
+	q := NewQueue(cfg)
 	handles := make([]*Handle[uint64], workers)
 	for i := range handles {
 		handles[i] = q.NewHandle()

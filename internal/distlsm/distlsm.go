@@ -30,12 +30,13 @@
 // copy, and every merge or compaction in this package *transfers* its inputs'
 // references to the result (block.MergeTransferIn / ShrinkTransferIn) instead
 // of re-acquiring them — zero refcount traffic per generation for surviving
-// items. Items a merge filters out travel in the result's drops list and are
-// parked in the pool's item limbo right after the stores that unlink their
-// donor blocks; the pool releases every reference exactly when the reuse
-// contract proves the holder dead, returning taken items to the handle's item
-// pool. Blocks overflowing to the shared k-LSM carry their references with
-// them. See DESIGN.md, "Deterministic item reclamation".
+// items. The references of items a merge filters out collect in the
+// operation's obligation list (owed) and are parked in the pool's item limbo
+// right after the stores that unlink their donor blocks; the pool releases
+// every reference exactly when the reuse contract proves the holder dead,
+// returning taken items to the handle's item pool. Blocks overflowing to the
+// shared k-LSM carry their references with them. See DESIGN.md,
+// "Deterministic item reclamation".
 package distlsm
 
 import (
@@ -96,12 +97,12 @@ type Dist[V any] struct {
 	// that queue's guard, which Spy brackets.
 	pool *block.Pool[V]
 	// retireScratch and consolidation scratch buffers avoid per-call slice
-	// allocations on the owner's hot paths; itemScratch briefly holds
-	// detached drop references on the overflow path.
+	// allocations on the owner's hot paths; owed collects one operation's
+	// transfer obligations until its unlink stores.
 	retireScratch []*block.Block[V]
 	runScratch    []*block.Block[V]
 	freshScratch  []bool
-	itemScratch   []*item.Item[V]
+	owed          []*item.Item[V]
 
 	// Min cache: mins[i] is the live minimum of blocks[i] as of the last
 	// owner scan, so the steady-state FindMin is a handful of key compares
@@ -191,7 +192,7 @@ func (d *Dist[V]) MaxLevel() int { return int(d.maxLevel.Load()) }
 // because the overflow target receives a block nothing else references, it
 // is free to recycle it (Shared.Insert assumes exactly that). The evicted
 // originals go through the guard-gated Retire once unlinked.
-func (d *Dist[V]) evictOversized(maxLevel int, overflow func(*block.Block[V]) *block.Block[V]) {
+func (d *Dist[V]) evictOversized(maxLevel int, overflow func(*block.Block[V])) {
 	sz := int(d.size.Load())
 	if sz == 0 {
 		return
@@ -213,12 +214,7 @@ func (d *Dist[V]) evictOversized(maxLevel int, overflow func(*block.Block[V]) *b
 			if s != nb {
 				d.pool.Put(nb)
 			}
-			if left := overflow(s); left != nil {
-				// Plain copies are entry-acquired by the shared side, so a
-				// leftover only appears on transfer lineages; retire it
-				// with the originals below, after the unlink stores.
-				unlinked = append(unlinked, left)
-			}
+			overflow(s)
 			d.stats.overflows.Add(1)
 		}
 		unlinked = append(unlinked, b)
@@ -256,7 +252,7 @@ func (d *Dist[V]) evictOversized(maxLevel int, overflow func(*block.Block[V]) *b
 // it is passed to overflow (when non-nil) *before* the merged-away blocks
 // are unlinked, so the items never become unreachable. Insert reports
 // whether the item was kept locally (false means it overflowed).
-func (d *Dist[V]) Insert(it *item.Item[V], overflow func(*block.Block[V]) *block.Block[V]) bool {
+func (d *Dist[V]) Insert(it *item.Item[V], overflow func(*block.Block[V])) bool {
 	b := d.pool.Get(0)
 	b.SetBloom(d.ownerMask)
 	b.Append(it)
@@ -282,7 +278,7 @@ func (d *Dist[V]) Insert(it *item.Item[V], overflow func(*block.Block[V]) *block
 // overflow exactly as in Insert, so the ρ = T·k bound is preserved for every
 // batch size. Reports whether the items stayed local (false: overflowed to
 // the shared k-LSM).
-func (d *Dist[V]) InsertBlock(b *block.Block[V], overflow func(*block.Block[V]) *block.Block[V]) bool {
+func (d *Dist[V]) InsertBlock(b *block.Block[V], overflow func(*block.Block[V])) bool {
 	if b == nil {
 		return true
 	}
@@ -299,7 +295,7 @@ func (d *Dist[V]) InsertBlock(b *block.Block[V], overflow func(*block.Block[V]) 
 
 // insertBlock runs the merge loop for a prepared block. Exposed within the
 // package for spy-assisted bulk moves. b must be private to the owner.
-func (d *Dist[V]) insertBlock(b *block.Block[V], overflow func(*block.Block[V]) *block.Block[V]) bool {
+func (d *Dist[V]) insertBlock(b *block.Block[V], overflow func(*block.Block[V])) bool {
 	maxLevel := int(d.maxLevel.Load())
 	if overflow != nil {
 		// Apply a run-time k reduction: evict blocks the new bound no
@@ -331,7 +327,9 @@ func (d *Dist[V]) insertBlock(b *block.Block[V], overflow func(*block.Block[V]) 
 		// Merge is non-destructive: prev stays reachable in its slot until
 		// the final publication below. The merge transfers both inputs'
 		// item references to the result (§4.4) — no refcount traffic here.
-		merged := block.MergeTransferIn(d.pool, prev, b, d.drop)
+		merged := block.MergeTransferIn(d.pool, prev, b, d.drop, &d.owed)
+		prev.Donate()
+		b.Donate()
 		d.pool.Put(b) // b never escaped this thread: recycle immediately
 		unlinked = append(unlinked, prev)
 		b = merged
@@ -345,10 +343,10 @@ func (d *Dist[V]) insertBlock(b *block.Block[V], overflow func(*block.Block[V]) 
 	newLen := -1
 	switch {
 	case b.Empty():
-		// Everything merged away (drop callback / logical deletions). b
-		// still owns the consumed blocks' item references as drops, so it
-		// goes through Retire — releasing is safe only once the size store
-		// has unlinked the consumed blocks and the guard is quiescent.
+		// Everything merged away (drop callback / logical deletions). b may
+		// still own a trimmed tail, so it goes through Retire — releasing
+		// is safe only once the size store has unlinked the consumed blocks
+		// and the guard is quiescent.
 		d.size.Store(int64(i))
 		d.pool.Retire(b)
 		if cached {
@@ -358,24 +356,16 @@ func (d *Dist[V]) insertBlock(b *block.Block[V], overflow func(*block.Block[V]) 
 		// Publish to the shared k-LSM first; only then drop local
 		// references (reachability is never interrupted, items are briefly
 		// duplicated instead). Ownership of b — including its transferred
-		// item references — moves to the shared k-LSM; only the dropped-
-		// item references stay local, parked once the stores below unlink
-		// their donor blocks.
-		d.itemScratch = b.TakeDropsInto(d.itemScratch[:0])
-		leftover := overflow(b)
+		// item references — moves to the shared k-LSM, which releases none
+		// of them before this cursor's next shared operation, i.e. after
+		// the size store below unlinks b's donors.
+		overflow(b)
 		d.stats.overflows.Add(1)
 		d.size.Store(int64(i))
 		keptLocal = false
 		if cached {
 			newLen = i
 		}
-		// The detached drop references — and b itself, if the shared side
-		// merged it away while it still carried its lineage's references —
-		// park only now, after the size store unlinked their donor blocks.
-		d.pool.RetireItems(d.itemScratch)
-		clear(d.itemScratch)
-		d.itemScratch = d.itemScratch[:0]
-		d.pool.Retire(leftover)
 	default:
 		// Publication. AcquireRefs is the lineage entry point for a block
 		// that was never merged (the bare level-0 fast path already
@@ -387,17 +377,25 @@ func (d *Dist[V]) insertBlock(b *block.Block[V], overflow func(*block.Block[V]) 
 			d.mins[i] = b.Min()
 			newLen = i + 1
 		}
-		// Dropped-item references (items the merges filtered out) park
-		// only now, after the size store unlinked every donor block.
-		d.pool.RetireBlockDrops(b)
 	}
 	d.cacheLen = newLen
+	// The obligations of the merges (items they filtered out) park only
+	// now, after the size store unlinked every donor block.
+	d.retireOwed()
 	for j, ub := range unlinked {
 		unlinked[j] = nil
 		d.pool.Retire(ub)
 	}
 	d.retireScratch = unlinked[:0]
 	return keptLocal
+}
+
+// retireOwed parks the obligations the operation's transfers collected
+// (owner only). Call it after the stores that unlink their donor blocks.
+func (d *Dist[V]) retireOwed() {
+	d.pool.RetireItems(d.owed)
+	clear(d.owed)
+	d.owed = d.owed[:0]
 }
 
 // FindMin returns the live minimum item without removing it (owner only), or
@@ -572,16 +570,16 @@ func (d *Dist[V]) Consolidate() {
 		}
 		// ShrinkTransferIn may copy, donating b's item references to the
 		// compacted copy; mutation of b is limited to lowering filled.
-		s := b.ShrinkTransferIn(d.pool)
+		s := b.ShrinkTransferIn(d.pool, &d.owed)
 		sFresh := s != b
 		if sFresh {
+			b.Donate()
 			unlinked = append(unlinked, b) // replaced by the compacted copy
 		}
 		if s.Empty() {
-			// An emptied original, or an empty fresh copy still carrying
-			// the original's references as drops: Retire (via the unlinked
-			// list) gates their release on the publication stores below and
-			// guard quiescence.
+			// An emptied original, or an empty fresh copy that may still own
+			// a trimmed tail: Retire (via the unlinked list) gates their
+			// release on the publication stores below and guard quiescence.
 			unlinked = append(unlinked, s)
 			continue
 		}
@@ -589,8 +587,10 @@ func (d *Dist[V]) Consolidate() {
 		// transfer their inputs' item references to the result (§4.4).
 		for len(runs) > 0 && runs[len(runs)-1].Level() <= s.Level() {
 			top, topFresh := runs[len(runs)-1], fresh[len(fresh)-1]
-			m := block.MergeTransferIn(d.pool, top, s, d.drop)
+			m := block.MergeTransferIn(d.pool, top, s, d.drop, &d.owed)
 			d.stats.merges.Add(1)
+			top.Donate()
+			s.Donate()
 			if topFresh {
 				d.pool.Put(top)
 			} else {
@@ -626,11 +626,9 @@ func (d *Dist[V]) Consolidate() {
 		d.mins[i] = r.Min()
 	}
 	d.cacheLen = len(runs)
-	// Published runs hand their dropped-item references to the item limbo
-	// now that the stores above unlinked every donor block.
-	for _, r := range runs {
-		d.pool.RetireBlockDrops(r)
-	}
+	// The merges' obligations park in the item limbo now that the stores
+	// above unlinked every donor block.
+	d.retireOwed()
 	for j, ub := range unlinked {
 		unlinked[j] = nil
 		d.pool.Retire(ub)
@@ -801,7 +799,7 @@ func (d *Dist[V]) Purge() {
 // Publication strictly precedes unlinking, so reachability is never
 // interrupted (items are briefly duplicated, which logical deletion
 // resolves).
-func (d *Dist[V]) DrainTo(overflow func(*block.Block[V]) *block.Block[V]) {
+func (d *Dist[V]) DrainTo(overflow func(*block.Block[V])) {
 	sz := int(d.size.Load())
 	unlinked := d.retireScratch[:0]
 	for i := 0; i < sz; i++ {
@@ -822,9 +820,7 @@ func (d *Dist[V]) DrainTo(overflow func(*block.Block[V]) *block.Block[V]) {
 		if s != nb {
 			d.pool.Put(nb)
 		}
-		if left := overflow(s); left != nil {
-			unlinked = append(unlinked, left)
-		}
+		overflow(s)
 		d.stats.overflows.Add(1)
 	}
 	d.size.Store(0)

@@ -95,7 +95,7 @@ func TestSortedDrainLarge(t *testing.T) {
 func TestOverflowAtBound(t *testing.T) {
 	const k = 7 // maxLevel = 3, local capacity 2^3-1 = 7 items
 	var overflowed []*block.Block[int]
-	take := func(b *block.Block[int]) *block.Block[int] { overflowed = append(overflowed, b); return nil }
+	take := func(b *block.Block[int]) { overflowed = append(overflowed, b) }
 	d := newDist[int](1, k)
 	for i := uint64(0); i < 16; i++ {
 		d.Insert(item.New(i, 0), take)
@@ -127,11 +127,10 @@ func TestOverflowAtBound(t *testing.T) {
 func TestKZeroEverythingOverflows(t *testing.T) {
 	var got []uint64
 	d := newDist[int](1, 0)
-	take := func(b *block.Block[int]) *block.Block[int] {
+	take := func(b *block.Block[int]) {
 		for _, it := range b.Items() {
 			got = append(got, it.Key())
 		}
-		return nil
 	}
 	for i := uint64(0); i < 8; i++ {
 		if d.Insert(item.New(i, 0), take) {
@@ -147,7 +146,7 @@ func TestBloomOwnership(t *testing.T) {
 	const owner = 42
 	var blocks []*block.Block[int]
 	d := newDist[int](owner, 1) // maxLevel 1: pairs overflow
-	take := func(b *block.Block[int]) *block.Block[int] { blocks = append(blocks, b); return nil }
+	take := func(b *block.Block[int]) { blocks = append(blocks, b) }
 	for i := uint64(0); i < 8; i++ {
 		d.Insert(item.New(i, 0), take)
 	}
@@ -344,7 +343,7 @@ func TestStatsCounters(t *testing.T) {
 	d := newDist[int](1, 3) // maxLevel 2
 	var overflows int
 	for i := uint64(0); i < 32; i++ {
-		d.Insert(item.New(i, 0), func(*block.Block[int]) *block.Block[int] { overflows++; return nil })
+		d.Insert(item.New(i, 0), func(*block.Block[int]) { overflows++ })
 	}
 	st := d.Stats()
 	if st.Merges == 0 {

@@ -88,13 +88,12 @@ func TestMinCacheSequentialEquivalence(t *testing.T) {
 // reduction evicts via the compaction shift.
 func TestMinCacheOverflowAndSetK(t *testing.T) {
 	var overflowed []uint64
-	overflow := func(b *block.Block[int]) *block.Block[int] {
+	overflow := func(b *block.Block[int]) {
 		for _, it := range b.Items() {
 			if !it.Taken() {
 				overflowed = append(overflowed, it.Key())
 			}
 		}
-		return nil
 	}
 	d := newDist[int](1, 255)
 	rng := xrand.NewSeeded(5)

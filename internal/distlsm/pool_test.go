@@ -84,7 +84,7 @@ func TestPooledEvictionPrivateCopies(t *testing.T) {
 	// Reduce k at run time: the next inserts evict the oversized prefix.
 	d.SetK(3)
 	var overflowed []*block.Block[int]
-	overflow := func(b *block.Block[int]) *block.Block[int] { overflowed = append(overflowed, b); return nil }
+	overflow := func(b *block.Block[int]) { overflowed = append(overflowed, b) }
 	for i := 0; i < 200; i++ {
 		if d.Insert(item.New(rng.Uint64n(1<<30), i), overflow) {
 			// kept locally

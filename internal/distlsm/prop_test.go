@@ -52,7 +52,7 @@ func TestPropBoundNeverExceeded(t *testing.T) {
 		ks := []int{0, 1, 3, 7, 15, 64, 255}
 		k := ks[int(kSel)%len(ks)]
 		d := newDist[int](1, k)
-		sink := func(*block.Block[int]) *block.Block[int] { return nil }
+		sink := func(*block.Block[int]) {}
 		for _, key := range keys {
 			d.Insert(item.New(key, 0), sink)
 			if d.LiveCount() > k {

@@ -25,12 +25,13 @@
 // RMWs per item per block generation, the count tracks block *lineages*:
 // a reference is acquired once when an item first enters a lineage (its
 // insert-time block, a spy copy, a meld copy) and released once when that
-// lineage ends. Merges in between *transfer* ownership of their inputs'
-// references to the merged block (see block.Block's transfer machinery), so
-// the count never moves while an item survives generation churn. Items
-// filtered out of a merge (logically deleted) travel to the §4.4 limbo
-// machinery and release exactly once when the structure they were dropped
-// from is provably unreachable. When Unref observes the count reach zero,
+// lineage ends. Merges in between — in a handle's DistLSM and in the shared
+// k-LSM alike — *transfer* ownership of their inputs' references to the
+// merged block (see block.Block's transfer machinery), so the count never
+// moves while an item survives generation churn. Items filtered out of a
+// merge (logically deleted) travel to the §4.4 limbo machinery and release
+// exactly once when the structure they were dropped from is provably
+// unreachable. When Unref observes the count reach zero,
 // no published structure and no concurrent reader can still reach the item;
 // if the item is also taken at that point, the releasing handle returns it
 // to its item Pool — exactly one release per incarnation can observe the
@@ -66,8 +67,9 @@ type Item[V any] struct {
 	// odd→even — so stale CAS attempts from a previous incarnation fail.
 	flag atomic.Uint64
 	// refs counts the block lineages currently holding the item (§4.4
-	// proper). Maintained only when the owning queue runs with item
-	// reclamation enabled; zero-valued and untouched otherwise.
+	// proper): acquired when the item enters a lineage and moved from
+	// block to block by transfer, so it changes only when a lineage
+	// begins or ends.
 	refs atomic.Int64
 }
 

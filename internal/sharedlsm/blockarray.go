@@ -29,15 +29,19 @@
 // Memory reclamation (§4.4): blocks a winning CAS drops from the array park
 // in an epoch-tagged limbo list and recycle once every registered cursor's
 // stamp has passed their epoch (and the queue-wide spy guard is quiescent) —
-// see the Shared type for the full scheme. The same proof releases each dead
-// block's per-item references: a winning cursor acquires references for the
-// blocks it created (creator-only, after its CAS; Insert acquires the
-// incoming block's on entry — a no-op for DistLSM overflow blocks that arrive
-// carrying transferred references), and the pool that finally recycles or
-// drops a block releases them, returning taken items whose last reference
-// died to that handle's item pool. Failed attempts never touch the counts:
-// their fresh blocks recycle unreffed through discardFresh. See DESIGN.md,
-// "Deterministic item reclamation".
+// see the Shared type for the full scheme. Item references move by
+// transfer, as in the DistLSM: every block an attempt merges, copies,
+// shrinks or drops is a donor, whose references pass to the attempt's
+// results slot by slot, and whatever no result takes over (skipped items,
+// trimmed tails) becomes an obligation. Nothing is written to a donor
+// during the attempt, so a failed CAS discards the results and obligations
+// and leaves every count as it was, while a winning CAS commits them: the
+// results are published already owning their references, the donors
+// retire releasing nothing, and the obligations park in the same epoch
+// limbo and release under the same proof, returning taken items whose last
+// reference died to the draining handle's item pool. Blocks enter the
+// structure through Insert with their references, acquired on entry or
+// carried from a DistLSM. See DESIGN.md, "Deterministic item reclamation".
 package sharedlsm
 
 import (
@@ -97,13 +101,22 @@ func (a *BlockArray[V]) copyInto(dst *BlockArray[V]) {
 }
 
 // alloc is the §4.4 recycling context a cursor threads through snapshot
-// mutations: the owning handle's block pool, the list of blocks created
-// during the current attempt (private until the snapshot wins its CAS, so
-// recyclable if it does not), and scratch buffers for the hot consolidate/
-// pivot paths.
+// mutations: the owning handle's block pool, the blocks created during the
+// current attempt (private until the snapshot wins its CAS, so recyclable
+// if it does not), the attempt's transfer obligations, and scratch buffers
+// for the hot consolidate/pivot paths.
+//
+// Every block an attempt takes out of the array moves its references by
+// transfer: a merge, copy or shrink result takes over one reference per
+// slot it copies, and everything else the donors held — the items the
+// fills skipped and each donor's trimmed tail — collects in owed, as does
+// the whole remainder of a block dropped empty. Nothing is written to a
+// donor, so a failed attempt simply forgets owed and recycles its fresh
+// blocks without releasing; a winning CAS makes the transfer definitive.
 type alloc[V any] struct {
 	pool  *block.Pool[V]
 	fresh []*block.Block[V]
+	owed  []*item.Item[V]
 
 	runScratch  []*block.Block[V]
 	pivotHeap   []pivotCur
@@ -129,20 +142,42 @@ func (al *alloc[V]) unnote(b *block.Block[V]) bool {
 	return false
 }
 
-// discardFresh recycles every block created during a failed attempt.
-func (al *alloc[V]) discardFresh() {
-	for i, b := range al.fresh {
-		al.fresh[i] = nil
+// replaced records that b's references moved to a transfer result of this
+// attempt: a block created this attempt is private and recycles now,
+// releasing nothing. A published block (or Insert's incoming one) stays
+// untouched; the winning CAS retires it.
+func (al *alloc[V]) replaced(b *block.Block[V]) {
+	if al.unnote(b) {
+		b.Donate()
 		al.pool.Put(b)
 	}
-	al.fresh = al.fresh[:0]
 }
 
-// commitFresh forgets the fresh list after a successful publication (the
-// blocks are now shared and must not be recycled from here).
+// dropEmpty takes an emptied block out of the attempt without a successor:
+// the references it still holds (its trimmed slots) join the obligations.
+func (al *alloc[V]) dropEmpty(b *block.Block[V]) {
+	b.Relinquish(0, &al.owed)
+	al.replaced(b)
+}
+
+// commitFresh forgets the fresh list after a winning push (the blocks are
+// now shared and must not be recycled from here).
 func (al *alloc[V]) commitFresh() {
 	clear(al.fresh)
 	al.fresh = al.fresh[:0]
+}
+
+// discard abandons the current attempt's work: fresh blocks recycle without
+// releasing (their references never left the donors) and the obligations
+// are forgotten. A no-op after a winning push, which commits both.
+func (al *alloc[V]) discard() {
+	for i, b := range al.fresh {
+		al.fresh[i] = nil
+		b.Donate()
+		al.pool.Put(b)
+	}
+	al.fresh = al.fresh[:0]
+	al.owed = emptyOwed(al.owed)
 }
 
 // empty reports whether the array holds no blocks.
@@ -190,6 +225,9 @@ func (a *BlockArray[V]) consolidate(drop block.DropFunc[V], needPivots bool, al 
 	runs := al.runScratch[:0]
 	for idx, b := range a.blocks {
 		if b == nil || b.Filled() == 0 {
+			if b != nil {
+				al.dropEmpty(b)
+			}
 			changed = true
 			continue
 		}
@@ -226,51 +264,33 @@ func (a *BlockArray[V]) consolidate(drop block.DropFunc[V], needPivots bool, al 
 					}
 				}
 				if dead*2 >= f {
-					nb := b.CopyIn(pool, b.Level())
+					nb := b.CopyTransferIn(pool, b.Level(), nil, &al.owed)
 					al.note(nb)
+					al.replaced(b)
 					b = nb
 					changed = true
 				}
 			}
 		}
-		s := b.ShrinkIn(pool)
+		s := b.ShrinkTransferIn(pool, &al.owed)
 		if s != b {
-			// A compaction copy: fresh this attempt. If b itself was fresh
-			// it just became garbage and is private, so recycle it now.
+			// A compaction copy: fresh this attempt.
 			al.note(s)
-			if al.unnote(b) {
-				pool.Put(b)
-			}
+			al.replaced(b)
 			changed = true
 		}
-		if s.Empty() {
-			if al.unnote(s) {
-				pool.Put(s)
-			}
-			changed = true
-			continue
-		}
-		for len(runs) > 0 && runs[len(runs)-1].Level() <= s.Level() {
+		for !s.Empty() && len(runs) > 0 && runs[len(runs)-1].Level() <= s.Level() {
 			top := runs[len(runs)-1]
-			m := block.MergeIn(pool, top, s, drop)
+			m := block.MergeTransferIn(pool, top, s, drop, &al.owed)
 			al.note(m)
-			// Merged-away inputs that were created this attempt are private
-			// garbage; recycle. Published inputs are reclaimed later by the
-			// epoch scheme once the winning snapshot drops them.
-			if al.unnote(top) {
-				pool.Put(top)
-			}
-			if al.unnote(s) {
-				pool.Put(s)
-			}
+			al.replaced(top)
+			al.replaced(s)
 			s = m
 			runs = runs[:len(runs)-1]
 			changed = true
 		}
 		if s.Empty() {
-			if al.unnote(s) {
-				pool.Put(s)
-			}
+			al.dropEmpty(s)
 			changed = true
 			continue
 		}

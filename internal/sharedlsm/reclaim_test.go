@@ -100,14 +100,14 @@ func TestLimboOverflowReleasesItemsExactlyOnce(t *testing.T) {
 	}
 }
 
-// TestInsertReturnsMergedAwayLineageBlock: a block that arrives carrying
-// its lineage's transferred references (a DistLSM overflow) and is merged
-// away inside the winning attempt must be handed back to the caller, NOT
-// recycled here — an ungated release could reclaim an item while a spy
-// still reads it through the caller's not-yet-unlinked donor blocks. An
-// entry-acquired block (the shared side took its references itself) is
-// recycled internally as before.
-func TestInsertReturnsMergedAwayLineageBlock(t *testing.T) {
+// TestInsertDefersMergedAwayLineageObligations: a block that arrives
+// carrying its lineage's transferred references (a DistLSM overflow) and is
+// merged away inside the winning attempt leaves obligations — here its
+// trimmed minimum — whose items the caller's not-yet-unlinked DistLSM
+// blocks may still reach. They must not release before the inserting
+// cursor's next shared operation (the caller unlinks first), nor while a
+// reader holds the guard; the survivor's count never moves.
+func TestInsertDefersMergedAwayLineageObligations(t *testing.T) {
 	var g block.Guard
 	s := New[int](4, true)
 	c, p, ip := newReclaimCursor(s, &g, 1)
@@ -116,35 +116,117 @@ func TestInsertReturnsMergedAwayLineageBlock(t *testing.T) {
 	seed := p.Get(0)
 	seed.AddOwner(1)
 	seed.Append(ip.Get(50, 50))
-	if got := s.Insert(c, seed); got != nil {
-		t.Fatalf("entry-acquired seed came back (%p)", got)
+	s.Insert(c, seed)
+
+	// A lineage-carrying level-1 block whose minimum is taken: references
+	// acquired before entry, as a DistLSM overflow block's are (transferred
+	// from its donors). Insert's shrink trims the minimum and copies the
+	// survivor, which then merges with the seed: nb is merged away.
+	nb := p.Get(1)
+	nb.AddOwner(1)
+	survivor, dead := ip.Get(20, 20), ip.Get(10, 10)
+	nb.Append(survivor)
+	nb.Append(dead)
+	nb.AcquireRefs()
+	dead.TryTake()
+	s.Insert(c, nb)
+	if containsBlock(s.Snapshot().blocks, nb) {
+		t.Fatal("nb was published, not merged away")
+	}
+	if survivor.Refs() != 1 {
+		t.Fatalf("survivor refs = %d after the merge, want 1 (transferred)", survivor.Refs())
+	}
+	if dead.Refs() != 1 || ip.Puts() != 0 {
+		t.Fatalf("obligation released inside Insert (refs %d, puts %d), before the caller's unlink", dead.Refs(), ip.Puts())
 	}
 
-	// A lineage-carrying block: references acquired before entry, as a
-	// DistLSM overflow block's are (transferred from its donors).
-	nb := p.Get(0)
+	// The caller has unlinked its DistLSM blocks; a spy that started
+	// earlier still reads them. The cursor's next operation parks the
+	// obligation, but the busy guard keeps it.
+	g.Enter()
+	s.FindMin(c)
+	if dead.Refs() != 1 {
+		t.Fatalf("obligation released under an active guard (refs %d)", dead.Refs())
+	}
+	g.Exit()
+	s.DrainRetired(c)
+	if dead.Refs() != 0 || ip.Puts() != 1 {
+		t.Fatalf("after the unlink and quiescence: refs %d, puts %d, want 0 and 1", dead.Refs(), ip.Puts())
+	}
+	if survivor.Refs() != 1 {
+		t.Fatalf("survivor refs = %d, want 1", survivor.Refs())
+	}
+}
+
+// TestFailedPushLeavesDonorsUntouched: a rival cursor publishes between a
+// cursor's refresh and its push. The loser's attempt wrote nothing to its
+// donors — their items keep their counts — and its fresh blocks recycle
+// without releasing anything; the retry then wins, and the surviving items'
+// counts are the same before and after its merge.
+func TestFailedPushLeavesDonorsUntouched(t *testing.T) {
+	var g block.Guard
+	s := New[int](4, true)
+	cA, pA, ipA := newReclaimCursor(s, &g, 1)
+	cB, pB, ipB := newReclaimCursor(s, &g, 2)
+
+	// Published donor: a level-1 block whose minimum is taken, so an
+	// attempt's shrink copies it and owes the trimmed slot.
+	donor := pA.Get(1)
+	donor.AddOwner(1)
+	live, dead := ipA.Get(60, 60), ipA.Get(40, 40)
+	donor.Append(live)
+	donor.Append(dead)
+	s.Insert(cA, donor)
+	dead.TryTake()
+
+	nb := pA.Get(1)
 	nb.AddOwner(1)
-	it := ip.Get(10, 10)
-	nb.Append(it)
+	mine := []*item.Item[int]{ipA.Get(30, 30), ipA.Get(20, 20)}
+	nb.Append(mine[0])
+	nb.Append(mine[1])
 	nb.AcquireRefs()
-	if it.Refs() != 1 {
-		t.Fatalf("refs = %d before insert", it.Refs())
+
+	// A's attempt, stopped between its refresh and its push.
+	s.refresh(cA)
+	cA.snapshot.insert(nb, s.drop, &cA.al)
+	if len(cA.al.fresh) == 0 || len(cA.al.owed) != 1 {
+		t.Fatalf("attempt built %d fresh blocks and %d obligations, want some and 1", len(cA.al.fresh), len(cA.al.owed))
 	}
-	got := s.Insert(c, nb)
-	if got != nb {
-		t.Fatalf("merged-away lineage block not returned (got %p, want %p)", got, nb)
+	// The rival publishes first.
+	rival := pB.Get(0)
+	rival.AddOwner(2)
+	rival.Append(ipB.Get(70, 70))
+	s.Insert(cB, rival)
+	if s.push(cA) {
+		t.Fatal("push won against a moved shared pointer")
 	}
-	if !nb.HoldsRefs() {
-		t.Fatal("returned block no longer holds its references")
+	if live.Refs() != 1 || dead.Refs() != 1 {
+		t.Fatalf("failed push moved donor counts: live %d, dead %d, want 1 and 1", live.Refs(), dead.Refs())
 	}
-	// The merged shared block acquired its own reference post-CAS.
-	if it.Refs() != 2 {
-		t.Fatalf("refs = %d after merge, want 2 (lineage + shared copy)", it.Refs())
+	// The retry's refresh recycles the loser's fresh blocks: no release.
+	s.refresh(cA)
+	if len(cA.al.fresh) != 0 || len(cA.al.owed) != 0 || cA.pendingOwed.len() != 0 {
+		t.Fatal("refresh kept the failed attempt's blocks or obligations")
 	}
-	// The caller retires it after its unlink stores; quiescent guard
-	// releases immediately and exactly once.
-	p.Retire(got)
-	if it.Refs() != 1 {
-		t.Fatalf("refs = %d after caller retire, want 1", it.Refs())
+	if ipA.Puts()+ipB.Puts() != 0 || live.Refs() != 1 || dead.Refs() != 1 {
+		t.Fatalf("discard released: puts %d, live %d, dead %d", ipA.Puts()+ipB.Puts(), live.Refs(), dead.Refs())
+	}
+
+	s.Insert(cA, nb)
+	if containsBlock(s.Snapshot().blocks, nb) {
+		t.Fatal("retry published nb instead of merging it")
+	}
+	for _, it := range append(mine, live) {
+		if it.Refs() != 1 {
+			t.Fatalf("survivor %d refs = %d after the winning merge, want 1", it.Key(), it.Refs())
+		}
+	}
+	// The rival's win owed the dead slot; it releases exactly once.
+	s.RefreshStamp(cA)
+	s.RefreshStamp(cB)
+	s.DrainRetired(cB)
+	s.DrainRetired(cA)
+	if got := ipA.Puts() + ipB.Puts(); got != 1 || dead.Refs() != 0 {
+		t.Fatalf("released %d items (dead refs %d), want exactly the dead one", got, dead.Refs())
 	}
 }

@@ -9,11 +9,18 @@ import (
 	"klsm/internal/xrand"
 )
 
-// sharedLimboCap bounds the queue of dropped-but-not-yet-reclaimable blocks;
-// overflow is abandoned to the garbage collector (the Go backstop §4.4's C++
-// original lacks), leaking the block's item references too. The overflow is
-// counted in LimboLeaked.
-const sharedLimboCap = 2048
+// sharedLimboCap bounds the limbo's dropped-but-not-yet-reusable blocks and
+// its runs of obligations, and sharedOwedCap the obligations themselves.
+// Blocks past the cap are abandoned to the garbage collector (the Go
+// backstop §4.4's C++ original lacks), which costs only the reuse of their
+// shells: each was a transfer donor and owes nothing. Runs past the cap
+// fold together (owedQueue.add), so they wait longer but still release;
+// only obligations past sharedOwedCap are abandoned, leaking their item
+// references, counted in LimboLeaked.
+const (
+	sharedLimboCap = 2048
+	sharedOwedCap  = 1 << 20
+)
 
 // stickyOps bounds how many consecutive skip-shared decisions a cursor may
 // re-validate across shared publications (the MultiQueue-style sticky hint,
@@ -21,7 +28,9 @@ const sharedLimboCap = 2048
 const stickyOps = 64
 
 // retiredBlock is a block dropped from a published BlockArray, tagged with
-// the epoch of the CAS that dropped it.
+// the epoch of the CAS that dropped it. Every such block is a transfer donor
+// — its references moved to the winning array's blocks or to the winner's
+// obligations — so its limbo entry recycles the shell and releases nothing.
 type retiredBlock[V any] struct {
 	b     *block.Block[V]
 	epoch uint64
@@ -37,13 +46,14 @@ type retiredBlock[V any] struct {
 // based. Shared keeps a global epoch counter; every cursor stamps itself
 // with the current epoch before loading the shared pointer, so any block a
 // cursor can ever reach lives in an array it loaded at-or-after its stamp.
-// A winning CAS that drops blocks bumps the epoch to E and parks the blocks
-// in a limbo list tagged E; they recycle once every stamped cursor has
-// advanced to a stamp >= E (and the queue-wide spy guard — the guard of
-// every cursor's pool — is quiescent, which covers non-cursor readers such
-// as melds and spies on blocks that migrated in from a DistLSM eviction).
-// Cursors that never refreshed — or that have been deactivated — carry the
-// ^0 sentinel and pin nothing.
+// A winning CAS bumps the epoch to E and parks the blocks it drops, and the
+// item references its transfers left over (obligations), in limbo lists
+// tagged E; blocks recycle and obligations release once every stamped
+// cursor has advanced to a stamp >= E (and the queue-wide spy guard — the
+// guard of every cursor's pool — is quiescent, which covers non-cursor
+// readers such as melds, and spies on the DistLSM blocks an overflow block
+// was merged from). Cursors that never refreshed — or that have been
+// deactivated — carry the ^0 sentinel and pin nothing.
 type Shared[V any] struct {
 	ptr atomic.Pointer[BlockArray[V]]
 	// k is the relaxation parameter. It is atomic because the paper allows
@@ -64,17 +74,19 @@ type Shared[V any] struct {
 	// serializes it.
 	regMu   sync.Mutex
 	cursors atomic.Pointer[[]*Cursor[V]]
-	// limbo holds dropped published blocks awaiting epoch quiescence.
-	// limboMu is only ever TryLock'ed on the operation paths: on contention
-	// the winner parks the blocks on its own cursor (pending) instead of
-	// blocking, preserving lock-freedom, and retries on its next push.
-	// limboMinEpoch caches the smallest epoch present so a drain attempt
-	// that cannot release anything costs O(1) instead of a full scan.
+	// limbo holds dropped published blocks, and owed obligations,
+	// awaiting epoch quiescence. limboMu is only ever
+	// TryLock'ed on the operation paths: on contention the winner parks its
+	// entries on its own cursor (pending) instead of blocking, preserving
+	// lock-freedom, and retries on its next push. limboMinEpoch caches the
+	// smallest epoch in limbo so a drain attempt that cannot release a
+	// block costs O(1) instead of a full scan.
 	limboMu       sync.Mutex
 	limbo         []retiredBlock[V]
+	owed          owedQueue[V]
 	limboMinEpoch uint64
-	// limboLeaked counts blocks dropped to the GC at the limbo cap — the
-	// one escape that also leaks item references.
+	// limboLeaked counts obligations dropped to the GC at the limbo cap —
+	// the one escape that leaks item references.
 	limboLeaked atomic.Int64
 }
 
@@ -126,10 +138,13 @@ type Cursor[V any] struct {
 	// al is the §4.4 recycling context.
 	al alloc[V]
 	// pending holds blocks this cursor dropped from the shared structure
-	// but could not hand to the limbo list because limboMu was contended.
-	// Owner-only; flushed on the next refresh, push, or explicit drain, so
-	// a contended retire defers reclamation instead of leaking it.
-	pending []retiredBlock[V]
+	// but could not hand to the limbo list because limboMu was contended;
+	// pendingOwed holds its obligations, which wait here at least until
+	// the cursor's next flush (see retireDropped). Owner-only; flushed on
+	// the next refresh, push, or explicit drain, so a contended retire
+	// defers reclamation instead of leaking it.
+	pending     []retiredBlock[V]
+	pendingOwed owedQueue[V]
 	// spare is a superseded, never-published snapshot shell whose slices
 	// the next refresh reuses.
 	spare *BlockArray[V]
@@ -198,9 +213,10 @@ func (s *Shared[V]) NewCursor(id uint64, rng *xrand.Source, pool *block.Pool[V])
 func (s *Shared[V]) RetireCursor(c *Cursor[V]) {
 	c.stamp.Store(inactiveStamp)
 	c.hintArr = nil
-	// Hand any parked retired blocks over before the cursor disappears;
-	// blocking is fine here (close path, not an operation path).
-	if len(c.pending) > 0 {
+	// Hand any parked retired blocks and obligations over before the
+	// cursor disappears; blocking is fine here (close path, not an
+	// operation path).
+	if len(c.pending) > 0 || c.pendingOwed.len() > 0 {
 		s.limboMu.Lock()
 		s.appendPendingLocked(c)
 		s.drainLimboLocked(c)
@@ -224,12 +240,11 @@ func (s *Shared[V]) RetireCursor(c *Cursor[V]) {
 // refresh re-reads the shared pointer and takes a private snapshot
 // (Listing 3's refresh_snapshot). The epoch stamp is advanced first —
 // before the pointer load, so the pin provably covers everything the new
-// snapshot can reach — and blocks created during a failed previous attempt
-// recycle here, since the retry abandons them.
+// snapshot can reach — and the blocks and obligations of a failed previous
+// attempt are discarded here, since the retry abandons them.
 func (s *Shared[V]) refresh(c *Cursor[V]) {
-	prev := c.snapshot
-	if prev != nil && !prev.published {
-		c.al.discardFresh()
+	c.al.discard()
+	if prev := c.snapshot; prev != nil && !prev.published {
 		c.spare = prev
 	}
 	// Retry handing parked retired blocks to the limbo list (a previous
@@ -277,8 +292,15 @@ func (c *Cursor[V]) takeShell() *BlockArray[V] {
 // push attempts to publish the cursor's snapshot (Listing 3's
 // push_snapshot). After success the cursor's observed pointer is stale by
 // design: the next operation re-snapshots before mutating, so a published
-// array is never written again. On success the blocks the transition
-// dropped are handed to the reclamation scheme.
+// array is never written again.
+//
+// A winning CAS commits the attempt's reference transfer (§4.4): the fresh
+// blocks it published already own one reference per slot — their
+// bookkeeping was final before the CAS, since another cursor may merge
+// them the moment it lands — so the win costs no refcount traffic. The
+// blocks the transition dropped and the attempt's obligations are handed to
+// the reclamation scheme. A failed CAS leaves everything for refresh to
+// discard: no donor was written, so nothing needs undoing.
 func (s *Shared[V]) push(c *Cursor[V]) bool {
 	if c.snapshot != nil {
 		c.snapshot.published = true
@@ -289,49 +311,47 @@ func (s *Shared[V]) push(c *Cursor[V]) bool {
 		}
 		return false
 	}
-	// §4.4 proper: acquire item references for the blocks this cursor
-	// created and just published. Only the creator ever walks a block
-	// (carried-over blocks acquired at their own publication), so the
-	// reffed flag needs no synchronization; and acquiring only after a
-	// *winning* CAS keeps failed attempts free of refcount traffic, which
-	// contended workloads feel directly. Safety of the deferred walk: every
-	// item in a fresh block is still referenced by the superseded array's
-	// blocks, which this cursor parks only below — and any holder a
-	// concurrent winner drops meanwhile stays pinned by this cursor's epoch
-	// stamp, which advances strictly after this push completes.
-	for _, b := range c.al.fresh {
-		b.AcquireRefs()
-	}
 	c.al.commitFresh()
 	s.retireDropped(c)
 	return true
 }
 
-// retireDropped parks every block of the superseded array that the winning
-// snapshot no longer references on the cursor, tagged with the new epoch,
-// then tries to flush them to the limbo list and drain. Runs on the
-// winner's goroutine right after its CAS.
+// retireDropped runs on the winner's goroutine right after its CAS. It
+// parks every block of the superseded array that the winning snapshot no
+// longer references on the cursor, tagged with the new epoch, and tries to
+// flush them to the limbo list and drain. The attempt's obligations are
+// parked only after that flush, so they wait for the cursor's next one —
+// its next refresh or push. That is what lets an Insert caller finish its
+// own unlinking first: the obligations of a DistLSM overflow block include
+// items whose only other path is the caller's merged-away DistLSM blocks,
+// which stay published until the caller's size store after Insert returns.
 func (s *Shared[V]) retireDropped(c *Cursor[V]) {
 	old, won := c.observed, c.snapshot
-	if old == nil {
+	if old == nil && len(c.al.owed) == 0 {
 		return
 	}
 	e := s.epoch.Add(1)
-	for _, b := range old.blocks {
-		if won != nil && containsBlock(won.blocks, b) {
-			continue
+	if old != nil {
+		for _, b := range old.blocks {
+			if won != nil && containsBlock(won.blocks, b) {
+				continue
+			}
+			c.pending = append(c.pending, retiredBlock[V]{b: b, epoch: e})
 		}
-		c.pending = append(c.pending, retiredBlock[V]{b: b, epoch: e})
 	}
 	s.flushPending(c)
+	if len(c.al.owed) > 0 {
+		c.pendingOwed.add(c.al.owed, e, sharedLimboCap)
+		c.al.owed = emptyOwed(c.al.owed)
+	}
 }
 
-// flushPending tries to move the cursor's pending retired blocks into the
-// limbo list and drain what has quiesced. TryLock keeps the operation paths
-// lock-free: on contention the blocks simply stay parked on the cursor
-// (owner-only) until the next attempt.
+// flushPending tries to move the cursor's pending retired blocks and
+// obligations into the limbo lists and drain what has quiesced. TryLock
+// keeps the operation paths lock-free: on contention the entries simply
+// stay parked on the cursor (owner-only) until the next attempt.
 func (s *Shared[V]) flushPending(c *Cursor[V]) {
-	if len(c.pending) == 0 {
+	if len(c.pending) == 0 && c.pendingOwed.len() == 0 {
 		return
 	}
 	if !s.limboMu.TryLock() {
@@ -342,30 +362,41 @@ func (s *Shared[V]) flushPending(c *Cursor[V]) {
 	s.limboMu.Unlock()
 }
 
-// appendPendingLocked moves c's pending entries into the limbo list up to
-// the cap; overflow falls to the GC and is counted in LimboLeaked. Caller
-// holds limboMu.
+// appendPendingLocked moves c's pending entries into the limbo up to its
+// caps; overflow falls to the GC, obligations counted in LimboLeaked.
+// Caller holds limboMu.
 func (s *Shared[V]) appendPendingLocked(c *Cursor[V]) {
-	for i := range c.pending {
+	if len(s.limbo) == 0 {
+		s.limboMinEpoch = inactiveStamp
+	}
+	for _, r := range c.pending {
 		if len(s.limbo) >= sharedLimboCap {
-			s.limboLeaked.Add(int64(len(c.pending) - i))
 			break
 		}
-		if len(s.limbo) == 0 || c.pending[i].epoch < s.limboMinEpoch {
-			s.limboMinEpoch = c.pending[i].epoch
-		}
-		s.limbo = append(s.limbo, c.pending[i])
+		s.limboMinEpoch = min(s.limboMinEpoch, r.epoch)
+		s.limbo = append(s.limbo, r)
 	}
 	clear(c.pending)
 	c.pending = c.pending[:0]
+	p := &c.pendingOwed
+	for _, r := range p.runs {
+		if s.owed.len()+r.n > sharedOwedCap {
+			s.limboLeaked.Add(int64(r.n))
+		} else {
+			s.owed.add(p.items[p.head:p.head+r.n], r.epoch, sharedLimboCap)
+		}
+		p.head += r.n
+	}
+	p.reset()
 }
 
-// drainLimboLocked moves every limbo block whose epoch every stamped cursor
-// has passed — other than c itself, which provably re-reads the shared
-// pointer before touching any block again — into c's pool, once the
-// queue-wide guard is quiescent. Caller holds limboMu.
+// drainLimboLocked recycles every limbo block, and releases every
+// obligation, whose epoch every stamped cursor has passed — other than c
+// itself, which provably re-reads the shared pointer before touching any
+// block again — into c's pool, once the queue-wide guard is quiescent.
+// Blocks release nothing: each was a transfer donor. Caller holds limboMu.
 func (s *Shared[V]) drainLimboLocked(c *Cursor[V]) {
-	if len(s.limbo) == 0 || !c.al.pool.Guard().Quiescent() {
+	if (len(s.limbo) == 0 && s.owed.len() == 0) || !c.al.pool.Guard().Quiescent() {
 		return
 	}
 	minStamp := inactiveStamp
@@ -379,24 +410,22 @@ func (s *Shared[V]) drainLimboLocked(c *Cursor[V]) {
 			}
 		}
 	}
+	s.owed.release(minStamp, c.al.pool)
 	if s.limboMinEpoch > minStamp {
-		return // every entry is still pinned: skip the scan
+		return // every block is still pinned: skip the scan
 	}
-	kept := s.limbo[:0]
 	newMin := inactiveStamp
+	kept := s.limbo[:0]
 	for _, r := range s.limbo {
 		if r.epoch <= minStamp {
+			r.b.Donate()
 			c.al.pool.Put(r.b)
 		} else {
-			if r.epoch < newMin {
-				newMin = r.epoch
-			}
+			newMin = min(newMin, r.epoch)
 			kept = append(kept, r)
 		}
 	}
-	for i := len(kept); i < len(s.limbo); i++ {
-		s.limbo[i] = retiredBlock[V]{}
-	}
+	clear(s.limbo[len(kept):])
 	s.limbo = kept
 	s.limboMinEpoch = newMin
 }
@@ -416,27 +445,19 @@ func containsBlock[V any](blocks []*block.Block[V], b *block.Block[V]) bool {
 // (lock-freedom: someone always progresses). Ownership of nb transfers to
 // the shared structure on entry: its item references are acquired here
 // (§4.4 proper) unless it already carries them (a DistLSM overflow block
-// with transferred lineage references) — nb may hold items that exist in
-// no published block yet, and without nb's own references a failed
-// attempt's discard would dip them to zero mid-retry.
+// with transferred lineage references).
 //
-// The return value is non-nil exactly when nb was merged away inside the
-// winning attempt AND arrived carrying its lineage's references: its
-// filtered items' only references are then still attached to nb, and
-// releasing them here — with no guard or epoch gating — could reclaim an
-// item while a spy still reads it through the caller's not-yet-unlinked
-// donor blocks. The caller must hand the returned block to its pool's
-// Retire *after* the stores that unlink those donors. Blocks this call
-// acquired itself (no prior holders exist) are recycled internally and nil
-// is returned. (A merged-away nb that stays in the *published* array until
-// a later CAS drops it needs no special handling: the inserting cursor's
-// own epoch stamp — advanced only on its next refresh, after its unlink
-// stores — pins the limbo entry until then.)
-func (s *Shared[V]) Insert(c *Cursor[V], nb *block.Block[V]) *block.Block[V] {
+// If the winning attempt merged nb away, nb's references moved on like any
+// donor's and its shell, which never left this cursor, recycles here. Its
+// leftover obligations — items it held that no published block took over —
+// include items the caller's DistLSM blocks still reach, if nb was merged
+// from them; they release no earlier than c's next shared operation (see
+// retireDropped), so the caller must unlink those blocks before its next
+// operation on c, as the DistLSM does.
+func (s *Shared[V]) Insert(c *Cursor[V], nb *block.Block[V]) {
 	if nb == nil || nb.Empty() {
-		return nil
+		return
 	}
-	entryReffed := nb.HoldsRefs()
 	nb.AcquireRefs()
 	for {
 		s.refresh(c)
@@ -451,30 +472,18 @@ func (s *Shared[V]) Insert(c *Cursor[V], nb *block.Block[V]) *block.Block[V] {
 		c.snapshot.insert(nb, s.drop, &c.al)
 		if c.snapshot.empty() {
 			// Everything (including nb) was consumed by the drop callback
-			// or concurrent deletion; publish the empty state as nil. An
-			// empty array holds no fresh blocks (consolidate recycles every
-			// fresh block it drops), so discardFresh is a defensive no-op
-			// kept symmetric with FindMin's empty path.
-			c.al.discardFresh()
+			// or concurrent deletion; publish the empty state as nil.
 			if !c.snapshot.published {
 				c.spare = c.snapshot
 			}
 			c.snapshot = nil
 		}
 		if s.push(c) {
-			// If the winning snapshot does not reference nb, the block was
-			// merged away inside this (private) attempt and was never
-			// published: recycle it (§4.4). Matters most in shared-only
-			// mode, where every insert passes a level-0 block.
-			// Lineage-carrying blocks go back to the caller instead of
-			// being recycled here (see above).
 			if c.snapshot == nil || !containsBlock(c.snapshot.blocks, nb) {
-				if entryReffed {
-					return nb
-				}
+				nb.Donate()
 				c.al.pool.Put(nb)
 			}
-			return nil
+			return
 		}
 		c.InsertRetries.Add(1)
 	}
@@ -595,7 +604,6 @@ func (s *Shared[V]) consolidate(c *Cursor[V], repivot bool) {
 	push := c.snapshot.consolidate(s.drop, repivot, &c.al)
 	if c.snapshot.empty() {
 		if !c.snapshot.published {
-			c.al.discardFresh()
 			c.spare = c.snapshot
 		}
 		c.snapshot = nil
@@ -618,12 +626,11 @@ func (s *Shared[V]) consolidate(c *Cursor[V], repivot bool) {
 //
 // Reference safety mirrors FindMinSnap's consolidate path: the cursor's
 // epoch stamp (taken in refresh before the pointer load) pins every block
-// the snapshot can reach, fresh copies acquire their item references at the
-// winning push, and the superseded originals release theirs through the
-// epoch-gated retirement — so items the filter claims are released exactly
-// once, by their original block's retirement. Items claimed during a failed
-// CAS attempt stay claimed; they are filter-positive garbage either way and
-// remain referenced by the still-published originals.
+// the snapshot can reach, and the copies take over their originals'
+// references by transfer, the items the filter claims becoming the winning
+// push's obligations. Items claimed during a failed CAS attempt stay
+// claimed; they are filter-positive garbage either way and remain owned by
+// the still-published originals.
 func (s *Shared[V]) Purge(c *Cursor[V]) {
 	for {
 		s.refresh(c)
@@ -636,11 +643,15 @@ func (s *Shared[V]) Purge(c *Cursor[V]) {
 			if b == nil || b.Empty() {
 				continue
 			}
-			nb := b.CopyDropIn(pool, b.Level(), s.drop)
+			owed := len(c.al.owed)
+			nb := b.CopyTransferIn(pool, b.Level(), s.drop, &c.al.owed)
 			if nb.Filled() == b.Filled() {
-				// Nothing dropped or dead in this block: keep the original.
-				// The copy was never noted and never acquired references, so
-				// recycling it releases nothing.
+				// Nothing dropped or dead in this block: keep the original,
+				// which keeps its references, and forget what the copy
+				// recorded.
+				clear(c.al.owed[owed:])
+				c.al.owed = c.al.owed[:owed]
+				nb.Donate()
 				pool.Put(nb)
 				continue
 			}
@@ -651,7 +662,6 @@ func (s *Shared[V]) Purge(c *Cursor[V]) {
 		a.consolidate(s.drop, true, &c.al)
 		if a.empty() {
 			if !a.published {
-				c.al.discardFresh()
 				c.spare = a
 			}
 			c.snapshot = nil
@@ -858,8 +868,8 @@ func (s *Shared[V]) DrainRetired(c *Cursor[V]) {
 	s.limboMu.Unlock()
 }
 
-// LimboLeaked returns the number of retired blocks dropped to the GC at the
-// limbo cap (each leaking its item references).
+// LimboLeaked returns the number of obligations dropped to the GC at the
+// limbo cap, each leaking its item reference.
 func (s *Shared[V]) LimboLeaked() int64 { return s.limboLeaked.Load() }
 
 // LimboLen returns the current limbo length, for tests.

@@ -25,12 +25,17 @@ type Queue[V any] struct {
 	// ErrClosed.
 	closed atomic.Bool
 
-	// freeMu guards freeHandles, the registry backing the handle-free
-	// operations: handles not currently borrowed by an in-flight
-	// queue-level operation. Recycling keeps T — and ρ = T·k — bounded by
-	// the peak concurrency of handle-free ops rather than goroutine churn.
-	freeMu      sync.Mutex
-	freeHandles []*Handle[V]
+	// registry backs the handle-free operations: the copy-on-write list
+	// of every handle it ever created, each borrowed by at most one
+	// in-flight queue-level operation at a time (Handle.lent). Recycling
+	// keeps T — and ρ = T·k — bounded by the peak concurrency of
+	// handle-free ops rather than goroutine churn. regMu serializes
+	// registration. hint caches, per P, the handle that P returned last;
+	// the list, not the cache, owns the handles, so an entry the GC drops
+	// costs one scan and never a handle.
+	regMu    sync.Mutex
+	registry atomic.Pointer[[]*Handle[V]]
+	hint     sync.Pool
 }
 
 // Handle is one goroutine's access point to a Queue. A Handle must not be
@@ -45,6 +50,10 @@ type Handle[V any] struct {
 	// vbuf is the value-codec scratch of the persistent insert path.
 	// Owner-only, like enc.
 	vbuf []byte
+	// lent marks a registry handle borrowed by a handle-free operation.
+	// The borrower's CompareAndSwap and the returner's Store order one
+	// borrower's operations before the next one's.
+	lent atomic.Bool
 }
 
 // persist performs the per-operation preamble: it panics with ErrClosed on
@@ -193,24 +202,32 @@ func (q *Queue[V]) Compact() {
 	if q.closed.Load() {
 		panic(ErrClosed)
 	}
-	// Borrow the whole free list at once: each Compact purges only its
-	// own handle's local structure (plus the shared k-LSM), so sweeping a
-	// single borrowed handle would strand filter-dropped items in the
-	// other registry handles' local structures indefinitely. Concurrent
-	// handle-free operations simply register fresh handles meanwhile.
-	q.freeMu.Lock()
-	hs := q.freeHandles
-	q.freeHandles = nil
-	q.freeMu.Unlock()
-	if len(hs) == 0 {
-		hs = append(hs, q.borrowHandle())
+	// Sweep every registry handle, since each Compact purges only its own
+	// handle's local structure (plus the shared k-LSM): sweeping a single
+	// handle would strand filter-dropped items in the others' local
+	// structures indefinitely. Claiming one handle at a time leaves the
+	// rest free for concurrent handle-free operations, which borrow them
+	// instead of registering new handles; a handle another operation holds
+	// is skipped until the next Compact.
+	swept := false
+	if hs := q.registry.Load(); hs != nil {
+		for _, h := range *hs {
+			if h.lent.CompareAndSwap(false, true) {
+				q.compactLent(h)
+				swept = true
+			}
+		}
 	}
-	for _, h := range hs {
-		h.Compact()
+	if !swept {
+		q.compactLent(q.borrowHandle())
 	}
-	q.freeMu.Lock()
-	q.freeHandles = append(q.freeHandles, hs...)
-	q.freeMu.Unlock()
+}
+
+// compactLent compacts a borrowed registry handle and returns it, via
+// defer like every handle-free operation.
+func (q *Queue[V]) compactLent(h *Handle[V]) {
+	defer q.returnHandle(h)
+	h.Compact()
 }
 
 // Quiesce drives every deferred §4.4 reclamation step to completion:

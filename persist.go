@@ -580,12 +580,10 @@ func (q *Queue[V]) Close() error {
 	if q.closed.Swap(true) {
 		return ErrClosed
 	}
-	q.freeMu.Lock()
-	hs := q.freeHandles
-	q.freeHandles = nil
-	q.freeMu.Unlock()
-	for _, h := range hs {
-		h.h.Close()
+	if hs := q.registry.Swap(nil); hs != nil {
+		for _, h := range *hs {
+			h.h.Close()
+		}
 	}
 	q.q.Quiesce()
 	if q.p == nil {
