@@ -157,6 +157,40 @@ func BenchmarkHandleFreeParallel(b *testing.B) {
 	})
 }
 
+// BenchmarkIdleHandles runs the Insert + TryDeleteMin pair on one handle
+// per goroutine while idle handles stay open. Every shared limbo drain
+// scans the record of every open handle, and so does a DistLSM retirement
+// after a reader has pinned, so the per-pair cost as idle grows is those
+// scans':
+//
+//	go test -bench IdleHandles -run xxx -cpu 2
+func BenchmarkIdleHandles(b *testing.B) {
+	for _, idle := range []int{0, 16, 64} {
+		b.Run(fmt.Sprintf("idle-%d", idle), func(b *testing.B) {
+			q := New[int]()
+			for i := 0; i < idle; i++ {
+				defer q.NewHandle().Close()
+			}
+			h := q.NewHandle()
+			rng := xrand.NewSeeded(42)
+			for i := 0; i < benchPrefill(); i++ {
+				h.Insert(rng.Uint64(), i)
+			}
+			h.Close()
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				h := q.NewHandle()
+				defer h.Close()
+				rng := xrand.New()
+				for pb.Next() {
+					h.Insert(rng.Uint64(), 0)
+					h.TryDeleteMin()
+				}
+			})
+		})
+	}
+}
+
 // BenchmarkFig3Throughput is the Figure 3 queue line-up.
 func BenchmarkFig3Throughput(b *testing.B) {
 	for _, spec := range harness.Figure3Specs() {

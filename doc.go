@@ -67,9 +67,9 @@
 // per-handle free lists, the Go translation of the paper's §4.4
 // memory-management scheme: items carry versioned deletion flags (so reuse
 // is ABA-safe), private blocks recycle the moment a merge retires them, and
-// published blocks are reclaimed once epoch stamps and a reader guard prove
-// no spying thread can still hold a pointer. On top of that, items are
-// reference-counted at block-lineage granularity: a reference is acquired
+// published blocks are reclaimed once the epochs that readers announce
+// prove no reading thread can still hold a pointer. On top of that, items
+// are reference-counted at block-lineage granularity: a reference is acquired
 // once when an item enters the structure, transferred — not re-acquired —
 // through every local merge, and released once when its lineage dies; when
 // the last reference on a deleted item drops, the item returns to a

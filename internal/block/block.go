@@ -196,6 +196,15 @@ func (b *Block[V]) Relinquish(from int, owed *[]*item.Item[V]) {
 	}
 }
 
+// Disown appends every reference b holds to owed and leaves b owning none,
+// so its next AcquireRefs takes fresh ones. The DistLSM disowns an overflow
+// block before handing it to the shared k-LSM: its own references then
+// retire with the blocks they came from, after the stores that unlink them.
+func (b *Block[V]) Disown(owed *[]*item.Item[V]) {
+	b.Relinquish(0, owed)
+	b.reffed, b.refHi = false, 0
+}
+
 // commitTransfer records that b owns one reference per occupied slot, all
 // transferred from its donors.
 func (b *Block[V]) commitTransfer() {

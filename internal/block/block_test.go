@@ -21,7 +21,7 @@ func desc(t testing.TB, keys ...uint64) *Block[int] {
 
 // keysOf extracts the key sequence of the occupied prefix.
 // testPool returns an unguarded pool to draw copies and merges from.
-func testPool() *Pool[int] { return NewPool(nil, item.NewPool[int]()) }
+func testPool() *Pool[int] { return NewPool(new(Domain).Register(), item.NewPool[int]()) }
 
 // merge runs MergeTransferIn the way an LSM does, taking the inputs'
 // references first as a lineage entry would; the obligations are dropped.

@@ -14,12 +14,14 @@
 //   - Private blocks — created by the owner and not yet published — are
 //     recycled immediately via Put the moment they are merged away.
 //   - Published blocks — reachable through a DistLSM slot until the owner
-//     unlinks them — go through Retire, which parks them in a limbo list
-//     until the Guard proves no spy that might still hold the pointer is
-//     active. This is the "reuse contract": a retired block re-enters the
-//     free list only once it is unreachable from every published structure.
-//   - Anything the contract cannot prove reusable is simply dropped and the
-//     garbage collector reclaims it — the backstop the C++ version lacks.
+//     unlinks them — go through Retire after the unlinking stores. If no
+//     reader of the queue's epoch domain (epoch.go) is pinned, they recycle
+//     at once; otherwise they park in the pool's limbo, tagged with a fresh
+//     epoch, until every pinned reader has passed it. Finding out scans the
+//     domain's records only if a reader has pinned since the pool's last
+//     scan. This is the "reuse contract": a retired block re-enters the
+//     free list only once it is unreachable from every published structure
+//     and every reader.
 //
 // Item reclamation (§4.4 proper, lineage-batched): every pool carries its
 // handle's item pool and maintains per-item reference counts at
@@ -28,63 +30,20 @@
 // shared k-LSM) — takes one reference per occupied slot, and the transfer
 // merges move those references to each generation's successor instead of
 // re-acquiring them. The references of items a transfer filters out land
-// in the caller's obligation list, which the DistLSM hands to RetireItems,
-// the item-level limbo: they release under the same guard quiescence that
-// gates block reuse (the shared k-LSM parks its own in its epoch limbo and
-// releases them through Release). Every reffed, undonated block
-// this pool recycles or drops releases its references first — releasing
-// happens exactly where the reuse contract already proves the block
-// unreachable, so the proofs carry over to the items. A release that drops
-// an item's last reference returns the (taken) item to the handle's item
-// pool; blocks that overflow the free-list caps or the level bound still
-// release their items before the garbage collector takes the block shell,
-// so deterministic item reuse survives every drop decision except a limbo
-// overflow (counted in LimboLeaked).
+// in the caller's obligation list, which the DistLSM retires with its
+// unlinked blocks: they release under the same epoch proof (the shared
+// k-LSM parks its own in its limbo and releases them through Release).
+// Every reffed, undonated block this pool recycles or drops releases its
+// references first — releasing happens exactly where the reuse contract
+// already proves the block unreachable, so the proofs carry over to the
+// items. A release that drops an item's last reference returns the (taken)
+// item to the handle's item pool; blocks that overflow the free-list caps or
+// the level bound still release their items before the garbage collector
+// takes the block shell. No limbo entry that owns references is ever
+// dropped, so the release ledger is exact.
 package block
 
-import (
-	"sync/atomic"
-
-	"klsm/internal/item"
-)
-
-// Guard counts concurrently active readers of published blocks (spies and
-// melds). Owners consult it before recycling a retired published block: if
-// no reader is active at or after the moment the block became unreachable,
-// no reader can still hold a pointer to it.
-//
-// The quiescence argument: readers obtain block pointers only through
-// atomic slots (DistLSM block slots guarded by the size counter). An owner
-// first unlinks a block (stores the replacement and the new size), then
-// observes active == 0. Under Go's sequentially consistent atomics, any
-// reader that enters afterwards loads the post-unlink state and cannot see
-// the old pointer; any reader that entered before is counted, so the
-// observation fails and the block stays in limbo.
-//
-// A nil *Guard is always quiescent, so Retire degenerates to an immediate
-// Put: correct only for a structure no other goroutine reads.
-type Guard struct {
-	active atomic.Int64
-}
-
-// Enter marks a reader active. Pair with Exit.
-func (g *Guard) Enter() {
-	if g != nil {
-		g.active.Add(1)
-	}
-}
-
-// Exit marks the reader inactive.
-func (g *Guard) Exit() {
-	if g != nil {
-		g.active.Add(-1)
-	}
-}
-
-// Quiescent reports whether no reader is currently active.
-func (g *Guard) Quiescent() bool {
-	return g == nil || g.active.Load() == 0
-}
+import "klsm/internal/item"
 
 const (
 	// freeCapLevel0 and freeCap bound the free list per level; level 0 is
@@ -95,13 +54,6 @@ const (
 	// retired block's slot array is O(capacity), which stops amortizing
 	// against the merge that filled it somewhere around a few MB.
 	maxPoolLevel = 20
-	// limboCap bounds the not-yet-quiescent retired list; overflow is
-	// dropped to the garbage collector, leaking the block's item references
-	// (the items fall back to the GC, counted in LimboLeaked).
-	limboCap = 512
-	// itemLimboCap bounds the dropped-item limbo (RetireItems); overflow
-	// leaks the items' references to the GC, counted in LimboLeaked.
-	itemLimboCap = 1 << 15
 )
 
 // PoolStats is a snapshot of pool counters for tests and diagnostics.
@@ -109,43 +61,49 @@ type PoolStats struct {
 	Gets    int64 // total Get calls
 	Hits    int64 // Gets served from the free list
 	Puts    int64 // blocks recycled (immediately or via limbo)
-	Retired int64 // Retire calls
-	Dropped int64 // blocks abandoned to the GC (caps or level bound)
+	Retired int64 // blocks retired (Retire, Adopt)
+	Dropped int64 // blocks abandoned to the GC (free-list caps or level bound)
 
 	// Item-reclamation counters (§4.4 proper).
 	ItemsReclaimed int64 // taken items returned to the item pool by a final Unref
 	ItemsLostLive  int64 // final Unref on a live item (indicates a bug; see Release)
-	LimboLeaked    int64 // blocks or item obligations dropped at a limbo cap, unreleased
 }
 
 // Pool is a per-handle, level-indexed block free list (§4.4). Not safe for
 // concurrent use: all methods are owner-only.
 type Pool[V any] struct {
-	guard *Guard
+	// rec is the owning handle's record in the queue's epoch domain; its
+	// cursor stamps and its spies pin through it.
+	rec *Record
 	// items is the owning handle's item pool: blocks release their slots'
 	// references here on recycle or drop, and taken items whose last
 	// reference died are recycled into it.
 	items *item.Pool[V]
 	free  [maxPoolLevel + 1][]*Block[V]
-	limbo []*Block[V]
-	// limboItems parks dropped-item references (transfer obligations)
-	// until the guard proves their donor blocks unreadable.
-	limboItems []*item.Item[V]
-	stats      PoolStats
+	// limbo parks retired blocks and obligations until every reader pinned
+	// at their retirement has unpinned.
+	limbo Limbo[V]
+	// quiet records that the last scan of the domain found no reader
+	// pinned, after the domain's pin count read quietAt.
+	quiet   bool
+	quietAt uint64
+	stats   PoolStats
 }
 
-// NewPool returns an empty pool whose Retire path is guarded by g and whose
-// item releases flow into items. Every pool of one queue shares the queue's
-// guard, so spies and Retire agree on reader quiescence.
-func NewPool[V any](g *Guard, items *item.Pool[V]) *Pool[V] {
-	return &Pool[V]{guard: g, items: items}
+// NewPool returns an empty pool owned by the handle announcing through rec,
+// whose item releases flow into items.
+func NewPool[V any](rec *Record, items *item.Pool[V]) *Pool[V] {
+	return &Pool[V]{rec: rec, items: items}
 }
+
+// Record returns the owning handle's record.
+func (p *Pool[V]) Record() *Record { return p.rec }
 
 // Get returns an empty private block of the given level, recycled when
 // possible.
 func (p *Pool[V]) Get(level int) *Block[V] {
 	p.stats.Gets++
-	p.reapLimbo()
+	p.reap()
 	if level <= maxPoolLevel {
 		if fl := p.free[level]; len(fl) > 0 {
 			b := fl[len(fl)-1]
@@ -161,8 +119,8 @@ func (p *Pool[V]) Get(level int) *Block[V] {
 // Release releases one lineage reference on it and reclaims the item if
 // that was the last one (§4.4 proper). The caller supplies the proof that
 // no reader can still acquire the item through the structure the reference
-// guarded (guard quiescence, epoch quiescence, or privacy); the shared
-// k-LSM's epoch limbo releases its obligations through it.
+// guarded (an epoch horizon, or privacy); the limbos release their
+// obligations through it.
 func (p *Pool[V]) Release(it *item.Item[V]) {
 	if !it.Unref() {
 		return
@@ -196,10 +154,10 @@ func (p *Pool[V]) releaseItems(b *Block[V]) {
 
 // Put recycles a block immediately. Contract: b is private — it was never
 // published, or this call site can otherwise prove no other goroutine can
-// reach it (quiescent limbo drains). The block's item references are
-// released first (reclaiming taken items whose last reference died), even
-// when the caps below make the block itself fall to the garbage collector;
-// the bookkeeping is cleared with them, so a block never releases twice.
+// reach it (limbo releases). The block's item references are released
+// first (reclaiming taken items whose last reference died), even when the
+// caps below make the block itself fall to the garbage collector; the
+// bookkeeping is cleared with them, so a block never releases twice.
 func (p *Pool[V]) Put(b *Block[V]) {
 	if b == nil {
 		return
@@ -218,98 +176,64 @@ func (p *Pool[V]) Put(b *Block[V]) {
 	p.free[level] = append(p.free[level], b)
 }
 
-// Retire recycles a block that was published and has now been unlinked by
-// the owner (stores making it unreachable for new readers must precede this
-// call). If the guard is quiescent the block is recycled immediately —
-// together with any blocks parked earlier — otherwise it joins the limbo
-// list until a later quiescent observation. A block dropped at the limbo
-// bound leaks its item references to the GC (counted in LimboLeaked), the
-// one nondeterministic escape left in the reclamation scheme.
-func (p *Pool[V]) Retire(b *Block[V]) {
-	if b == nil {
+// Retire recycles blocks that were published and have now been unlinked by
+// the owner, and releases obligations (references a transfer's donors held
+// beyond what its result took over). Every store that makes them
+// unreachable to new readers must precede the call. If no reader is pinned,
+// they recycle at once, together with everything parked earlier; otherwise
+// they park in the limbo, tagged with a fresh epoch that every reader pinned
+// now is behind, and recycle once each of those has unpinned. The slices'
+// contents are consumed; the slices stay with the caller.
+func (p *Pool[V]) Retire(blocks []*Block[V], items []*item.Item[V]) {
+	if len(blocks)+len(items) == 0 {
 		return
 	}
-	p.stats.Retired++
-	if p.guard.Quiescent() {
-		p.drainLimbo()
-		p.Put(b)
-		return
-	}
-	if len(p.limbo) >= limboCap {
-		p.stats.Dropped++
-		p.stats.LimboLeaked++
-		return
-	}
-	p.limbo = append(p.limbo, b)
-}
-
-// RetireItems parks transfer obligations (the references a transfer's
-// donors held beyond what its result took over) until guard quiescence
-// proves no reader can still reach the items through the donors' blocks. The same contract as
-// Retire: every store unlinking the donors must precede this call. The
-// slice contents are consumed; the slice itself stays with the caller.
-func (p *Pool[V]) RetireItems(items []*item.Item[V]) {
-	if len(items) == 0 {
-		return
-	}
-	if p.guard.Quiescent() {
-		p.drainLimbo()
-		for _, it := range items {
-			p.Release(it)
-		}
-		return
-	}
-	for i, it := range items {
-		if len(p.limboItems) >= itemLimboCap {
-			p.stats.LimboLeaked += int64(len(items) - i)
-			return
-		}
-		p.limboItems = append(p.limboItems, it)
-	}
-}
-
-// Adopt parks obligations handed over from a closing pool (DetachLimbo on
-// the other side). Unlike Retire and RetireItems it applies no cap:
-// dropping an adopted obligation would leak its references for good, and
-// the volume per close is already bounded by the closing pool's own caps.
-// Owner-only, like every other method.
-func (p *Pool[V]) Adopt(blocks []*Block[V], items []*item.Item[V]) {
 	p.stats.Retired += int64(len(blocks))
-	if p.guard.Quiescent() {
-		p.drainLimbo()
-		for _, b := range blocks {
-			p.Put(b)
-		}
-		for _, it := range items {
-			p.Release(it)
-		}
+	if !p.quiescent() {
+		p.limbo.Add(p.rec.dom.Bump(), blocks, items, 0)
 		return
 	}
-	p.limbo = append(p.limbo, blocks...)
-	p.limboItems = append(p.limboItems, items...)
+	for _, b := range blocks {
+		p.Put(b)
+	}
+	for _, it := range items {
+		p.Release(it)
+	}
 }
 
-// DrainLimbo recycles every parked block and dropped-item reference if the
-// guard is quiescent and reports whether the limbo lists are empty
-// afterwards. Owner-only, like every other method; used by shutdown/test
-// quiesce paths that need the parked item references released
-// deterministically.
+// quiescent recycles what the limbo holds below the pin horizon and
+// reports whether no reader is pinned. The records are scanned only if a
+// reader has pinned since the last scan that found none: otherwise none is
+// pinned now, and one that pins later loads only after the caller's
+// unlinking stores.
+func (p *Pool[V]) quiescent() bool {
+	d := p.rec.dom
+	h := inactive
+	if n := d.pins.Load(); !p.quiet || n != p.quietAt {
+		h = d.Horizon(nil, false)
+		p.quiet, p.quietAt = h == inactive, n
+	}
+	p.limbo.Release(h, p, false)
+	return p.quiet
+}
+
+// Adopt takes over the limbo of a closing pool of the same domain, tags
+// and all, so its obligations release here instead of dying with it.
+// Owner-only on both pools.
+func (p *Pool[V]) Adopt(from *Pool[V]) {
+	n, _ := from.limbo.Len()
+	p.stats.Retired += int64(n)
+	p.limbo.Take(&from.limbo, 0, 0, 0)
+	p.reap()
+}
+
+// DrainLimbo recycles every parked block and obligation no pinned reader
+// holds back, and reports whether the limbo is empty afterwards. Used by
+// shutdown and test quiesce paths that need the parked item references
+// released deterministically.
 func (p *Pool[V]) DrainLimbo() bool {
-	p.reapLimbo()
-	return len(p.limbo) == 0 && len(p.limboItems) == 0
-}
-
-// DetachLimbo withdraws and returns the not-yet-quiescent retired blocks
-// and dropped-item references, for handing a closing handle's release
-// obligations to a surviving pool (the §4.4 limbo handoff). Obligations
-// already provably releasable are released in place first; the pool must
-// not Retire afterwards.
-func (p *Pool[V]) DetachLimbo() ([]*Block[V], []*item.Item[V]) {
-	p.reapLimbo()
-	blocks, items := p.limbo, p.limboItems
-	p.limbo = nil
-	p.limboItems = nil
-	return blocks, items
+	p.reap()
+	return p.limbo.Empty()
 }
 
 // TrimFree drops every free-listed block shell to the garbage collector.
@@ -323,27 +247,11 @@ func (p *Pool[V]) TrimFree() {
 	}
 }
 
-// reapLimbo opportunistically recycles parked blocks once quiescence is
-// observed.
-func (p *Pool[V]) reapLimbo() {
-	if (len(p.limbo) > 0 || len(p.limboItems) > 0) && p.guard.Quiescent() {
-		p.drainLimbo()
+// reap recycles what the limbo holds below the pin horizon.
+func (p *Pool[V]) reap() {
+	if !p.limbo.Empty() {
+		p.quiescent()
 	}
-}
-
-// drainLimbo moves every parked block to the free lists and releases every
-// parked item reference. Caller has observed quiescence.
-func (p *Pool[V]) drainLimbo() {
-	for i, b := range p.limbo {
-		p.limbo[i] = nil
-		p.Put(b)
-	}
-	p.limbo = p.limbo[:0]
-	for i, it := range p.limboItems {
-		p.limboItems[i] = nil
-		p.Release(it)
-	}
-	p.limboItems = p.limboItems[:0]
 }
 
 // freeCap returns the free-list bound for a level.
@@ -353,10 +261,6 @@ func (p *Pool[V]) freeCap(level int) int {
 	}
 	return freeCap
 }
-
-// Guard returns the guard retire operations are gated on. Readers of
-// published blocks bracket themselves with it.
-func (p *Pool[V]) Guard() *Guard { return p.guard }
 
 // Stats returns a snapshot of the pool counters (owner-only, like every
 // other method).

@@ -36,7 +36,7 @@ func fillBlock(level, n int) *Block[int] {
 }
 
 func TestPoolGetPutReuse(t *testing.T) {
-	p := NewPool(nil, item.NewPool[int]())
+	p := testPool()
 	b := p.Get(3)
 	if b.Level() != 3 || b.Capacity() != 8 || !b.Empty() {
 		t.Fatalf("bad pooled block: level=%d cap=%d", b.Level(), b.Capacity())
@@ -61,7 +61,7 @@ func TestPoolGetPutReuse(t *testing.T) {
 }
 
 func TestPoolLevelAndCapBounds(t *testing.T) {
-	p := NewPool(nil, item.NewPool[int]())
+	p := testPool()
 	// Over-level blocks are never pooled.
 	big := p.Get(maxPoolLevel + 1)
 	p.Put(big)
@@ -84,61 +84,74 @@ func TestPoolLevelAndCapBounds(t *testing.T) {
 	}
 }
 
+// retire retires one unlinked block.
+func retire(p *Pool[int], b *Block[int]) { p.Retire([]*Block[int]{b}, nil) }
+
 // TestRetireRespectsGuard is the §4.4 reuse contract: a retired published
-// block must not re-enter circulation while a reader that might hold its
-// pointer is active.
+// block must not re-enter circulation while a reader that pinned before its
+// retirement, and so might hold its pointer, is still pinned.
 func TestRetireRespectsGuard(t *testing.T) {
-	var g Guard
-	p := NewPool(&g, item.NewPool[int]())
+	var d Domain
+	p := NewPool(d.Register(), item.NewPool[int]())
+	spy := d.Register()
 
-	g.Enter() // a spy is live
+	spy.Pin() // a spy is live
 	b := fillBlock(2, 3)
-	p.Retire(b)
+	retire(p, b)
 	if got := p.Get(2); got == b {
-		t.Fatal("retired block recycled while a reader was active")
+		t.Fatal("retired block recycled while a reader was pinned")
 	}
 
-	g.Exit() // quiescent: limbo may drain
+	spy.Unpin() // the limbo may drain
 	if got := p.Get(2); got != b {
-		t.Fatal("retired block not recycled after quiescence")
+		t.Fatal("retired block not recycled after the reader unpinned")
 	}
 }
 
+// TestRetireImmediateWhenQuiescent: with no reader pinned a retirement
+// recycles at once, even while another record stamps a cursor — DistLSM
+// blocks wait for reader pins only.
 func TestRetireImmediateWhenQuiescent(t *testing.T) {
-	var g Guard
-	p := NewPool(&g, item.NewPool[int]())
+	var d Domain
+	p := NewPool(d.Register(), item.NewPool[int]())
+	d.Register().Stamp() // an idle cursor
 	b := fillBlock(1, 1)
-	p.Retire(b)
+	retire(p, b)
 	if got := p.Get(1); got != b {
-		t.Fatal("quiescent retire did not recycle immediately")
-	}
-	// A nil guard (single-threaded pools) is always quiescent.
-	p2 := NewPool(nil, item.NewPool[int]())
-	b2 := fillBlock(1, 1)
-	p2.Retire(b2)
-	if got := p2.Get(1); got != b2 {
-		t.Fatal("nil-guard retire did not recycle immediately")
+		t.Fatal("unpinned retire did not recycle immediately")
 	}
 }
 
-func TestLimboCapDropsToGC(t *testing.T) {
-	var g Guard
-	p := NewPool(&g, item.NewPool[int]())
-	g.Enter()
-	for i := 0; i < limboCap+5; i++ {
-		p.Retire(New[int](1))
+// TestRetireSeesPinAfterQuietScan: once a scan found no reader pinned,
+// retirements skip the scan while no reader pins — but a reader that pins
+// afterwards must still hold back what is retired while it reads.
+func TestRetireSeesPinAfterQuietScan(t *testing.T) {
+	var d Domain
+	p := NewPool(d.Register(), item.NewPool[int]())
+	spy := d.Register()
+
+	quiet := fillBlock(2, 3)
+	retire(p, quiet) // no reader: recycled at once, after a scan
+	if got := p.Get(2); got != quiet {
+		t.Fatal("retired block not recycled with no reader pinned")
 	}
-	if len(p.limbo) != limboCap {
-		t.Fatalf("limbo len = %d, want %d", len(p.limbo), limboCap)
+	spy.Pin()
+	b := fillBlock(2, 3)
+	retire(p, b)
+	if got := p.Get(2); got == b {
+		t.Fatal("retired block recycled while a reader that pinned after the quiet scan was pinned")
 	}
-	g.Exit()
+	spy.Unpin()
+	if got := p.Get(2); got != b {
+		t.Fatal("retired block not recycled after the reader unpinned")
+	}
 }
 
 // TestMergeInRecyclesIntermediates checks that the pooled merge/shrink path
 // (MergeTransferIn) produces the right result and feeds its private
 // intermediates back to the pool.
 func TestMergeInRecyclesIntermediates(t *testing.T) {
-	p := NewPool(nil, item.NewPool[int]())
+	p := testPool()
 	// Two level-2 blocks with one live item each: the level-3 merge output
 	// shrinks to level 1, so the merge's own dst is recycled internally.
 	mk := func(key uint64) *Block[int] {
@@ -190,7 +203,7 @@ func TestMergeInRecyclesIntermediates(t *testing.T) {
 }
 
 func TestShrinkInRetiresCopies(t *testing.T) {
-	p := NewPool(nil, item.NewPool[int]())
+	p := testPool()
 	// Level-4 block with 2 live items buried under a taken tail: shrink
 	// copies down to level 1 via intermediate levels.
 	b := p.Get(4)

@@ -6,10 +6,10 @@ import (
 	"klsm/internal/item"
 )
 
-// newReclaimPool returns a guarded pool plus its item pool.
-func newReclaimPool(g *Guard) (*Pool[int], *item.Pool[int]) {
+// newReclaimPool returns a pool registered in d plus its item pool.
+func newReclaimPool(d *Domain) (*Pool[int], *item.Pool[int]) {
 	ip := item.NewPool[int]()
-	return NewPool(g, ip), ip
+	return NewPool(d.Register(), ip), ip
 }
 
 // fillTaken builds a level-l "published" block from p (references acquired,
@@ -27,7 +27,7 @@ func fillTaken(p *Pool[int], ip *item.Pool[int], l, n int) *Block[int] {
 }
 
 func TestAcquireRefsAtLineageEntry(t *testing.T) {
-	p, ip := newReclaimPool(nil)
+	p, ip := newReclaimPool(new(Domain))
 	b := p.Get(2)
 	it := ip.Get(1, 1)
 	b.Append(it)
@@ -52,7 +52,7 @@ func TestAcquireRefsAtLineageEntry(t *testing.T) {
 // donors — the caller marks them donated, after which their release is a
 // no-op.
 func TestMergeTransfersRefs(t *testing.T) {
-	p, ip := newReclaimPool(nil)
+	p, ip := newReclaimPool(new(Domain))
 	b1, b2 := p.Get(1), p.Get(1)
 	lives := []*item.Item[int]{ip.Get(40, 0), ip.Get(30, 0), ip.Get(20, 0)}
 	dead := ip.Get(10, 0)
@@ -93,7 +93,7 @@ func TestMergeTransfersRefs(t *testing.T) {
 		it.TryTake()
 	}
 	p.Put(m)
-	p.RetireItems(owed)
+	p.Retire(nil, owed)
 	if got := ip.Puts(); got != 4 {
 		t.Fatalf("released %d of 4 after lineage death", got)
 	}
@@ -102,7 +102,7 @@ func TestMergeTransfersRefs(t *testing.T) {
 // TestShrinkTransferDonatesToCopy: a compacting shrink moves the original's
 // references to the copy, and the trimmed tail's to the obligations.
 func TestShrinkTransferDonatesToCopy(t *testing.T) {
-	p, ip := newReclaimPool(nil)
+	p, ip := newReclaimPool(new(Domain))
 	b := p.Get(3)
 	items := make([]*item.Item[int], 8)
 	for i := range items {
@@ -135,7 +135,7 @@ func TestShrinkTransferDonatesToCopy(t *testing.T) {
 	items[0].TryTake()
 	items[1].TryTake()
 	p.Put(s)
-	p.RetireItems(owed)
+	p.Retire(nil, owed)
 	if got := ip.Puts(); got != 8 {
 		t.Fatalf("released %d of 8 after copy death", got)
 	}
@@ -144,7 +144,7 @@ func TestShrinkTransferDonatesToCopy(t *testing.T) {
 // TestReleaseCoversShrunkTail: references span [0, refHi) even after the
 // published block's filled shrank below it.
 func TestReleaseCoversShrunkTail(t *testing.T) {
-	p, ip := newReclaimPool(nil)
+	p, ip := newReclaimPool(new(Domain))
 	b := fillTaken(p, ip, 3, 8)
 	if got := b.ShrinkInPlace(); got != 0 {
 		t.Fatalf("ShrinkInPlace left %d", got)
@@ -156,7 +156,7 @@ func TestReleaseCoversShrunkTail(t *testing.T) {
 }
 
 func TestPutReleasesAndReclaims(t *testing.T) {
-	p, ip := newReclaimPool(nil)
+	p, ip := newReclaimPool(new(Domain))
 	b := fillTaken(p, ip, 3, 8)
 	p.Put(b)
 	if got := ip.Puts(); got != 8 {
@@ -177,36 +177,41 @@ func TestPutReleasesAndReclaims(t *testing.T) {
 	}
 }
 
-// TestRetireItemsGatedOnGuard: dropped-item references parked through
-// RetireItems release exactly once, and only at guard quiescence.
-func TestRetireItemsGatedOnGuard(t *testing.T) {
-	var g Guard
-	p, ip := newReclaimPool(&g)
-	items := make([]*item.Item[int], 6)
+// takenRefs returns n taken items holding one reference each, as
+// obligations do.
+func takenRefs(ip *item.Pool[int], n int) []*item.Item[int] {
+	items := make([]*item.Item[int], n)
 	for i := range items {
 		items[i] = ip.Get(uint64(i), i)
 		items[i].Ref()
 		items[i].TryTake()
 	}
-	g.Enter()
-	p.RetireItems(items)
+	return items
+}
+
+// TestRetireItemsGatedOnGuard: retired obligations release exactly once,
+// and only once the reader pinned at their retirement has unpinned.
+func TestRetireItemsGatedOnGuard(t *testing.T) {
+	var d Domain
+	p, ip := newReclaimPool(&d)
+	spy := d.Register()
+	items := takenRefs(ip, 6)
+	spy.Pin()
+	p.Retire(nil, items)
 	if got := ip.Puts(); got != 0 {
-		t.Fatalf("%d items released while the guard was active", got)
+		t.Fatalf("%d items released while a reader was pinned", got)
 	}
-	g.Exit()
+	spy.Unpin()
 	if !p.DrainLimbo() {
-		t.Fatal("item limbo did not drain at quiescence")
+		t.Fatal("limbo did not drain after the unpin")
 	}
 	if got := ip.Puts(); got != int64(len(items)) {
 		t.Fatalf("released %d items, want %d", got, len(items))
 	}
-	// Quiescent path: releases immediately.
-	it := ip.Get(99, 99)
-	it.Ref()
-	it.TryTake()
-	p.RetireItems([]*item.Item[int]{it})
+	// Unpinned path: releases immediately.
+	p.Retire(nil, takenRefs(ip, 1))
 	if got := ip.Puts(); got != int64(len(items))+1 {
-		t.Fatalf("quiescent RetireItems did not release (puts=%d)", got)
+		t.Fatalf("unpinned Retire did not release (puts=%d)", got)
 	}
 }
 
@@ -214,7 +219,7 @@ func TestRetireItemsGatedOnGuard(t *testing.T) {
 // drop paths: blocks the pool refuses to keep (free-list cap, level bound)
 // must release their item references before falling to the GC.
 func TestDroppedBlockStillReleasesItems(t *testing.T) {
-	p, ip := newReclaimPool(nil)
+	p, ip := newReclaimPool(new(Domain))
 	// Overfill level 3's free list (cap 4) so the fifth Put drops.
 	blocks := make([]*Block[int], 5)
 	for i := range blocks {
@@ -240,83 +245,124 @@ func TestDroppedBlockStillReleasesItems(t *testing.T) {
 	}
 }
 
-// TestRetireLimboReleasesAfterQuiescence: references parked in limbo by an
-// active guard release exactly once when the guard quiesces, and a full
-// limbo leaks nothing.
+// TestRetireLimboReleasesAfterQuiescence: references parked in the limbo
+// behind a pinned reader release exactly once when it unpins.
 func TestRetireLimboReleasesAfterQuiescence(t *testing.T) {
-	var g Guard
-	p, ip := newReclaimPool(&g)
-	g.Enter()
-	const blocks = limboCap
+	var d Domain
+	p, ip := newReclaimPool(&d)
+	spy := d.Register()
+	spy.Pin()
+	const blocks = 512
 	for i := 0; i < blocks; i++ {
-		p.Retire(fillTaken(p, ip, 0, 1))
+		retire(p, fillTaken(p, ip, 0, 1))
 	}
 	if got := ip.Puts(); got != 0 {
-		t.Fatalf("%d items released while the guard was active", got)
+		t.Fatalf("%d items released while a reader was pinned", got)
 	}
-	if st := p.Stats(); st.LimboLeaked != 0 {
-		t.Fatalf("leaked %d blocks within the limbo cap", st.LimboLeaked)
-	}
-	g.Exit()
+	spy.Unpin()
 	if !p.DrainLimbo() {
-		t.Fatal("limbo did not drain at quiescence")
+		t.Fatal("limbo did not drain after the unpin")
 	}
 	if got := ip.Puts(); got != blocks {
 		t.Fatalf("released %d items, want exactly %d", got, blocks)
 	}
 }
 
-// TestRetireLimboLeakIsCounted: past the limbo cap the pool gives up and
-// counts the leak instead of blocking.
-func TestRetireLimboLeakIsCounted(t *testing.T) {
-	var g Guard
-	p, ip := newReclaimPool(&g)
-	g.Enter()
-	defer g.Exit()
-	for i := 0; i < limboCap+10; i++ {
-		p.Retire(fillTaken(p, ip, 0, 1))
+// TestPinsReleaseInRetireOrder: two readers pinned at different epochs.
+// What was retired before the later pin recycles once the earlier reader
+// unpins, while the later retirements wait for the later reader — a
+// descheduled reader pins only what was retired after it entered.
+func TestPinsReleaseInRetireOrder(t *testing.T) {
+	var d Domain
+	p, ip := newReclaimPool(&d)
+	early, late := d.Register(), d.Register()
+	early.Pin()
+	first := fillTaken(p, ip, 1, 2)
+	retire(p, first)
+	late.Pin()
+	second := fillTaken(p, ip, 2, 3)
+	retire(p, second)
+	p.Retire(nil, takenRefs(ip, 4))
+	if got := ip.Puts(); got != 0 {
+		t.Fatalf("%d items released with both readers pinned", got)
 	}
-	if st := p.Stats(); st.LimboLeaked != 10 {
-		t.Fatalf("LimboLeaked = %d, want 10", st.LimboLeaked)
+	early.Unpin()
+	if p.DrainLimbo() {
+		t.Fatal("limbo drained while the later reader was pinned")
+	}
+	if got := ip.Puts(); got != 2 {
+		t.Fatalf("released %d items after the early unpin, want the first block's 2", got)
+	}
+	if got := p.Get(1); got != first {
+		t.Fatal("the block retired before the later pin was not recycled")
+	}
+	late.Unpin()
+	if !p.DrainLimbo() {
+		t.Fatal("limbo did not drain after both unpinned")
+	}
+	if got := ip.Puts(); got != 2+3+4 {
+		t.Fatalf("released %d items, want 9", got)
 	}
 }
 
-// TestDetachLimboHandsOverObligations: the close-path handoff moves parked
-// blocks and item references to a surviving pool, which releases them at
-// quiescence into its own item pool — nothing leaks with the guard busy at
-// close time.
+// TestPinnedRetireDropsNothing: while a reader stays pinned, retirements
+// grow the limbo instead of dropping anything — here ten times what a
+// per-handle cap of 512 blocks and 2^15 obligations would keep — and every
+// entry releases exactly once after the unpin.
+func TestPinnedRetireDropsNothing(t *testing.T) {
+	var d Domain
+	p, ip := newReclaimPool(&d)
+	spy := d.Register()
+	spy.Pin()
+	const blocks, items = 10 * 512, 10 << 15
+	for i := 0; i < blocks; i++ {
+		retire(p, fillTaken(p, ip, 0, 1))
+	}
+	for i := 0; i < items; i += 1 << 10 {
+		p.Retire(nil, takenRefs(ip, 1<<10))
+	}
+	if nb, ni := p.limbo.Len(); nb != blocks || ni != items || ip.Puts() != 0 {
+		t.Fatalf("limbo holds %d blocks and %d obligations, released %d; want %d, %d and 0",
+			nb, ni, ip.Puts(), blocks, items)
+	}
+	spy.Unpin()
+	if !p.DrainLimbo() {
+		t.Fatal("limbo did not drain after the unpin")
+	}
+	if got := ip.Puts(); got != blocks+items {
+		t.Fatalf("released %d items, want exactly %d", got, blocks+items)
+	}
+	if st := p.Stats(); st.ItemsLostLive != 0 {
+		t.Fatalf("%d live items released", st.ItemsLostLive)
+	}
+}
+
+// TestDetachLimboHandsOverObligations: the close-path handoff (Adopt) moves
+// parked blocks and item references, tags and all, to a surviving pool,
+// which releases them into its own item pool once the reader pinned at
+// their retirement unpins — nothing leaks with a reader pinned at close.
 func TestDetachLimboHandsOverObligations(t *testing.T) {
-	var g Guard
-	closing, closingItems := newReclaimPool(&g)
-	g.Enter()
+	var d Domain
+	closing, closingItems := newReclaimPool(&d)
+	spy := d.Register()
+	spy.Pin()
 	const blocks = 8
 	for i := 0; i < blocks; i++ {
-		closing.Retire(fillTaken(closing, closingItems, 0, 1))
+		retire(closing, fillTaken(closing, closingItems, 0, 1))
 	}
-	dropped := closingItems.Get(77, 77)
-	dropped.Ref()
-	dropped.TryTake()
-	closing.RetireItems([]*item.Item[int]{dropped})
+	closing.Retire(nil, takenRefs(closingItems, 1))
 
-	orphans, orphanItems := closing.DetachLimbo()
-	if len(orphans) != blocks || len(orphanItems) != 1 {
-		t.Fatalf("detached %d blocks / %d items, want %d / 1", len(orphans), len(orphanItems), blocks)
+	survivor, survivorItems := newReclaimPool(&d)
+	survivor.Adopt(closing)
+	if nb, ni := survivor.limbo.Len(); nb != blocks || ni != 1 || !closing.limbo.Empty() {
+		t.Fatalf("adopted %d blocks / %d items, want %d / 1, closing limbo emptied", nb, ni, blocks)
 	}
-	if b, it := closing.DetachLimbo(); b != nil || it != nil {
-		t.Fatalf("second detach returned %d blocks / %d items", len(b), len(it))
-	}
-
-	survivor, survivorItems := newReclaimPool(&g)
-	for _, b := range orphans {
-		survivor.Retire(b)
-	}
-	survivor.RetireItems(orphanItems)
 	if got := survivorItems.Puts(); got != 0 {
-		t.Fatalf("%d items released under an active guard", got)
+		t.Fatalf("%d items released under a pinned reader", got)
 	}
-	g.Exit()
+	spy.Unpin()
 	if !survivor.DrainLimbo() {
-		t.Fatal("adopted limbo did not drain at quiescence")
+		t.Fatal("adopted limbo did not drain after the unpin")
 	}
 	if got := survivorItems.Puts(); got != blocks+1 {
 		t.Fatalf("adopting pool released %d items, want %d", got, blocks+1)

@@ -8,8 +8,8 @@ import (
 )
 
 // TestCloseUnderBusyGuardLeaksNothing targets the §4.4 limbo handoff: a
-// handle that closes while the queue-wide guard is busy cannot recycle its
-// parked limbo blocks (or their item references) itself — before the
+// handle that closes while a reader stays pinned cannot recycle what it
+// retired after the pin (blocks or item references) itself — before the
 // handoff they simply died with the handle's pool and every item that
 // passed through it leaked to the GC. With the handoff, the obligations
 // move to the queue's reaper and the exactly-once ledger must still balance
@@ -26,12 +26,13 @@ func TestCloseUnderBusyGuardLeaksNothing(t *testing.T) {
 
 	for r := 0; r < rounds; r++ {
 		h := q.NewHandle()
+		spy := q.dom.Register()
 		for i := 0; i < perHandle; i++ {
-			// Make the guard busy for the tail of the round, so the final
+			// Pin a reader for the tail of the round, so the final
 			// operations' retires park in limbo instead of recycling — the
 			// state a real spy race leaves behind at close time.
 			if i == perHandle-200 {
-				q.guard.Enter()
+				spy.Pin()
 			}
 			h.Insert(rng.Uint64n(1<<40), i)
 			inserted++
@@ -41,10 +42,11 @@ func TestCloseUnderBusyGuardLeaksNothing(t *testing.T) {
 				}
 			}
 		}
-		// Close with the guard busy: the handle cannot release its parked
-		// obligations itself and must hand them to the queue's reaper.
+		// Close with the reader pinned: the handle cannot release its
+		// parked obligations itself and must hand them to the queue's
+		// reaper.
 		h.Close()
-		q.guard.Exit()
+		q.dom.Withdraw(spy)
 	}
 
 	h := q.NewHandle()
@@ -69,7 +71,7 @@ func TestCloseUnderBusyGuardLeaksNothing(t *testing.T) {
 }
 
 // TestCloseConcurrentWithSpiesBalancesLedger drives closes against live spy
-// traffic (real guard activity, not a synthetic pin): workers churn
+// traffic (real pins, not a synthetic one): workers churn
 // insert/delete through short-lived handles while a consumer with an empty
 // DistLSM forces spying, then everything is drained and the ledger checked.
 // Run under -race in CI.
@@ -78,10 +80,8 @@ func TestCloseConcurrentWithSpiesBalancesLedger(t *testing.T) {
 	const (
 		workers = 3
 		ops     = 6_000
-		// closeEvery keeps each handle segment's retire volume below the
-		// per-handle limbo cap: the §4.4 caps legitimately drop overflow to
-		// the GC (counted in LimboLeaked), and this test asserts the
-		// zero-leak ledger for workloads inside the caps.
+		// closeEvery is how often a worker closes its handle and opens a
+		// new one mid-stream.
 		closeEvery = 500
 	)
 	var wg sync.WaitGroup
@@ -111,7 +111,7 @@ func TestCloseConcurrentWithSpiesBalancesLedger(t *testing.T) {
 		}(w)
 	}
 	// The spy-heavy consumer: its DistLSM starts empty, so deletes must spy
-	// into the workers' structures, keeping the guard busy for real.
+	// into the workers' structures, pinning for real.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()

@@ -151,9 +151,10 @@ func TestDeleteRefStress(t *testing.T) {
 // inserters' local structures (spyDue). Every pop must be at or below its
 // bound and carry its own payload, and every item must leave exactly once,
 // by a pop or by a Delete, never both; no live item may be released. The
-// §4.4 ledger is logged, not asserted: constant due-bounded spying keeps the
-// queue's reader guard busy, so owners overflow their limbo caps and drop
-// blocks to the GC (LimboLeaked), with or without Delete.
+// §4.4 ledger is exact as well: constant due-bounded spying keeps readers
+// pinned, yet each retirement waits only for the readers pinned when it was
+// made and no limbo drops an entry that owns references, so after Quiesce
+// releases == inserts and nothing leaked.
 func TestDeleteRefBoundedDrain(t *testing.T) {
 	const (
 		inserters = 4
@@ -226,6 +227,12 @@ func TestDeleteRefBoundedDrain(t *testing.T) {
 		inserted, byPop, byDelete, rs.ItemPuts, rs.LimboLeaked)
 	if rs.ItemsLostLive != 0 {
 		t.Fatalf("%d live items hit refcount zero (reachability bug)", rs.ItemsLostLive)
+	}
+	if rs.LimboLeaked != 0 {
+		t.Fatalf("%d obligations leaked at the shared limbo cap", rs.LimboLeaked)
+	}
+	if rs.ItemPuts != inserted {
+		t.Fatalf("item releases = %d, want exactly %d", rs.ItemPuts, inserted)
 	}
 }
 

@@ -23,10 +23,13 @@ func (h *Handle[V]) Meld(other *Queue[V]) {
 	// shared-side inserts below would invalidate the anchor anyway; flushing
 	// up front keeps the reasoning local.
 	h.bufInvalidate()
-	// Announce this reader to other's guard for the §4.4 reuse contract:
-	// while active, none of other's handles recycles a retired published
-	// block, so every block pointer read below stays valid.
-	other.guard.Enter()
+	// Pin a guest record in other's epoch domain before reading any of its
+	// blocks (§4.4 reuse contract): while pinned, none of other's handles
+	// recycles a block, or releases an obligation, retired after the pin,
+	// so every block pointer read below stays valid. The guest's stamp
+	// stays inactive: the pin alone covers other's shared blocks too.
+	guest := other.dom.Register()
+	guest.Pin()
 	// Move the contents of every handle-local DistLSM of other. Spy gives a
 	// consistent-enough copy (it never misses an item that was present when
 	// other went quiescent); inserting the copied blocks into q's shared
@@ -61,7 +64,7 @@ func (h *Handle[V]) Meld(other *Queue[V]) {
 			h.q.shared.Insert(h.cursor, s)
 		}
 	}
-	other.guard.Exit()
+	other.dom.Withdraw(guest)
 	// Account the moved items on this handle so Size stays within its
 	// relaxed bound: melded items were counted in other's balance — its open
 	// handles, the totals of its closed handles and its Deletes — so transfer

@@ -109,16 +109,17 @@ type Queue[V any] struct {
 	// must stay spy-able. Guarded by mu.
 	zombies []*distlsm.Dist[V]
 
-	// guard is the queue-wide reader guard of the §4.4 recycling scheme:
-	// spies and melds announce themselves here, and no handle recycles a
-	// retired published block while a reader is active. One guard per queue
-	// — every handle pool and the shared k-LSM share it.
-	guard block.Guard
+	// dom is the queue's epoch domain, its one §4.4 reclamation scheme:
+	// every handle registers one record, which its pool and its cursor
+	// share — the cursor stamps it, the spies pin it — and melds from this
+	// queue pin a guest record. Every pool and the shared k-LSM recycle
+	// what the announcements have passed.
+	dom block.Domain
 
 	// The reaper adopts the §4.4 release obligations of closing handles:
-	// limbo blocks and dropped-item references a busy guard kept parked,
-	// which would otherwise die with the handle's pool, leaking their
-	// items to the GC uncounted. reaperMu serializes the adoption and
+	// limbo blocks and dropped-item references a pinned reader kept
+	// parked, which would otherwise die with the handle's pool, leaking
+	// their items to the GC uncounted. reaperMu serializes the adoption and
 	// drain paths — close and Quiesce, never the operation hot paths.
 	reaperMu    sync.Mutex
 	reaperPool  *block.Pool[V]
@@ -129,8 +130,8 @@ type Queue[V any] struct {
 	closedReclaim ReclaimStats
 
 	// refDeleted counts successful Deletes, which run on no handle. It is
-	// last so that its writes share no cache line with guard, which every
-	// retire reads.
+	// last so that its writes share no cache line with dom's epoch, which
+	// every pin and refresh reads.
 	refDeleted atomic.Int64
 }
 
@@ -156,7 +157,8 @@ func NewQueue[V any](cfg Config[V]) *Queue[V] {
 		q.shared.SetDrop(cfg.Drop)
 	}
 	q.reaperItems = item.NewPool[V]()
-	q.reaperPool = block.NewPool(&q.guard, q.reaperItems)
+	// The reaper reads no published block; its record announces nothing.
+	q.reaperPool = block.NewPool(q.dom.Register(), q.reaperItems)
 	empty := []*distlsm.Dist[V]{}
 	q.victims.Store(&empty)
 	return q
@@ -259,12 +261,13 @@ func (q *Queue[V]) NewHandle() *Handle[V] {
 	if q.cfg.Mode == DistOnly {
 		kBound = -1 // unbounded: no overflow target exists
 	}
-	// §4.4 recycling: one block pool and one item pool per handle, all
-	// block pools gated by the queue-wide guard. Blocks from the pool
-	// refcount their item slots and release them into the handle's item
-	// pool when the block is recycled or dropped.
+	// §4.4 recycling: one block pool and one item pool per handle, and one
+	// record in the queue's epoch domain, which the pool and the cursor
+	// share. Blocks from the pool refcount their item slots and release
+	// them into the handle's item pool when the block is recycled or
+	// dropped.
 	h.items = item.NewPool[V]()
-	h.pool = block.NewPool(&q.guard, h.items)
+	h.pool = block.NewPool(q.dom.Register(), h.items)
 	h.dist = distlsm.New(id, kBound, h.pool)
 	if q.cfg.Drop != nil {
 		h.dist.SetDrop(q.cfg.Drop)
@@ -367,25 +370,25 @@ func (h *Handle[V]) Close() {
 	q.rebuildVictims()
 	// Preserve the operation totals for Size and the counters for Stats.
 	h.addStats(&q.closedStats)
-	// Withdraw the cursor from the reclamation epoch scheme so an idle
-	// closed handle does not pin retired blocks forever.
-	q.shared.RetireCursor(h.cursor)
+	// Hand the cursor's parked entries to the shared limbo, then withdraw
+	// the handle's record so an idle closed handle does not pin retired
+	// blocks forever.
+	q.shared.DrainRetired(h.cursor)
+	q.dom.Withdraw(h.pool.Record())
 	// Hand the §4.4 release obligations that would die with this handle to
-	// the queue's reaper: limbo blocks and dropped-item references a busy
-	// guard kept parked. Without the handoff those references are never
-	// released and their items leak to the GC whenever a close races an
-	// active spy or meld.
-	limbo, limboItems := h.pool.DetachLimbo()
+	// the queue's reaper: limbo blocks and dropped-item references a
+	// pinned reader kept parked. Without the handoff those references are
+	// never released and their items leak to the GC whenever a close races
+	// a spy or meld.
 	q.reaperMu.Lock()
 	ps := h.pool.Stats()
 	q.closedReclaim.ItemsReclaimed += ps.ItemsReclaimed
 	q.closedReclaim.ItemsLostLive += ps.ItemsLostLive
-	q.closedReclaim.LimboLeaked += ps.LimboLeaked
 	q.closedReclaim.ItemPuts += h.items.Puts()
 	a, r := h.items.Stats()
 	q.closedReclaim.ItemSlabAllocs += a
 	q.closedReclaim.ItemReuses += r
-	q.reaperPool.Adopt(limbo, limboItems)
+	q.reaperPool.Adopt(h.pool)
 	// The reaper's pools only ever absorb obligations — nothing draws from
 	// them — so drop what the adoption just reclaimed (items and block
 	// shells) to the GC instead of pinning it for the queue's lifetime. The
@@ -397,8 +400,8 @@ func (h *Handle[V]) Close() {
 
 // Quiesce drives every deferred reclamation step to completion: it
 // consolidates each handle's DistLSM (retiring fully dead blocks), runs a
-// shared-k-LSM maintenance pass per handle, advances every cursor's epoch
-// stamp, and drains the shared and per-handle limbo lists. After Quiesce on
+// shared-k-LSM maintenance pass per handle, restamps every handle's epoch
+// record, and drains the shared and per-handle limbos. After Quiesce on
 // a queue whose items have all been deleted, every block has been recycled
 // or dropped and every taken item has been released to an item pool exactly
 // once.
@@ -429,7 +432,7 @@ func (q *Queue[V]) Quiesce() {
 		// by the passes above carry epochs newer than the stamps the passes
 		// left behind.
 		for _, h := range hs {
-			q.shared.RefreshStamp(h.cursor)
+			h.pool.Record().Stamp()
 		}
 		for _, h := range hs {
 			q.shared.DrainRetired(h.cursor)
@@ -439,9 +442,9 @@ func (q *Queue[V]) Quiesce() {
 		h.pool.DrainLimbo()
 	}
 	// Drain the reaper's adopted limbo: obligations handed over by closed
-	// handles release here once the guard is quiescent. Nothing draws from
-	// the reaper's item pool, so reclaimed items fall to the GC once their
-	// ledger entry is counted.
+	// handles release here once no reader pinned before their retirement
+	// is left. Nothing draws from the reaper's item pool, so reclaimed
+	// items fall to the GC once their ledger entry is counted.
 	q.reaperMu.Lock()
 	q.reaperPool.DrainLimbo()
 	q.reaperItems.TrimFree(0)

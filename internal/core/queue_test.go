@@ -375,6 +375,47 @@ func TestMeldMovesClosedBalance(t *testing.T) {
 	}
 }
 
+// TestMeldPinsSourceRetirements: Meld reads the source's blocks under a
+// guest record pinned in the source's epoch domain, so no source handle
+// recycles what it retires while the meld runs. The destination's drop
+// filter runs inside Meld (its shared inserts merge the copies); there the
+// source's owner consolidates away a block holding the last reference to a
+// taken item, which must park until Meld withdraws its guest.
+func TestMeldPinsSourceRetirements(t *testing.T) {
+	src := combined(256)
+	hs := src.NewHandle()
+	// DistLSM: a level-1 block [20 10] and a level-0 block [30].
+	for _, k := range []uint64{10, 20, 30} {
+		hs.Insert(k, int(k))
+	}
+	if k, _, ok := hs.TryDeleteMin(); !ok || k != 10 {
+		t.Fatalf("pop = %d, %v, want 10", k, ok)
+	}
+	probed := false
+	var during int64
+	dst := NewQueue(Config[int]{K: 256, Mode: Combined, LocalOrdering: true,
+		Drop: func(uint64, int) bool {
+			if !probed {
+				probed = true
+				hs.dist.Consolidate() // retires the block owing item 10
+				during = hs.pool.Stats().ItemsReclaimed
+			}
+			return false
+		}})
+	hd := dst.NewHandle()
+	hd.Meld(src)
+	if !probed {
+		t.Fatal("the destination's filter never ran inside Meld")
+	}
+	if during != 0 {
+		t.Fatalf("the source reclaimed %d items while Meld was reading it", during)
+	}
+	src.Quiesce()
+	if got := hs.pool.Stats().ItemsReclaimed; got != 1 {
+		t.Fatalf("the source reclaimed %d items after Meld, want 1", got)
+	}
+}
+
 func TestPayloadIntegrity(t *testing.T) {
 	type payload struct {
 		A string

@@ -79,9 +79,10 @@ type ReclaimStats struct {
 	// always zero unless reachability is broken somewhere (asserted by the
 	// accounting tests).
 	ItemsLostLive int64
-	// LimboLeaked counts blocks dropped at a limbo cap with their item
-	// references unreleased (per-handle pools plus the shared structure) —
-	// the one GC fallback left in the reclamation scheme.
+	// LimboLeaked counts obligations the shared k-LSM dropped at its limbo
+	// cap (an idle cursor's stamp can hold its limbo back without bound),
+	// their item references unreleased — the one GC fallback left in the
+	// reclamation scheme.
 	LimboLeaked int64
 }
 
@@ -95,7 +96,6 @@ func (q *Queue[V]) ReclaimStats() ReclaimStats {
 		ps := h.pool.Stats()
 		rs.ItemsReclaimed += ps.ItemsReclaimed
 		rs.ItemsLostLive += ps.ItemsLostLive
-		rs.LimboLeaked += ps.LimboLeaked
 		rs.ItemPuts += h.items.Puts()
 		a, r := h.items.Stats()
 		rs.ItemSlabAllocs += a
@@ -106,7 +106,6 @@ func (q *Queue[V]) ReclaimStats() ReclaimStats {
 	ps := q.reaperPool.Stats()
 	cr.ItemsReclaimed += ps.ItemsReclaimed
 	cr.ItemsLostLive += ps.ItemsLostLive
-	cr.LimboLeaked += ps.LimboLeaked
 	cr.ItemPuts += q.reaperItems.Puts()
 	q.reaperMu.Unlock()
 	rs.ItemsReclaimed += cr.ItemsReclaimed
@@ -114,8 +113,7 @@ func (q *Queue[V]) ReclaimStats() ReclaimStats {
 	rs.ItemReuses += cr.ItemReuses
 	rs.ItemSlabAllocs += cr.ItemSlabAllocs
 	rs.ItemsLostLive += cr.ItemsLostLive
-	rs.LimboLeaked += cr.LimboLeaked
-	rs.LimboLeaked += q.shared.LimboLeaked()
+	rs.LimboLeaked = q.shared.LimboLeaked()
 	return rs
 }
 

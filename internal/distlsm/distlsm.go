@@ -25,18 +25,22 @@
 // Memory reclamation (§4.4): the owner draws blocks from its per-handle pool;
 // private blocks (the per-insert level-0 block, merge intermediates) recycle
 // the moment they are merged away, while published blocks are retired only
-// after the stores that unlink them, gated by the queue-wide spy guard. An
+// after the stores that unlink them. Spy and SpyBelow pin the spying
+// handle's record in the queue's epoch domain before they load a victim's
+// slots, and a retirement waits for every reader pinned when it was made —
+// not for readers that pin later, which cannot see the unlinked block. An
 // item's reference is acquired once at insert (the level-0 block) or at a spy
 // copy, and every merge or compaction in this package *transfers* its inputs'
 // references to the result (block.MergeTransferIn / ShrinkTransferIn) instead
 // of re-acquiring them — zero refcount traffic per generation for surviving
 // items. The references of items a merge filters out collect in the
-// operation's obligation list (owed) and are parked in the pool's item limbo
-// right after the stores that unlink their donor blocks; the pool releases
+// operation's obligation list (owed) and are retired with the operation's
+// unlinked blocks right after the stores that unlink them; the pool releases
 // every reference exactly when the reuse contract proves the holder dead,
-// returning taken items to the handle's item pool. Blocks overflowing to the
-// shared k-LSM carry their references with them. See DESIGN.md,
-// "Deterministic item reclamation".
+// returning taken items to the handle's item pool. A block overflowing to
+// the shared k-LSM takes references of its own there; the DistLSM's retire
+// with the blocks it was merged from. See DESIGN.md, "Deterministic item
+// reclamation".
 package distlsm
 
 import (
@@ -92,9 +96,8 @@ type Dist[V any] struct {
 	// pool is the owner handle's §4.4 block free list. Private blocks
 	// (the per-insert level-0 block, merge intermediates) recycle
 	// immediately; published blocks that the owner unlinks go through
-	// Retire, whose guard keeps them parked while any spy that might
-	// still hold their pointer is active. All pools of one queue share
-	// that queue's guard, which Spy brackets.
+	// Retire, which parks them while a spy pinned before the unlink may
+	// still hold their pointer. The pool's record is the one Spy pins.
 	pool *block.Pool[V]
 	// retireScratch and consolidation scratch buffers avoid per-call slice
 	// allocations on the owner's hot paths; owed collects one operation's
@@ -141,8 +144,9 @@ func maxLevelFor(k int) int {
 
 // New returns a Dist owned by handle ownerID, bounded for relaxation
 // parameter k, drawing its blocks from the owner handle's pool (§4.4). k < 0
-// means unbounded (standalone DLSM mode). The pool's guard must be shared by
-// every pool of the queue so Spy and Retire agree on reader quiescence.
+// means unbounded (standalone DLSM mode). The pool's record must belong to
+// the epoch domain of every pool of the queue, so that Spy's pins hold back
+// every owner's retirements.
 func New[V any](ownerID uint64, k int, pool *block.Pool[V]) *Dist[V] {
 	d := &Dist[V]{ownerID: ownerID, ownerMask: bloom.Mask(ownerID), pool: pool, cacheLen: -1}
 	if k < 0 {
@@ -191,7 +195,7 @@ func (d *Dist[V]) MaxLevel() int { return int(d.maxLevel.Load()) }
 // the local slots are compacted, so reachability is never interrupted — and
 // because the overflow target receives a block nothing else references, it
 // is free to recycle it (Shared.Insert assumes exactly that). The evicted
-// originals go through the guard-gated Retire once unlinked.
+// originals are retired once unlinked.
 func (d *Dist[V]) evictOversized(maxLevel int, overflow func(*block.Block[V])) {
 	sz := int(d.size.Load())
 	if sz == 0 {
@@ -239,11 +243,7 @@ func (d *Dist[V]) evictOversized(maxLevel int, overflow func(*block.Block[V])) {
 	}
 	// The originals are now unreachable to new spies: recycle under the
 	// reuse contract.
-	for j, b := range unlinked {
-		unlinked[j] = nil
-		d.pool.Retire(b)
-	}
-	d.retireScratch = unlinked[:0]
+	d.retire(unlinked)
 }
 
 // Insert adds it to the Dist (owner only). Following Listing 4, a level-0
@@ -344,21 +344,23 @@ func (d *Dist[V]) insertBlock(b *block.Block[V], overflow func(*block.Block[V]))
 	switch {
 	case b.Empty():
 		// Everything merged away (drop callback / logical deletions). b may
-		// still own a trimmed tail, so it goes through Retire — releasing
-		// is safe only once the size store has unlinked the consumed blocks
-		// and the guard is quiescent.
+		// still own a trimmed tail, so it is retired with the consumed
+		// blocks — releasing is safe only once the size store has unlinked
+		// them and the spies pinned before it are done.
 		d.size.Store(int64(i))
-		d.pool.Retire(b)
+		unlinked = append(unlinked, b)
 		if cached {
 			newLen = i
 		}
 	case overflow != nil && b.Level() >= maxLevel:
 		// Publish to the shared k-LSM first; only then drop local
 		// references (reachability is never interrupted, items are briefly
-		// duplicated instead). Ownership of b — including its transferred
-		// item references — moves to the shared k-LSM, which releases none
-		// of them before this cursor's next shared operation, i.e. after
-		// the size store below unlinks b's donors.
+		// duplicated instead). b's items stay reachable through its donors
+		// until the size store below, so the DistLSM keeps its references
+		// to them: they join the obligations and retire with the donors,
+		// while the shared k-LSM acquires its own. Whatever cursors later
+		// do with b there, a spy pinned before the store holds the items.
+		b.Disown(&d.owed)
 		overflow(b)
 		d.stats.overflows.Add(1)
 		d.size.Store(int64(i))
@@ -379,23 +381,21 @@ func (d *Dist[V]) insertBlock(b *block.Block[V], overflow func(*block.Block[V]))
 		}
 	}
 	d.cacheLen = newLen
-	// The obligations of the merges (items they filtered out) park only
-	// now, after the size store unlinked every donor block.
-	d.retireOwed()
-	for j, ub := range unlinked {
-		unlinked[j] = nil
-		d.pool.Retire(ub)
-	}
-	d.retireScratch = unlinked[:0]
+	// The merged-away blocks and the merges' obligations (items they
+	// filtered out) retire only now, after the size store unlinked them.
+	d.retire(unlinked)
 	return keptLocal
 }
 
-// retireOwed parks the obligations the operation's transfers collected
-// (owner only). Call it after the stores that unlink their donor blocks.
-func (d *Dist[V]) retireOwed() {
-	d.pool.RetireItems(d.owed)
+// retire hands the blocks an operation unlinked, and the obligations its
+// transfers collected, to the pool (owner only). Call it after the stores
+// that unlink them.
+func (d *Dist[V]) retire(unlinked []*block.Block[V]) {
+	d.pool.Retire(unlinked, d.owed)
 	clear(d.owed)
 	d.owed = d.owed[:0]
+	clear(unlinked)
+	d.retireScratch = unlinked[:0]
 }
 
 // FindMin returns the live minimum item without removing it (owner only), or
@@ -578,8 +578,8 @@ func (d *Dist[V]) Consolidate() {
 		}
 		if s.Empty() {
 			// An emptied original, or an empty fresh copy that may still own
-			// a trimmed tail: Retire (via the unlinked list) gates their
-			// release on the publication stores below and guard quiescence.
+			// a trimmed tail: retiring them (via the unlinked list) gates
+			// their release on the publication stores below.
 			unlinked = append(unlinked, s)
 			continue
 		}
@@ -626,17 +626,12 @@ func (d *Dist[V]) Consolidate() {
 		d.mins[i] = r.Min()
 	}
 	d.cacheLen = len(runs)
-	// The merges' obligations park in the item limbo now that the stores
-	// above unlinked every donor block.
-	d.retireOwed()
-	for j, ub := range unlinked {
-		unlinked[j] = nil
-		d.pool.Retire(ub)
-	}
+	// The unlinked blocks and the merges' obligations retire now that the
+	// stores above unlinked every donor block.
+	d.retire(unlinked)
 	clear(runs)
 	d.runScratch = runs[:0]
 	d.freshScratch = fresh[:0]
-	d.retireScratch = unlinked[:0]
 }
 
 // Spy copies the victim's blocks into d (owner of d only; victim may be
@@ -647,12 +642,12 @@ func (d *Dist[V]) Spy(victim *Dist[V]) bool {
 	if victim == nil || victim == d {
 		return d.size.Load() != 0
 	}
-	// Announce this reader to the queue-wide guard: while active, no owner
-	// recycles a retired published block, so every pointer read below stays
+	// Pin this reader before loading any victim slot: while pinned, no
+	// owner recycles a block it unlinks, so every pointer read below stays
 	// valid even if the victim unlinks it mid-copy (§4.4).
-	g := d.pool.Guard()
-	g.Enter()
-	defer g.Exit()
+	rec := d.pool.Record()
+	rec.Pin()
+	defer rec.Unpin()
 	copied := d.spyBlocks(victim, ^uint64(0))
 	if copied > 0 {
 		d.stats.spies.Add(1)
@@ -673,9 +668,9 @@ func (d *Dist[V]) SpyBelow(victim *Dist[V], bound uint64) bool {
 	if victim == nil || victim == d {
 		return false
 	}
-	g := d.pool.Guard()
-	g.Enter()
-	defer g.Exit()
+	rec := d.pool.Record()
+	rec.Pin()
+	defer rec.Unpin()
 	// Pre-scan for a live key <= bound. LiveMin is read-only and safe on a
 	// foreign block; the victim's owner-local min cache is NOT consulted
 	// (it is unsynchronized plain state).
@@ -706,8 +701,7 @@ func (d *Dist[V]) SpyBelow(victim *Dist[V], bound uint64) bool {
 // bound filters which blocks are worth taking: a block whose live minimum
 // exceeds it cannot contain a due key and is skipped, so a bounded spy
 // copies only the slice of the victim that can actually serve the drain —
-// Spy passes ^uint64(0) to take everything. Must run under an entered
-// guard (see Spy).
+// Spy passes ^uint64(0) to take everything. Must run pinned (see Spy).
 func (d *Dist[V]) spyBlocks(victim *Dist[V], bound uint64) int64 {
 	vsz := int(victim.size.Load())
 	copied := int64(0)
@@ -737,8 +731,8 @@ func (d *Dist[V]) spyBlocks(victim *Dist[V], bound uint64) int64 {
 			d.pool.Put(nb)
 			continue
 		}
-		// Publication under the guard: the victim's block cannot release
-		// its references while this reader is active, so acquiring ours
+		// Publication under the pin: the victim's block cannot release
+		// its references while this reader is pinned, so acquiring ours
 		// here never races a final release.
 		nb.AcquireRefs()
 		d.blocks[sz].Store(nb)
@@ -760,7 +754,7 @@ func (d *Dist[V]) spyBlocks(victim *Dist[V], bound uint64) int64 {
 // a CopyDropIn copy, then a Consolidate pass restores the level invariant
 // and recompacts. The copy re-acquires its own item references before
 // publication (the spy-copy protocol), and the unlinked originals release
-// theirs through Retire — items the copy skips are released exactly once,
+// theirs when retired — items the copy skips are released exactly once,
 // by the original block's retirement.
 func (d *Dist[V]) Purge() {
 	sz := int(d.size.Load())
@@ -785,11 +779,7 @@ func (d *Dist[V]) Purge() {
 		unlinked = append(unlinked, b)
 	}
 	d.cacheLen = -1
-	for j, ub := range unlinked {
-		unlinked[j] = nil
-		d.pool.Retire(ub)
-	}
-	d.retireScratch = unlinked[:0]
+	d.retire(unlinked)
 	d.Consolidate()
 }
 
@@ -827,15 +817,12 @@ func (d *Dist[V]) DrainTo(overflow func(*block.Block[V])) {
 	d.cacheLen = 0
 	// Retire the drained originals once the size store above unlinks them.
 	// The pool dies with the closing handle, so for pure block reuse this
-	// would be pointless — but Retire releases the originals' item
-	// references (immediately when the guard is quiescent, which is the
-	// common case on close), without which every item that passed through
-	// this handle would stay GC-backstopped forever.
-	for j, b := range unlinked {
-		unlinked[j] = nil
-		d.pool.Retire(b)
-	}
-	d.retireScratch = unlinked[:0]
+	// would be pointless — but retiring releases the originals' item
+	// references (at once when no spy is pinned, the common case on close;
+	// otherwise through the limbo the closing handle hands to the queue),
+	// without which every item that passed through this handle would stay
+	// GC-backstopped forever.
+	d.retire(unlinked)
 }
 
 // Empty reports whether the owner currently sees no blocks. Live items may

@@ -10,13 +10,13 @@ import (
 	"klsm/internal/xrand"
 )
 
-// testGuard is the reader guard every pool of newDist shares, as all pools
-// of one queue share the queue's guard.
-var testGuard block.Guard
+// testDomain is the epoch domain every pool of newDist registers in, as all
+// pools of one queue register in the queue's domain.
+var testDomain block.Domain
 
-// newDist returns a Dist drawing from a fresh pool under testGuard.
+// newDist returns a Dist drawing from a fresh pool registered in testDomain.
 func newDist[V any](ownerID uint64, k int) *Dist[V] {
-	return New(ownerID, k, block.NewPool(&testGuard, item.NewPool[V]()))
+	return New(ownerID, k, block.NewPool(testDomain.Register(), item.NewPool[V]()))
 }
 
 // drain repeatedly takes the minimum from d (owner-style delete-min) until
@@ -247,7 +247,7 @@ func TestFindMinSkipsTaken(t *testing.T) {
 // live and still referenced.
 func TestFindMinAfterConsolidateIsReferenced(t *testing.T) {
 	ip := item.NewPool[int]()
-	d := New(1, -1, block.NewPool(nil, ip)) // nil guard: releases happen at once
+	d := New(1, -1, block.NewPool(new(block.Domain).Register(), ip)) // no reader: releases happen at once
 	dead := map[uint64]bool{}
 	d.SetDrop(func(key uint64, _ int) bool { return dead[key] })
 
@@ -293,13 +293,16 @@ func TestConcurrentSpyWhileInserting(t *testing.T) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
+			// One record per spying goroutine: a thief per round must not
+			// register a record per round.
+			rec := testDomain.Register()
 			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				thief := newDist[int](uint64(10+id), -1)
+				thief := New(uint64(10+id), -1, block.NewPool(rec, item.NewPool[int]()))
 				if thief.Spy(owner) {
 					for {
 						it := thief.FindMin()

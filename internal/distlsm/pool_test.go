@@ -15,7 +15,7 @@ import (
 // order, recycles blocks, and releases every taken item exactly once.
 func TestPooledDistSequential(t *testing.T) {
 	ip := item.NewPool[int]()
-	pool := block.NewPool(nil, ip) // single-threaded: nil guard
+	pool := block.NewPool(new(block.Domain).Register(), ip) // single-threaded: no reader
 	d := New(1, -1, pool)
 
 	rng := xrand.NewSeeded(21)
@@ -52,12 +52,12 @@ func TestPooledDistSequential(t *testing.T) {
 // TestPooledEvictionPrivateCopies is the regression test for the eviction
 // recycling bug: evictOversized must hand the overflow target a private
 // copy (Shared.Insert may recycle what it receives) and retire the
-// still-published originals through the guard, never directly. A spy runs
+// still-published originals, never recycle them directly. A spy runs
 // concurrently throughout a run-time k reduction to give -race a shot at
 // any premature reuse.
 func TestPooledEvictionPrivateCopies(t *testing.T) {
-	var g block.Guard
-	d := New(1, -1, block.NewPool(&g, item.NewPool[int]())) // unbounded: grow big local blocks first
+	var dom block.Domain
+	d := New(1, -1, block.NewPool(dom.Register(), item.NewPool[int]())) // unbounded: grow big local blocks first
 
 	rng := xrand.NewSeeded(41)
 	inserted := 0
@@ -71,9 +71,10 @@ func TestPooledEvictionPrivateCopies(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		rec := dom.Register()
 		for !stop.Load() {
 			// A fresh spy each round keeps copying the full structure.
-			spy := New(7, -1, block.NewPool(&g, item.NewPool[int]()))
+			spy := New(7, -1, block.NewPool(rec, item.NewPool[int]()))
 			spy.Spy(d)
 			if !spy.CheckInvariants() {
 				panic("spy invariants violated during eviction")
@@ -126,14 +127,15 @@ func TestPooledEvictionPrivateCopies(t *testing.T) {
 
 // TestPooledSpyConcurrent is the §4.4 distlsm safety check: a victim owner
 // inserts and deletes (retiring published blocks into its pool) while
-// spies copy from it through the shared guard. Under -race this verifies
-// retired blocks are never recycled while a spy can still read them.
+// spies pinned in the same epoch domain copy from it. Under -race this
+// verifies retired blocks are never recycled while a spy can still read
+// them.
 func TestPooledSpyConcurrent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("concurrency stress; skipped with -short")
 	}
-	var g block.Guard
-	victim := New(1, -1, block.NewPool(&g, item.NewPool[int]()))
+	var dom block.Domain
+	victim := New(1, -1, block.NewPool(dom.Register(), item.NewPool[int]()))
 
 	const ops = 30000
 	var stop atomic.Bool
@@ -142,7 +144,7 @@ func TestPooledSpyConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			spy := New(uint64(id)+10, -1, block.NewPool(&g, item.NewPool[int]()))
+			spy := New(uint64(id)+10, -1, block.NewPool(dom.Register(), item.NewPool[int]()))
 			for !stop.Load() {
 				spy.Spy(victim)
 				// Drain the copies so the spy's own structure keeps cycling.

@@ -27,9 +27,9 @@
 // itself is still its private snapshot (Shared.stale).
 //
 // Memory reclamation (§4.4): blocks a winning CAS drops from the array park
-// in an epoch-tagged limbo list and recycle once every registered cursor's
-// stamp has passed their epoch (and the queue-wide spy guard is quiescent) —
-// see the Shared type for the full scheme. Item references move by
+// in an epoch-tagged limbo and recycle once every other cursor's stamp and
+// every reader pin of the queue's epoch domain has passed their tag — see
+// the Shared type for the full scheme. Item references move by
 // transfer, as in the DistLSM: every block an attempt merges, copies,
 // shrinks or drops is a donor, whose references pass to the attempt's
 // results slot by slot, and whatever no result takes over (skipped items,
@@ -177,7 +177,7 @@ func (al *alloc[V]) discard() {
 		al.pool.Put(b)
 	}
 	al.fresh = al.fresh[:0]
-	al.owed = emptyOwed(al.owed)
+	al.owed = block.Reuse(al.owed)
 }
 
 // empty reports whether the array holds no blocks.

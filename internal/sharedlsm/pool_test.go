@@ -19,9 +19,8 @@ func singletonIn(p *block.Pool[int], id uint64, key uint64) *block.Block[int] {
 // TestPooledSharedSequential drives insert/find-min/take cycles through a
 // pooled cursor and checks behavior plus eventual block recycling.
 func TestPooledSharedSequential(t *testing.T) {
-	var g block.Guard
 	s := New[int](8, true)
-	c, p, _ := newReclaimCursor(s, &g, 1)
+	c, p, _ := newReclaimCursor(s, 1)
 
 	const n = 5000
 	inserted := make(map[uint64]bool, n)
@@ -56,9 +55,6 @@ func TestPooledSharedSequential(t *testing.T) {
 	if st.Hits == 0 || st.Puts == 0 {
 		t.Fatalf("pooled shared path never recycled: %+v", st)
 	}
-	if !g.Quiescent() {
-		t.Fatal("guard not quiescent after sequential run")
-	}
 }
 
 // TestPooledSharedConcurrent hammers the epoch-reclamation scheme: several
@@ -69,7 +65,6 @@ func TestPooledSharedConcurrent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("concurrency stress; skipped with -short")
 	}
-	var g block.Guard
 	s := New[int](64, true)
 
 	const (
@@ -82,7 +77,7 @@ func TestPooledSharedConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			c, p, _ := newReclaimCursor(s, &g, uint64(id)+1)
+			c, p, _ := newReclaimCursor(s, uint64(id)+1)
 			rng := xrand.NewSeeded(uint64(id)*991 + 7)
 			for i := 0; i < perW; i++ {
 				if rng.Bool() {
@@ -99,7 +94,7 @@ func TestPooledSharedConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	// Drain what remains; conservation demands inserts == takes + drained.
-	c, _, _ := newReclaimCursor(s, &g, 99)
+	c, _, _ := newReclaimCursor(s, 99)
 	var drained int64
 	for {
 		it := s.FindMin(c)

@@ -4,15 +4,17 @@ import (
 	"testing"
 
 	"klsm/internal/block"
+	"klsm/internal/distlsm"
 	"klsm/internal/item"
 	"klsm/internal/xrand"
 )
 
-// newReclaimCursor builds a cursor wired to a fresh pool sharing guard g,
-// mirroring what core does per handle, and returns the pool's item pool too.
-func newReclaimCursor(s *Shared[int], g *block.Guard, id uint64) (*Cursor[int], *block.Pool[int], *item.Pool[int]) {
+// newReclaimCursor builds a cursor wired to a fresh pool registered in s's
+// domain, mirroring what core does per handle, and returns the pool's item
+// pool too.
+func newReclaimCursor(s *Shared[int], id uint64) (*Cursor[int], *block.Pool[int], *item.Pool[int]) {
 	ip := item.NewPool[int]()
-	p := block.NewPool(g, ip)
+	p := block.NewPool(domainOf(s).Register(), ip)
 	return s.NewCursor(id, xrand.NewSeeded(id*77+13), p), p, ip
 }
 
@@ -22,10 +24,9 @@ func newReclaimCursor(s *Shared[int], g *block.Guard, id uint64) (*Cursor[int], 
 // item must still be released to the item pool exactly once — including the
 // items of the blocks parked longest.
 func TestLimboOverflowReleasesItemsExactlyOnce(t *testing.T) {
-	var g block.Guard
 	s := New[int](4, true)
-	cA, pA, ipA := newReclaimCursor(s, &g, 1)
-	cB, _, _ := newReclaimCursor(s, &g, 2)
+	cA, pA, ipA := newReclaimCursor(s, 1)
+	cB, _, _ := newReclaimCursor(s, 2)
 
 	// Pin: cB observes the current epoch and then goes idle, so nothing
 	// retired at later epochs may drain while its stamp stays behind. (A
@@ -87,7 +88,7 @@ func TestLimboOverflowReleasesItemsExactlyOnce(t *testing.T) {
 
 	// Phase 3: lift the pin and drain. Every taken item's last block
 	// reference dies now, so the ledger must balance exactly.
-	s.RefreshStamp(cB)
+	cB.rec.Stamp()
 	s.DrainRetired(cA)
 	if got := ipA.Puts(); got != taken {
 		t.Fatalf("items released = %d, want exactly %d", got, taken)
@@ -100,61 +101,57 @@ func TestLimboOverflowReleasesItemsExactlyOnce(t *testing.T) {
 	}
 }
 
-// TestInsertDefersMergedAwayLineageObligations: a block that arrives
-// carrying its lineage's transferred references (a DistLSM overflow) and is
-// merged away inside the winning attempt leaves obligations — here its
-// trimmed minimum — whose items the caller's not-yet-unlinked DistLSM
-// blocks may still reach. They must not release before the inserting
-// cursor's next shared operation (the caller unlinks first), nor while a
-// reader holds the guard; the survivor's count never moves.
+// TestInsertDefersMergedAwayLineageObligations: a DistLSM overflow block is
+// merged from blocks the DistLSM keeps published until its size store,
+// after Insert returns. The DistLSM's lineage references to the items must
+// outlast every reader pinned before that store, whatever cursors do with
+// the block meanwhile. Here, inside the overflow, a rival cursor merges the
+// published block away and owes one of its items, taken in between; then a
+// spy pins and loads the DistLSM's old slot. Once the inserting cursor has
+// refreshed past the rival's win, the rival's drain may release only the
+// shared k-LSM's reference: the item must survive until the spy unpins.
 func TestInsertDefersMergedAwayLineageObligations(t *testing.T) {
-	var g block.Guard
-	s := New[int](4, true)
-	c, p, ip := newReclaimCursor(s, &g, 1)
-
-	// Seed the array so the next insert triggers a level-collision merge.
-	seed := p.Get(0)
-	seed.AddOwner(1)
-	seed.Append(ip.Get(50, 50))
-	s.Insert(c, seed)
-
-	// A lineage-carrying level-1 block whose minimum is taken: references
-	// acquired before entry, as a DistLSM overflow block's are (transferred
-	// from its donors). Insert's shrink trims the minimum and copies the
-	// survivor, which then merges with the seed: nb is merged away.
-	nb := p.Get(1)
-	nb.AddOwner(1)
-	survivor, dead := ip.Get(20, 20), ip.Get(10, 10)
-	nb.Append(survivor)
-	nb.Append(dead)
-	nb.AcquireRefs()
-	dead.TryTake()
-	s.Insert(c, nb)
-	if containsBlock(s.Snapshot().blocks, nb) {
-		t.Fatal("nb was published, not merged away")
+	s := New[int](1, true)
+	cA, pA, ipA := newReclaimCursor(s, 1)
+	cB, _, ipB := newReclaimCursor(s, 2)
+	spy := domainOf(s).Register()
+	// k = 1: the DistLSM keeps level-0 blocks only, so its second insert
+	// merges the first item's block into a level-1 block that overflows.
+	d := distlsm.New[int](1, 1, pA)
+	x, y := ipA.Get(10, 10), ipA.Get(20, 20)
+	var seen *block.Block[int]
+	overflow := func(b *block.Block[int]) {
+		s.Insert(cA, b)
+		x.TryTake()
+		s.Purge(cB) // copies b without x: the rival's win owes x
+		if containsBlock(s.Snapshot().blocks, b) {
+			t.Fatal("the rival did not merge the overflow block away")
+		}
+		spy.Pin()
+		seen = d.BlockAt(0) // the merged-away block, still published
 	}
-	if survivor.Refs() != 1 {
-		t.Fatalf("survivor refs = %d after the merge, want 1 (transferred)", survivor.Refs())
+	d.Insert(x, overflow)
+	if d.Insert(y, overflow) {
+		t.Fatal("the second insert stayed local")
 	}
-	if dead.Refs() != 1 || ip.Puts() != 0 {
-		t.Fatalf("obligation released inside Insert (refs %d, puts %d), before the caller's unlink", dead.Refs(), ip.Puts())
+	if seen == nil || seen.Item(0) != x {
+		t.Fatal("the spy did not load the merged-away block holding x")
 	}
 
-	// The caller has unlinked its DistLSM blocks; a spy that started
-	// earlier still reads them. The cursor's next operation parks the
-	// obligation, but the busy guard keeps it.
-	g.Enter()
-	s.FindMin(c)
-	if dead.Refs() != 1 {
-		t.Fatalf("obligation released under an active guard (refs %d)", dead.Refs())
+	s.FindMin(cA) // the inserting cursor refreshes past the rival's win
+	s.DrainRetired(cB)
+	if x.Refs() < 1 || ipA.Puts()+ipB.Puts() != 0 {
+		t.Fatalf("x released under a spy pinned before the DistLSM's unlink (refs %d, puts %d)",
+			x.Refs(), ipA.Puts()+ipB.Puts())
 	}
-	g.Exit()
-	s.DrainRetired(c)
-	if dead.Refs() != 0 || ip.Puts() != 1 {
-		t.Fatalf("after the unlink and quiescence: refs %d, puts %d, want 0 and 1", dead.Refs(), ip.Puts())
+	spy.Unpin()
+	pA.DrainLimbo()
+	s.DrainRetired(cB)
+	if x.Refs() != 0 || ipA.Puts()+ipB.Puts() != 1 {
+		t.Fatalf("after the unpin: x refs %d, puts %d, want 0 and 1", x.Refs(), ipA.Puts()+ipB.Puts())
 	}
-	if survivor.Refs() != 1 {
-		t.Fatalf("survivor refs = %d, want 1", survivor.Refs())
+	if y.Refs() != 1 {
+		t.Fatalf("survivor refs = %d, want 1 (the shared copy's)", y.Refs())
 	}
 }
 
@@ -164,10 +161,9 @@ func TestInsertDefersMergedAwayLineageObligations(t *testing.T) {
 // without releasing anything; the retry then wins, and the surviving items'
 // counts are the same before and after its merge.
 func TestFailedPushLeavesDonorsUntouched(t *testing.T) {
-	var g block.Guard
 	s := New[int](4, true)
-	cA, pA, ipA := newReclaimCursor(s, &g, 1)
-	cB, pB, ipB := newReclaimCursor(s, &g, 2)
+	cA, pA, ipA := newReclaimCursor(s, 1)
+	cB, pB, ipB := newReclaimCursor(s, 2)
 
 	// Published donor: a level-1 block whose minimum is taken, so an
 	// attempt's shrink copies it and owes the trimmed slot.
@@ -205,7 +201,7 @@ func TestFailedPushLeavesDonorsUntouched(t *testing.T) {
 	}
 	// The retry's refresh recycles the loser's fresh blocks: no release.
 	s.refresh(cA)
-	if len(cA.al.fresh) != 0 || len(cA.al.owed) != 0 || cA.pendingOwed.len() != 0 {
+	if len(cA.al.fresh) != 0 || len(cA.al.owed) != 0 || !cA.pending.Empty() {
 		t.Fatal("refresh kept the failed attempt's blocks or obligations")
 	}
 	if ipA.Puts()+ipB.Puts() != 0 || live.Refs() != 1 || dead.Refs() != 1 {
@@ -222,8 +218,8 @@ func TestFailedPushLeavesDonorsUntouched(t *testing.T) {
 		}
 	}
 	// The rival's win owed the dead slot; it releases exactly once.
-	s.RefreshStamp(cA)
-	s.RefreshStamp(cB)
+	cA.rec.Stamp()
+	cB.rec.Stamp()
 	s.DrainRetired(cB)
 	s.DrainRetired(cA)
 	if got := ipA.Puts() + ipB.Puts(); got != 1 || dead.Refs() != 0 {

@@ -10,12 +10,13 @@ import (
 )
 
 // sharedLimboCap bounds the limbo's dropped-but-not-yet-reusable blocks and
-// its runs of obligations, and sharedOwedCap the obligations themselves.
-// Blocks past the cap are abandoned to the garbage collector (the Go
-// backstop §4.4's C++ original lacks), which costs only the reuse of their
-// shells: each was a transfer donor and owes nothing. Runs past the cap
-// fold together (owedQueue.add), so they wait longer but still release;
-// only obligations past sharedOwedCap are abandoned, leaking their item
+// its runs, and sharedOwedCap its obligations. An idle cursor's stamp can
+// hold the limbo back without bound, so it needs the caps. Blocks past the
+// cap are abandoned to the garbage collector (the Go backstop §4.4's C++
+// original lacks), which costs only the reuse of their shells: each was a
+// transfer donor and owes nothing. Runs past the cap fold together
+// (block.Limbo.Add), so they wait longer but still release; only
+// obligations past sharedOwedCap are abandoned, leaking their item
 // references, counted in LimboLeaked.
 const (
 	sharedLimboCap = 2048
@@ -27,33 +28,24 @@ const (
 // see SkipShared).
 const stickyOps = 64
 
-// retiredBlock is a block dropped from a published BlockArray, tagged with
-// the epoch of the CAS that dropped it. Every such block is a transfer donor
-// — its references moved to the winning array's blocks or to the winner's
-// obligations — so its limbo entry recycles the shell and releases nothing.
-type retiredBlock[V any] struct {
-	b     *block.Block[V]
-	epoch uint64
-}
-
 // Shared is the shared k-LSM priority queue (Listing 3): one atomic pointer
 // to the current BlockArray, updated copy-on-write.
 //
 // Memory reclamation (§4.4): the paper stamps the shared pointer with
 // truncated version numbers to defeat ABA under manual reuse; under Go's GC
 // the raw pointer CAS is ABA-safe, but recycling the blocks of superseded
-// arrays still needs a proof that no thread reads them. That proof is epoch
-// based. Shared keeps a global epoch counter; every cursor stamps itself
-// with the current epoch before loading the shared pointer, so any block a
-// cursor can ever reach lives in an array it loaded at-or-after its stamp.
-// A winning CAS bumps the epoch to E and parks the blocks it drops, and the
-// item references its transfers left over (obligations), in limbo lists
-// tagged E; blocks recycle and obligations release once every stamped
-// cursor has advanced to a stamp >= E (and the queue-wide spy guard — the
-// guard of every cursor's pool — is quiescent, which covers non-cursor
-// readers such as melds, and spies on the DistLSM blocks an overflow block
-// was merged from). Cursors that never refreshed — or that have been
-// deactivated — carry the ^0 sentinel and pin nothing.
+// arrays still needs a proof that no thread reads them. That proof is the
+// queue's epoch domain (block.Domain), which every cursor's pool record
+// belongs to. Every cursor stamps its record with the current epoch before
+// loading the shared pointer, so any block a cursor can ever reach lives in
+// an array it loaded at-or-after its stamp. A winning CAS bumps the epoch to
+// E and parks the blocks it drops, and the item references its transfers
+// left over (obligations), in the limbo tagged E; they recycle and release
+// once every other cursor's stamp, and every reader pin (a meld reads the
+// shared pointer under a pin, not a stamp), has reached E. Records that
+// announce nothing pin nothing. The shared k-LSM only ever holds blocks no
+// DistLSM published, each with references of its own (see Insert), so the
+// DistLSM's readers never touch what this limbo releases.
 type Shared[V any] struct {
 	ptr atomic.Pointer[BlockArray[V]]
 	// k is the relaxation parameter. It is atomic because the paper allows
@@ -67,24 +59,13 @@ type Shared[V any] struct {
 	// switches it off.
 	localOrdering bool
 
-	// epoch counts winning publications that dropped blocks.
-	epoch atomic.Uint64
-	// cursors is the copy-on-write registry of stamped cursors, scanned for
-	// the minimum stamp when draining limbo. Registration is rare; regMu
-	// serializes it.
-	regMu   sync.Mutex
-	cursors atomic.Pointer[[]*Cursor[V]]
-	// limbo holds dropped published blocks, and owed obligations,
-	// awaiting epoch quiescence. limboMu is only ever
-	// TryLock'ed on the operation paths: on contention the winner parks its
-	// entries on its own cursor (pending) instead of blocking, preserving
-	// lock-freedom, and retries on its next push. limboMinEpoch caches the
-	// smallest epoch in limbo so a drain attempt that cannot release a
-	// block costs O(1) instead of a full scan.
-	limboMu       sync.Mutex
-	limbo         []retiredBlock[V]
-	owed          owedQueue[V]
-	limboMinEpoch uint64
+	// limbo holds dropped published blocks, and obligations, awaiting the
+	// epoch horizon. limboMu is only ever TryLock'ed on the operation paths:
+	// on contention the winner parks its entries on its own cursor (pending)
+	// instead of blocking, preserving lock-freedom, and retries on its next
+	// push.
+	limboMu sync.Mutex
+	limbo   block.Limbo[V]
 	// limboLeaked counts obligations dropped to the GC at the limbo cap —
 	// the one escape that leaks item references.
 	limboLeaked atomic.Int64
@@ -117,10 +98,6 @@ func (s *Shared[V]) SetK(k int) {
 	s.k.Store(int64(k))
 }
 
-// inactiveStamp marks a cursor that pins no epoch: it has never loaded the
-// shared pointer, or it has been deactivated.
-const inactiveStamp = ^uint64(0)
-
 // Cursor carries one handle's thread-local view (the paper's thread_local
 // observed/snapshot pointers) plus its RNG and identity. A Cursor must only
 // be used by its owning goroutine.
@@ -130,21 +107,20 @@ type Cursor[V any] struct {
 	id       uint64
 	rng      *xrand.Source
 
-	// stamp is the epoch pin: every array this cursor may still read was
-	// loaded from the shared pointer at-or-after this epoch. Advanced on
-	// every refresh (the only point where old references are dropped);
-	// inactiveStamp pins nothing.
-	stamp atomic.Uint64
+	// rec is the handle's record, shared with its pool: its stamp is the
+	// epoch pin — every array this cursor may still read was loaded from
+	// the shared pointer at-or-after it. Advanced on every refresh (the only
+	// point where old references are dropped).
+	rec *block.Record
 	// al is the §4.4 recycling context.
 	al alloc[V]
-	// pending holds blocks this cursor dropped from the shared structure
-	// but could not hand to the limbo list because limboMu was contended;
-	// pendingOwed holds its obligations, which wait here at least until
-	// the cursor's next flush (see retireDropped). Owner-only; flushed on
-	// the next refresh, push, or explicit drain, so a contended retire
-	// defers reclamation instead of leaking it.
-	pending     []retiredBlock[V]
-	pendingOwed owedQueue[V]
+	// pending holds the blocks and obligations this cursor's wins retired
+	// but could not hand to the limbo because limboMu was contended;
+	// dropped is retireDropped's scratch list. Owner-only; flushed on the
+	// next refresh, push, or explicit drain, so a contended retire defers
+	// reclamation instead of leaking it.
+	pending block.Limbo[V]
+	dropped []*block.Block[V]
 	// spare is a superseded, never-published snapshot shell whose slices
 	// the next refresh reuses.
 	spare *BlockArray[V]
@@ -190,51 +166,12 @@ type Cursor[V any] struct {
 }
 
 // NewCursor returns a cursor for handle id, drawing its blocks from the
-// owning handle's pool (§4.4), and registers it with the reclamation epoch
-// scheme. Every cursor's pool must share one guard: limbo drains consult it
-// so spy and meld traffic is respected.
+// owning handle's pool (§4.4) and stamping the pool's record. The records
+// of every cursor of s, and of every reader of its blocks, must belong to
+// one epoch domain, which the owner registers and withdraws them in; a
+// closing cursor hands its parked entries over with DrainRetired first.
 func (s *Shared[V]) NewCursor(id uint64, rng *xrand.Source, pool *block.Pool[V]) *Cursor[V] {
-	c := &Cursor[V]{id: id, rng: rng, al: alloc[V]{pool: pool}}
-	c.stamp.Store(inactiveStamp)
-	s.regMu.Lock()
-	var next []*Cursor[V]
-	if cur := s.cursors.Load(); cur != nil {
-		next = append(next, *cur...)
-	}
-	next = append(next, c)
-	s.cursors.Store(&next)
-	s.regMu.Unlock()
-	return c
-}
-
-// RetireCursor withdraws a cursor from the epoch scheme and deregisters it.
-// Call when the owning handle closes; the cursor must not be used
-// afterwards.
-func (s *Shared[V]) RetireCursor(c *Cursor[V]) {
-	c.stamp.Store(inactiveStamp)
-	c.hintArr = nil
-	// Hand any parked retired blocks and obligations over before the
-	// cursor disappears; blocking is fine here (close path, not an
-	// operation path).
-	if len(c.pending) > 0 || c.pendingOwed.len() > 0 {
-		s.limboMu.Lock()
-		s.appendPendingLocked(c)
-		s.drainLimboLocked(c)
-		s.limboMu.Unlock()
-	}
-	s.regMu.Lock()
-	defer s.regMu.Unlock()
-	cur := s.cursors.Load()
-	if cur == nil {
-		return
-	}
-	next := make([]*Cursor[V], 0, len(*cur))
-	for _, other := range *cur {
-		if other != c {
-			next = append(next, other)
-		}
-	}
-	s.cursors.Store(&next)
+	return &Cursor[V]{id: id, rng: rng, rec: pool.Record(), al: alloc[V]{pool: pool}}
 }
 
 // refresh re-reads the shared pointer and takes a private snapshot
@@ -253,7 +190,7 @@ func (s *Shared[V]) refresh(c *Cursor[V]) {
 	// The snapshot is about to be replaced (possibly by a recycled shell at
 	// the same address): invalidate the candidate window.
 	c.gen++
-	c.stamp.Store(s.epoch.Load())
+	c.rec.Stamp()
 	c.observed = s.ptr.Load()
 	if c.observed == nil {
 		c.snapshot = nil
@@ -299,8 +236,8 @@ func (c *Cursor[V]) takeShell() *BlockArray[V] {
 // bookkeeping was final before the CAS, since another cursor may merge
 // them the moment it lands — so the win costs no refcount traffic. The
 // blocks the transition dropped and the attempt's obligations are handed to
-// the reclamation scheme. A failed CAS leaves everything for refresh to
-// discard: no donor was written, so nothing needs undoing.
+// the reclamation scheme (retireDropped). A failed CAS leaves everything
+// for refresh to discard: no donor was written, so nothing needs undoing.
 func (s *Shared[V]) push(c *Cursor[V]) bool {
 	if c.snapshot != nil {
 		c.snapshot.published = true
@@ -318,116 +255,52 @@ func (s *Shared[V]) push(c *Cursor[V]) bool {
 
 // retireDropped runs on the winner's goroutine right after its CAS. It
 // parks every block of the superseded array that the winning snapshot no
-// longer references on the cursor, tagged with the new epoch, and tries to
-// flush them to the limbo list and drain. The attempt's obligations are
-// parked only after that flush, so they wait for the cursor's next one —
-// its next refresh or push. That is what lets an Insert caller finish its
-// own unlinking first: the obligations of a DistLSM overflow block include
-// items whose only other path is the caller's merged-away DistLSM blocks,
-// which stay published until the caller's size store after Insert returns.
+// longer references, and the attempt's obligations, on the cursor, tagged
+// with a bumped epoch — taken after the CAS, the store that unlinked them —
+// and tries to flush them to the limbo and drain.
 func (s *Shared[V]) retireDropped(c *Cursor[V]) {
 	old, won := c.observed, c.snapshot
 	if old == nil && len(c.al.owed) == 0 {
 		return
 	}
-	e := s.epoch.Add(1)
 	if old != nil {
 		for _, b := range old.blocks {
-			if won != nil && containsBlock(won.blocks, b) {
-				continue
+			if won == nil || !containsBlock(won.blocks, b) {
+				c.dropped = append(c.dropped, b)
 			}
-			c.pending = append(c.pending, retiredBlock[V]{b: b, epoch: e})
 		}
 	}
+	c.pending.Add(c.rec.Domain().Bump(), c.dropped, c.al.owed, sharedLimboCap)
+	clear(c.dropped)
+	c.dropped = c.dropped[:0]
+	c.al.owed = block.Reuse(c.al.owed)
 	s.flushPending(c)
-	if len(c.al.owed) > 0 {
-		c.pendingOwed.add(c.al.owed, e, sharedLimboCap)
-		c.al.owed = emptyOwed(c.al.owed)
-	}
 }
 
-// flushPending tries to move the cursor's pending retired blocks and
-// obligations into the limbo lists and drain what has quiesced. TryLock
-// keeps the operation paths lock-free: on contention the entries simply
-// stay parked on the cursor (owner-only) until the next attempt.
+// flushPending tries to move the cursor's pending entries into the limbo
+// and drain what every announcement has passed. TryLock keeps the
+// operation paths lock-free: on contention the entries simply stay parked
+// on the cursor (owner-only) until the next attempt.
 func (s *Shared[V]) flushPending(c *Cursor[V]) {
-	if len(c.pending) == 0 && c.pendingOwed.len() == 0 {
+	if c.pending.Empty() || !s.limboMu.TryLock() {
 		return
 	}
-	if !s.limboMu.TryLock() {
-		return
-	}
-	s.appendPendingLocked(c)
-	s.drainLimboLocked(c)
+	s.drainLocked(c)
 	s.limboMu.Unlock()
 }
 
-// appendPendingLocked moves c's pending entries into the limbo up to its
-// caps; overflow falls to the GC, obligations counted in LimboLeaked.
-// Caller holds limboMu.
-func (s *Shared[V]) appendPendingLocked(c *Cursor[V]) {
-	if len(s.limbo) == 0 {
-		s.limboMinEpoch = inactiveStamp
+// drainLocked moves c's pending entries into the limbo up to its caps
+// (overflow falls to the GC, obligations counted in LimboLeaked), then
+// recycles into c's pool every limbo block, and releases every obligation,
+// whose tag every reader pin and every other cursor's stamp has reached. c
+// itself is skipped: it provably re-reads the shared pointer before
+// touching any block again. Blocks release nothing: each was a transfer
+// donor. Caller holds limboMu.
+func (s *Shared[V]) drainLocked(c *Cursor[V]) {
+	s.limboLeaked.Add(s.limbo.Take(&c.pending, sharedLimboCap, sharedOwedCap, sharedLimboCap))
+	if !s.limbo.Empty() {
+		s.limbo.Release(c.rec.Domain().Horizon(c.rec, true), c.al.pool, true)
 	}
-	for _, r := range c.pending {
-		if len(s.limbo) >= sharedLimboCap {
-			break
-		}
-		s.limboMinEpoch = min(s.limboMinEpoch, r.epoch)
-		s.limbo = append(s.limbo, r)
-	}
-	clear(c.pending)
-	c.pending = c.pending[:0]
-	p := &c.pendingOwed
-	for _, r := range p.runs {
-		if s.owed.len()+r.n > sharedOwedCap {
-			s.limboLeaked.Add(int64(r.n))
-		} else {
-			s.owed.add(p.items[p.head:p.head+r.n], r.epoch, sharedLimboCap)
-		}
-		p.head += r.n
-	}
-	p.reset()
-}
-
-// drainLimboLocked recycles every limbo block, and releases every
-// obligation, whose epoch every stamped cursor has passed — other than c
-// itself, which provably re-reads the shared pointer before touching any
-// block again — into c's pool, once the queue-wide guard is quiescent.
-// Blocks release nothing: each was a transfer donor. Caller holds limboMu.
-func (s *Shared[V]) drainLimboLocked(c *Cursor[V]) {
-	if (len(s.limbo) == 0 && s.owed.len() == 0) || !c.al.pool.Guard().Quiescent() {
-		return
-	}
-	minStamp := inactiveStamp
-	if curs := s.cursors.Load(); curs != nil {
-		for _, other := range *curs {
-			if other == c {
-				continue
-			}
-			if st := other.stamp.Load(); st < minStamp {
-				minStamp = st
-			}
-		}
-	}
-	s.owed.release(minStamp, c.al.pool)
-	if s.limboMinEpoch > minStamp {
-		return // every block is still pinned: skip the scan
-	}
-	newMin := inactiveStamp
-	kept := s.limbo[:0]
-	for _, r := range s.limbo {
-		if r.epoch <= minStamp {
-			r.b.Donate()
-			c.al.pool.Put(r.b)
-		} else {
-			newMin = min(newMin, r.epoch)
-			kept = append(kept, r)
-		}
-	}
-	clear(s.limbo[len(kept):])
-	s.limbo = kept
-	s.limboMinEpoch = newMin
 }
 
 // containsBlock reports whether blocks contains b (arrays are short).
@@ -442,18 +315,15 @@ func containsBlock[V any](blocks []*block.Block[V], b *block.Block[V]) bool {
 
 // Insert publishes a block of items. It loops refresh → mutate snapshot →
 // CAS until it wins; failure implies another thread published first
-// (lock-freedom: someone always progresses). Ownership of nb transfers to
-// the shared structure on entry: its item references are acquired here
-// (§4.4 proper) unless it already carries them (a DistLSM overflow block
-// with transferred lineage references).
-//
-// If the winning attempt merged nb away, nb's references moved on like any
-// donor's and its shell, which never left this cursor, recycles here. Its
-// leftover obligations — items it held that no published block took over —
-// include items the caller's DistLSM blocks still reach, if nb was merged
-// from them; they release no earlier than c's next shared operation (see
-// retireDropped), so the caller must unlink those blocks before its next
-// operation on c, as the DistLSM does.
+// (lock-freedom: someone always progresses). Ownership of nb, and of any
+// item references it holds, transfers to the shared structure on entry;
+// the references it lacks are acquired here (§4.4 proper). A caller that
+// still reaches nb's items through a structure of its own — the DistLSM,
+// whose merged-away blocks stay published until its size store — keeps its
+// references and hands nb over bare (block.Disown), so the shared k-LSM
+// only ever releases references of its own. If the winning attempt merged
+// nb away, nb's references moved on like any donor's and its shell, which
+// never left this cursor, recycles here.
 func (s *Shared[V]) Insert(c *Cursor[V], nb *block.Block[V]) {
 	if nb == nil || nb.Empty() {
 		return
@@ -847,24 +717,14 @@ func (s *Shared[V]) SkipShared(c *Cursor[V], localKey uint64) bool {
 	return false
 }
 
-// RefreshStamp re-stamps c with the current epoch without touching its
-// snapshot. Only valid when the cursor's owner performs no concurrent
-// operation and will re-read the shared pointer before dereferencing any
-// block it loaded under an older stamp (shutdown/test quiesce contexts):
-// advancing the stamp lifts c's pin on the epochs in between, letting limbo
-// entries those epochs held back finally drain.
-func (s *Shared[V]) RefreshStamp(c *Cursor[V]) {
-	c.stamp.Store(s.epoch.Load())
-}
-
-// DrainRetired flushes c's parked retired blocks and drains every limbo
-// entry all cursor stamps have passed, blocking on the limbo lock. Intended
-// for shutdown and test quiesce paths (after RefreshStamp on every cursor);
-// the operation paths drain opportunistically instead and never block.
+// DrainRetired flushes c's parked entries and drains every limbo entry all
+// announcements have passed, blocking on the limbo lock. Intended for the
+// close path and for shutdown and test quiesce paths (after restamping
+// every cursor's record); the operation paths drain opportunistically
+// instead and never block.
 func (s *Shared[V]) DrainRetired(c *Cursor[V]) {
 	s.limboMu.Lock()
-	s.appendPendingLocked(c)
-	s.drainLimboLocked(c)
+	s.drainLocked(c)
 	s.limboMu.Unlock()
 }
 
@@ -872,11 +732,12 @@ func (s *Shared[V]) DrainRetired(c *Cursor[V]) {
 // limbo cap, each leaking its item reference.
 func (s *Shared[V]) LimboLeaked() int64 { return s.limboLeaked.Load() }
 
-// LimboLen returns the current limbo length, for tests.
+// LimboLen returns the number of blocks in the limbo, for tests.
 func (s *Shared[V]) LimboLen() int {
 	s.limboMu.Lock()
 	defer s.limboMu.Unlock()
-	return len(s.limbo)
+	n, _ := s.limbo.Len()
+	return n
 }
 
 // Empty reports whether the shared pointer is nil. A false result does not

@@ -46,13 +46,20 @@ func deleteMin(s *Shared[int], c *Cursor[int]) (uint64, bool) {
 	}
 }
 
-// testGuard is the reader guard every pool of newCursor shares, as all pools
-// of one queue share the queue's guard.
-var testGuard block.Guard
+// domains gives every Shared under test its own epoch domain, as every
+// queue has one: the records of all cursors of one Shared share it.
+var domains sync.Map // *Shared[int] -> *block.Domain
 
-// newCursor returns a cursor drawing from a fresh pool under testGuard.
+// domainOf returns s's epoch domain.
+func domainOf(s *Shared[int]) *block.Domain {
+	d, _ := domains.LoadOrStore(s, new(block.Domain))
+	return d.(*block.Domain)
+}
+
+// newCursor returns a cursor drawing from a fresh pool registered in s's
+// domain.
 func newCursor(s *Shared[int], id uint64) *Cursor[int] {
-	return s.NewCursor(id, xrand.NewSeeded(id*2654435761+1), block.NewPool(&testGuard, item.NewPool[int]()))
+	return s.NewCursor(id, xrand.NewSeeded(id*2654435761+1), block.NewPool(domainOf(s).Register(), item.NewPool[int]()))
 }
 
 func TestEmptySharedLSM(t *testing.T) {
@@ -277,7 +284,7 @@ func TestDropCallbackDuringConsolidate(t *testing.T) {
 
 func BenchmarkSharedInsertK256(b *testing.B) {
 	s := New[struct{}](256, true)
-	p := block.NewPool(nil, item.NewPool[struct{}]())
+	p := block.NewPool(new(block.Domain).Register(), item.NewPool[struct{}]())
 	c := s.NewCursor(1, xrand.NewSeeded(1), p)
 	src := xrand.NewSeeded(2)
 	b.ResetTimer()

@@ -231,9 +231,8 @@ func (q *Queue[V]) compactLent(h *Handle[V]) {
 }
 
 // Quiesce drives every deferred §4.4 reclamation step to completion:
-// DistLSM consolidation, shared-structure maintenance, and the guard- and
-// epoch-gated limbo drains, including obligations handed over by closed
-// handles. After Quiesce on a fully drained queue, every recyclable block
+// DistLSM consolidation, shared-structure maintenance, and the epoch-gated
+// limbo drains, including obligations handed over by closed handles. After Quiesce on a fully drained queue, every recyclable block
 // and item has returned to a free list. It must not run concurrently with
 // any handle operation; call it at shutdown or between test phases.
 func (q *Queue[V]) Quiesce() { q.q.Quiesce() }
