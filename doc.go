@@ -122,8 +122,8 @@
 // log, and reopening the directory recovers exactly the logically live
 // items. Logging is write-behind with group commit — operations append to
 // an in-memory buffer and never block on disk; a background writer batches
-// records to the file and fsyncs on the WithSyncInterval /
-// WithSyncEvery policy (default: at most 2ms after an unsynced append). The
+// records to the file and fsyncs on the WithSyncInterval policy (default:
+// at most 2ms after an unsynced append). The
 // durability contract is explicit: an operation is guaranteed to survive a
 // crash once a Sync call covering it returns nil. Acknowledged inserts are
 // recovered exactly once; operations after the last acknowledgement may be

@@ -35,13 +35,3 @@ func TestSetRelaxationPublic(t *testing.T) {
 		t.Fatalf("Rho = %d with k=0", q.Rho())
 	}
 }
-
-func TestSetRelaxationDistributedNoop(t *testing.T) {
-	q := New[int](WithDistributedOnly())
-	q.SetRelaxation(123) // documented no-op; must not panic
-	h := q.NewHandle()
-	h.Insert(9, 0)
-	if k, _, ok := h.TryDeleteMin(); !ok || k != 9 {
-		t.Fatalf("DLSM after SetRelaxation: %d %v", k, ok)
-	}
-}

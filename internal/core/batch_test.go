@@ -33,7 +33,7 @@ func TestInsertBatchConservation(t *testing.T) {
 	}{
 		{"combined", Config[int]{K: 8, Mode: Combined, LocalOrdering: true}},
 		{"distonly", Config[int]{Mode: DistOnly}},
-		{"sharedonly", Config[int]{K: 8, Mode: SharedOnly, LocalOrdering: true}},
+		{"k0", Config[int]{K: 0, Mode: Combined, LocalOrdering: true}},
 	}
 	for _, m := range modes {
 		t.Run(m.name, func(t *testing.T) {

@@ -160,25 +160,22 @@ func (h *Handle[V]) bufRefill() bool {
 	if h.fillHint > max {
 		max = min(h.fillHint, maxDrainFill)
 	}
-	mode := h.q.cfg.Mode
 	capKey := ^uint64(0)
-	if mode != DistOnly {
+	if h.q.cfg.Mode != DistOnly {
 		h.buf, h.bufAnchor, capKey = h.q.shared.FillCandidates(h.cursor, h.buf[:0], max)
 	}
-	if mode != SharedOnly {
-		// Small fills spread their budget across blocks (delBufPerBlock);
-		// drain-sized fills must not — after an InsertBatch published one
-		// big block, an 8-entry allowance would put the guard at that
-		// block's 9th key and truncate the whole fill to it.
-		perBlock := delBufPerBlock
-		if max > delBufSize {
-			perBlock = max
-		}
-		var guard uint64
-		h.buf, guard = h.dist.FillMin(h.buf, perBlock, capKey)
-		if guard < capKey {
-			capKey = guard
-		}
+	// Small fills spread their budget across blocks (delBufPerBlock);
+	// drain-sized fills must not — after an InsertBatch published one big
+	// block, an 8-entry allowance would put the guard at that block's 9th
+	// key and truncate the whole fill to it.
+	perBlock := delBufPerBlock
+	if max > delBufSize {
+		perBlock = max
+	}
+	var guard uint64
+	h.buf, guard = h.dist.FillMin(h.buf, perBlock, capKey)
+	if guard < capKey {
+		capKey = guard
 	}
 	slices.SortFunc(h.buf, func(a, b item.Snap[V]) int {
 		switch {

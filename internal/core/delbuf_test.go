@@ -121,12 +121,17 @@ func TestDeletionBufferConservation(t *testing.T) {
 	}
 }
 
-// TestDeletionBufferModes: the buffer composes with the single-structure
-// modes — DistOnly fills from the local min scan only, SharedOnly from the
-// candidate window only — and stays exact for a single handle.
+// TestDeletionBufferModes: the buffer composes with a single structure —
+// DistOnly fills from the local min scan only, and k = 0, whose inserts all
+// overflow into the shared k-LSM, from the candidate window only — and
+// stays exact for a single handle.
 func TestDeletionBufferModes(t *testing.T) {
-	for _, mode := range []Mode{DistOnly, SharedOnly} {
-		q := NewQueue(Config[int]{K: 16, Mode: mode, LocalOrdering: true})
+	for _, cfg := range []Config[int]{
+		{K: 16, Mode: DistOnly, LocalOrdering: true},
+		{K: 0, Mode: Combined, LocalOrdering: true},
+	} {
+		mode := cfg.Mode
+		q := NewQueue(cfg)
 		h := q.NewHandle()
 		const n = 500
 		for i := 0; i < n; i++ {
@@ -136,18 +141,18 @@ func TestDeletionBufferModes(t *testing.T) {
 		for i := 0; i < n; i++ {
 			k, _, ok := h.TryDeleteMin()
 			if !ok {
-				t.Fatalf("mode %v: empty after %d of %d", mode, i, n)
+				t.Fatalf("mode %v k %d: empty after %d of %d", mode, cfg.K, i, n)
 			}
 			if k < prev {
-				t.Fatalf("mode %v: pops out of order: %d after %d", mode, k, prev)
+				t.Fatalf("mode %v k %d: pops out of order: %d after %d", mode, cfg.K, k, prev)
 			}
 			prev = k
 		}
 		if _, _, ok := h.TryDeleteMin(); ok {
-			t.Fatalf("mode %v: extra key after full drain", mode)
+			t.Fatalf("mode %v k %d: extra key after full drain", mode, cfg.K)
 		}
 		if h.BufFills.Load() == 0 {
-			t.Fatalf("mode %v: buffer never filled", mode)
+			t.Fatalf("mode %v k %d: buffer never filled", mode, cfg.K)
 		}
 	}
 }

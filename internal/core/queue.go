@@ -15,10 +15,10 @@
 //   - local ordering: a handle never skips keys it inserted itself, so
 //     per-handle insert/delete sequences behave like an exact priority queue.
 //
-// The package also provides the standalone operating modes used by the
-// paper's evaluation: DistOnly is the DLSM of Figure 3 (local ordering only,
-// no ρ bound), SharedOnly exposes the shared k-LSM without insertion
-// batching (the k-LSM with k=0 degenerates to this shape naturally).
+// The package also provides the standalone DistLSM the paper evaluates as
+// DLSM in Figure 3 (DistOnly: local ordering only, no ρ bound). The shared
+// k-LSM alone needs no mode of its own: at k = 0 every insert overflows into
+// it as a singleton block.
 package core
 
 import (
@@ -42,9 +42,6 @@ const (
 	// DistOnly is the standalone distributed LSM (DLSM in Figure 3):
 	// maximum scalability, local ordering only, no global relaxation bound.
 	DistOnly
-	// SharedOnly bypasses insertion batching: every item goes straight to
-	// the shared k-LSM as a singleton block.
-	SharedOnly
 )
 
 // MaxRelaxation is the largest accepted relaxation parameter. Beyond it the
@@ -73,7 +70,7 @@ type Config[V any] struct {
 	// K is the relaxation parameter: delete-min may return any of the
 	// T·K+1 smallest keys. K = 0 gives the strictest (slowest) setting.
 	K int
-	// Mode selects the combined queue or one of the standalone components.
+	// Mode selects the combined queue or the standalone DistLSM.
 	Mode Mode
 	// LocalOrdering enables the Bloom-filter check in the shared k-LSM.
 	// The paper's implementation has it always on; the ablation benchmark
@@ -273,7 +270,10 @@ func (q *Queue[V]) NewHandle() *Handle[V] {
 		h.dist.SetDrop(q.cfg.Drop)
 	}
 	h.cursor = q.shared.NewCursor(id, xrand.NewSeeded(id*0xbf58476d1ce4e5b9+0x3c6ef372), h.pool)
-	h.overflow = func(b *block.Block[V]) { q.shared.Insert(h.cursor, b) }
+	// DistOnly leaves overflow nil: its DistLSM is unbounded.
+	if q.cfg.Mode != DistOnly {
+		h.overflow = func(b *block.Block[V]) { q.shared.Insert(h.cursor, b) }
+	}
 
 	q.mu.Lock()
 	q.handles = append(q.handles, h)
@@ -419,9 +419,7 @@ func (q *Queue[V]) Quiesce() {
 	// just made dead.
 	for pass := 0; pass < 2; pass++ {
 		for _, h := range hs {
-			if q.cfg.Mode != SharedOnly {
-				h.dist.Consolidate()
-			}
+			h.dist.Consolidate()
 			if q.cfg.Mode != DistOnly {
 				q.shared.FindMin(h.cursor)
 			}
@@ -547,24 +545,11 @@ func (h *Handle[V]) insertItem(it *item.Item[V]) uint64 {
 	key := it.Key()
 	ver := it.Version()
 	h.inserted.Add(1)
-	switch h.q.cfg.Mode {
-	case DistOnly:
-		h.dist.Insert(it, nil)
-		h.bufInsert(it, ver, key)
-	case SharedOnly:
-		// The publication moves the shared pointer, so the next buffered
-		// pop's anchor check flushes the buffer — nothing to do here.
-		nb := h.pool.Get(0)
-		nb.AddOwner(h.id)
-		nb.Append(it)
-		h.q.shared.Insert(h.cursor, nb)
-	default:
-		h.dist.Insert(it, h.overflow)
-		// Splice the new key into the buffer at its ascending position (see
-		// bufInsert); an overflow publication is caught by the anchor check
-		// like any other shared movement.
-		h.bufInsert(it, ver, key)
-	}
+	h.dist.Insert(it, h.overflow)
+	// Splice the new key into the buffer at its ascending position (see
+	// bufInsert); an overflow publication is caught by the anchor check like
+	// any other shared movement.
+	h.bufInsert(it, ver, key)
 	return ver
 }
 
@@ -642,17 +627,7 @@ func (h *Handle[V]) InsertBatchSeqs(keys []uint64, values []V, seqs []uint64) {
 	b := h.pool.Get(block.LevelForCount(n))
 	b.AppendSorted(its)
 	h.inserted.Add(int64(n))
-	switch h.q.cfg.Mode {
-	case DistOnly:
-		h.dist.InsertBlock(b, nil)
-	case SharedOnly:
-		// Shared.Insert acquires the entry references itself (mirroring the
-		// single-insert path), so the block goes in bare.
-		b.AddOwner(h.id)
-		h.q.shared.Insert(h.cursor, b)
-	default:
-		h.dist.InsertBlock(b, h.overflow)
-	}
+	h.dist.InsertBlock(b, h.overflow)
 	clear(its)
 	h.batchScratch = its[:0]
 }
@@ -694,14 +669,9 @@ func (h *Handle[V]) DrainMinSeq(max int, emit func(key uint64, value V, seq uint
 // findMinCandidate returns the better of the DistLSM minimum and the shared
 // k-LSM candidate, as in Listing 5's inner loop.
 func (h *Handle[V]) findMinCandidate() *item.Item[V] {
-	var local *item.Item[V]
-	switch h.q.cfg.Mode {
-	case SharedOnly:
-		return h.q.shared.FindMin(h.cursor)
-	case DistOnly:
-		return h.dist.FindMin()
-	default:
-		local = h.dist.FindMin()
+	local := h.dist.FindMin()
+	if h.q.cfg.Mode == DistOnly {
+		return local
 	}
 	shared := h.q.shared.FindMin(h.cursor)
 	switch {
@@ -767,14 +737,11 @@ func (h *Handle[V]) TryDeleteMinSeq() (key uint64, value V, seq uint64, ok bool)
 func (h *Handle[V]) take(bound uint64) (key uint64, value V, seq uint64, ok bool) {
 	drop := h.q.cfg.Drop
 	mode := h.q.cfg.Mode
-	var local *item.Item[V]
+	local := h.dist.FindMin()
 	var shared item.Snap[V]
 	// In DistOnly mode there is no shared side; pretend it was fetched (and
 	// found empty) so the loop never consults it.
 	haveShared, sharedOK := mode == DistOnly, false
-	if mode != SharedOnly {
-		local = h.dist.FindMin()
-	}
 	for {
 		if !haveShared && (local == nil || !h.q.shared.SkipShared(h.cursor, local.Key())) {
 			shared, sharedOK = h.q.shared.FindMinSnap(h.cursor)
@@ -875,9 +842,6 @@ func (h *Handle[V]) PeekMin() (key uint64, value V, ok bool) {
 // signal. The scan is bounded and wait-free apart from the copies
 // themselves.
 func (h *Handle[V]) spy() bool {
-	if h.q.cfg.Mode == SharedOnly {
-		return false
-	}
 	victims := *h.q.victims.Load()
 	if len(victims) == 0 {
 		return false
@@ -907,9 +871,6 @@ func (h *Handle[V]) spy() bool {
 // was copied. A false return is the bounded-emptiness signal: no reachable
 // structure held a key <= bound at the time of the sweep.
 func (h *Handle[V]) spyDue(bound uint64) bool {
-	if h.q.cfg.Mode == SharedOnly {
-		return false
-	}
 	victims := *h.q.victims.Load()
 	copied := false
 	for _, v := range victims {
@@ -995,9 +956,7 @@ func (h *Handle[V]) DrainMinBoundedSeq(bound uint64, max int, emit func(key uint
 // untouched (their garbage is bounded by the per-handle size bound ~2(k+1)).
 func (h *Handle[V]) Compact() {
 	h.bufInvalidate()
-	if h.q.cfg.Mode != SharedOnly {
-		h.dist.Purge()
-	}
+	h.dist.Purge()
 	if h.q.cfg.Mode != DistOnly {
 		h.q.shared.Purge(h.cursor)
 	}

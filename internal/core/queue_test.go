@@ -23,18 +23,24 @@ func drainHandle(h *Handle[int]) []uint64 {
 	}
 }
 
+// TestEmptyQueue covers both modes and k = 0, where every key goes through
+// the shared k-LSM.
 func TestEmptyQueue(t *testing.T) {
-	for _, mode := range []Mode{Combined, DistOnly, SharedOnly} {
-		q := NewQueue(Config[int]{K: 4, Mode: mode, LocalOrdering: true})
+	for _, cfg := range []Config[int]{
+		{K: 4, Mode: Combined, LocalOrdering: true},
+		{K: 4, Mode: DistOnly, LocalOrdering: true},
+		{K: 0, Mode: Combined, LocalOrdering: true},
+	} {
+		q := NewQueue(cfg)
 		h := q.NewHandle()
 		if _, _, ok := h.TryDeleteMin(); ok {
-			t.Fatalf("mode %v: TryDeleteMin on empty succeeded", mode)
+			t.Fatalf("mode %v k %d: TryDeleteMin on empty succeeded", cfg.Mode, cfg.K)
 		}
 		if _, _, ok := h.PeekMin(); ok {
-			t.Fatalf("mode %v: PeekMin on empty succeeded", mode)
+			t.Fatalf("mode %v k %d: PeekMin on empty succeeded", cfg.Mode, cfg.K)
 		}
 		if q.Size() != 0 {
-			t.Fatalf("mode %v: Size = %d", mode, q.Size())
+			t.Fatalf("mode %v k %d: Size = %d", cfg.Mode, cfg.K, q.Size())
 		}
 	}
 }
@@ -154,18 +160,6 @@ func TestDistOnlyMode(t *testing.T) {
 	}
 }
 
-func TestSharedOnlyMode(t *testing.T) {
-	q := NewQueue(Config[int]{K: 8, Mode: SharedOnly, LocalOrdering: true})
-	h := q.NewHandle()
-	for i := uint64(0); i < 100; i++ {
-		h.Insert(i, 0)
-	}
-	got := drainHandle(h)
-	if len(got) != 100 {
-		t.Fatalf("drained %d of 100", len(got))
-	}
-}
-
 // TestConservationConcurrent: the fundamental exactly-once test across
 // modes and relaxation settings under real concurrency.
 func TestConservationConcurrent(t *testing.T) {
@@ -180,7 +174,6 @@ func TestConservationConcurrent(t *testing.T) {
 		{K: 256, Mode: Combined, LocalOrdering: true},
 		{K: 4096, Mode: Combined, LocalOrdering: false},
 		{Mode: DistOnly},
-		{K: 16, Mode: SharedOnly, LocalOrdering: true},
 	}
 	for _, cfg := range configs {
 		q := NewQueue(cfg)

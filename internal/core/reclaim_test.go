@@ -84,12 +84,12 @@ func TestReclaimAccountingStress(t *testing.T) {
 	reclaimStress(t, Config[uint64]{K: 128, Mode: Combined, LocalOrdering: true}, 30_000)
 }
 
-// TestReclaimAccountingStressSharedOnly is the ledger stress with every
-// insert going straight to the shared k-LSM, so every reference moves
+// TestReclaimAccountingStressKZero is the ledger stress at k = 0, where
+// every insert overflows into the shared k-LSM, so every reference moves
 // through the shared structure's speculative transfers, committed or
 // discarded by contended CASes.
-func TestReclaimAccountingStressSharedOnly(t *testing.T) {
-	reclaimStress(t, Config[uint64]{K: 16, Mode: SharedOnly, LocalOrdering: true}, 10_000)
+func TestReclaimAccountingStressKZero(t *testing.T) {
+	reclaimStress(t, Config[uint64]{K: 0, Mode: Combined, LocalOrdering: true}, 10_000)
 }
 
 // TestReclaimAccountingStressOverflow is the ledger stress at a small k:

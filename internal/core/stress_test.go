@@ -7,20 +7,25 @@ import (
 	"klsm/internal/xrand"
 )
 
-// TestConcurrentStressAllModes runs every operating mode under real
-// concurrency: a mixed insert/delete workload whose deletes force spying
-// (consumers outdelete their own inserts), with handle churn mixed in, so
-// spies, closes and §4.4 retirements race each other. Every inserted key
-// must be extracted exactly once, and no live item may reach refcount zero.
-// Meant to run under -race.
+// TestConcurrentStressAllModes runs both operating modes, and k = 0, where
+// every key goes through the shared k-LSM, under real concurrency: a mixed
+// insert/delete workload whose deletes force spying (consumers outdelete
+// their own inserts), with handle churn mixed in, so spies, closes and §4.4
+// retirements race each other. Every inserted key must be extracted exactly
+// once, and no live item may reach refcount zero. Meant to run under -race.
 func TestConcurrentStressAllModes(t *testing.T) {
 	workers := 6
 	perWorker := 4000
 	if testing.Short() {
 		workers, perWorker = 4, 1000
 	}
-	for _, mode := range []Mode{Combined, DistOnly, SharedOnly} {
-		q := NewQueue(Config[int]{K: 64, Mode: mode, LocalOrdering: true})
+	for _, cfg := range []Config[int]{
+		{K: 64, Mode: Combined, LocalOrdering: true},
+		{K: 64, Mode: DistOnly, LocalOrdering: true},
+		{K: 0, Mode: Combined, LocalOrdering: true},
+	} {
+		mode := cfg.Mode
+		q := NewQueue(cfg)
 		var (
 			wg       sync.WaitGroup
 			inserted = make([][]uint64, workers)
@@ -75,16 +80,16 @@ func TestConcurrentStressAllModes(t *testing.T) {
 			for _, k := range keys {
 				want++
 				if seen[k] != 1 {
-					t.Fatalf("mode %v: key %d extracted %d times", mode, k, seen[k])
+					t.Fatalf("mode %v k %d: key %d extracted %d times", mode, cfg.K, k, seen[k])
 				}
 			}
 		}
 		if total != want {
-			t.Fatalf("mode %v: extracted %d keys, want %d", mode, total, want)
+			t.Fatalf("mode %v k %d: extracted %d keys, want %d", mode, cfg.K, total, want)
 		}
 		q.Quiesce()
 		if lost := q.ReclaimStats().ItemsLostLive; lost != 0 {
-			t.Fatalf("mode %v: %d live items hit refcount zero", mode, lost)
+			t.Fatalf("mode %v k %d: %d live items hit refcount zero", mode, cfg.K, lost)
 		}
 	}
 }

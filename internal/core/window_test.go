@@ -11,133 +11,6 @@ func windowStats[V any](h *Handle[V]) (builds, items int64) {
 	return h.cursor.WindowBuilds.Load(), h.cursor.WindowItems.Load()
 }
 
-// TestWindowRebuildBoundedAtLargeK guards the candidate-window rebuild cost
-// the ROADMAP flags for k ≥ 4096: the window materializes O(k) candidates
-// per snapshot change, so under insert churn (every insert publishes a new
-// shared snapshot in SharedOnly mode) the rebuild work per delete must stay
-// within a small constant of k+1 — and must not explode to, say, a rebuild
-// per candidate pop or windows unbounded by the pivot range. Until the lazy
-// materialization follow-up lands, this test pins the current amortized
-// cost so a regression (or the follow-up's improvement) is visible.
-func TestWindowRebuildBoundedAtLargeK(t *testing.T) {
-	const k = 8192
-	q := NewQueue(Config[int]{K: k, Mode: SharedOnly, LocalOrdering: true})
-	h := q.NewHandle()
-	rng := xrand.NewSeeded(4242)
-
-	const prefill = 3 * k / 2
-	for i := 0; i < prefill; i++ {
-		h.Insert(rng.Uint64n(1<<40), i)
-	}
-
-	// Phase 1: insert churn — alternate insert and delete so every delete
-	// faces a fresh snapshot and must rebuild its window.
-	b0, i0 := windowStats(h)
-	const churn = 512
-	deletes := 0
-	for i := 0; i < churn; i++ {
-		h.Insert(rng.Uint64n(1<<40), i)
-		if _, _, ok := h.TryDeleteMin(); ok {
-			deletes++
-		}
-	}
-	builds, items := windowStats(h)
-	builds, items = builds-b0, items-i0
-	if deletes == 0 {
-		t.Fatal("no deletes succeeded")
-	}
-	// One rebuild per snapshot change is the current design; inserts and
-	// the deletes' own consolidations both change snapshots, so allow a
-	// small constant per operation.
-	if maxBuilds := int64(4 * churn); builds > maxBuilds {
-		t.Fatalf("churn phase: %d window builds for %d ops (bound %d)", builds, churn, maxBuilds)
-	}
-	// The window is the pivot-range candidate set: O(k) per build. Guard
-	// the amortized per-delete materialization cost at a small multiple of
-	// k+1 — the known O(k) cost the lazy-materialization follow-up will
-	// shrink, and the ceiling a regression would pierce.
-	if maxItems := int64(4 * (k + 1) * deletes); items > maxItems {
-		t.Fatalf("churn phase: %d candidates materialized for %d deletes (bound %d)",
-			items, deletes, maxItems)
-	}
-	perDelete := items / int64(deletes)
-	t.Logf("churn: %d builds, %d candidates, %d deletes (%d candidates/delete, k=%d)",
-		builds, items, deletes, perDelete, k)
-
-	// Phase 2: pure draining — with no snapshot churn between deletes, the
-	// cached window must be popped across calls, NOT rebuilt per delete.
-	// This is the min-caching property itself; without the cache (or with
-	// an over-eager invalidation regression) builds track deletes 1:1.
-	b1, i1 := windowStats(h)
-	const drain = 2048
-	drained := 0
-	for i := 0; i < drain; i++ {
-		if _, _, ok := h.TryDeleteMin(); ok {
-			drained++
-		}
-	}
-	builds2, items2 := windowStats(h)
-	builds2, items2 = builds2-b1, items2-i1
-	if drained != drain {
-		t.Fatalf("drained %d of %d", drained, drain)
-	}
-	if maxBuilds := int64(drain / 8); builds2 > maxBuilds {
-		t.Fatalf("drain phase: %d window builds for %d deletes (bound %d) — window not reused across calls",
-			builds2, drain, maxBuilds)
-	}
-	t.Logf("drain: %d builds, %d candidates for %d deletes", builds2, items2, drained)
-}
-
-// windowCostCeiling is the pinned amortized window cost: candidates
-// materialized per successful delete under worst-case insert churn at
-// k = 8192. The incremental window (PR 6) repairs only changed blocks'
-// pivot ranges, so the cost is O(new candidates), not O(k): measured ~19
-// per delete where the eager rebuild paid ~k+1 ≈ 8193. The ceiling leaves
-// ~6× headroom over the measured value while sitting ~32× below the old
-// cost — loose enough to survive seed jitter, tight enough that any
-// return to per-snapshot O(k) rebuilds fails loudly. CI greps for this
-// test by name as the window-cost smoke check.
-const windowCostCeiling = 128
-
-// TestWindowCostCeiling pins the incremental candidate window's per-delete
-// materialization cost at large k under insert churn — every insert in
-// SharedOnly mode publishes a new shared snapshot, so every delete faces a
-// changed snapshot and must repair. This is the E15 acceptance metric
-// (≥ 5× below the eager-rebuild cost; the pinned ceiling is 64× below).
-func TestWindowCostCeiling(t *testing.T) {
-	const k = 8192
-	q := NewQueue(Config[int]{K: k, Mode: SharedOnly, LocalOrdering: true})
-	h := q.NewHandle()
-	rng := xrand.NewSeeded(99)
-
-	const prefill = 3 * k / 2
-	for i := 0; i < prefill; i++ {
-		h.Insert(rng.Uint64n(1<<40), i)
-	}
-
-	_, i0 := windowStats(h)
-	const churn = 512
-	deletes := 0
-	for i := 0; i < churn; i++ {
-		h.Insert(rng.Uint64n(1<<40), i)
-		if _, _, ok := h.TryDeleteMin(); ok {
-			deletes++
-		}
-	}
-	_, items := windowStats(h)
-	items -= i0
-	if deletes == 0 {
-		t.Fatal("no deletes succeeded")
-	}
-	perDelete := items / int64(deletes)
-	t.Logf("%d candidates over %d deletes: %d candidates/delete (ceiling %d, k=%d)",
-		items, deletes, perDelete, windowCostCeiling, k)
-	if perDelete > windowCostCeiling {
-		t.Fatalf("window cost regressed: %d candidates/delete exceeds pinned ceiling %d (k=%d)",
-			perDelete, windowCostCeiling, k)
-	}
-}
-
 // TestBatchDrainWindowCost guards the E14 large-batch regression: a
 // DrainMin of B ≥ k used to drain past the candidate window each call and
 // pay an O(k) rebuild per refill, eating the batch-insert win. With the

@@ -20,16 +20,17 @@ import (
 	"sort"
 )
 
-// defaultVNodes is the ring's virtual-node count per shard: enough that the
-// largest shard owns within a few percent of the mean topic share, small
-// enough that building the ring is negligible.
+// defaultVNodes is the ring's virtual-node count per shard. Like hash64 and
+// the vnode name format, it is part of a persistent deployment's on-disk
+// contract: a change that moves a ring arc moves the topics on it to
+// another shard, away from the WAL that holds their items.
 const defaultVNodes = 64
 
 // ring is a consistent-hash ring mapping topic strings to shard indices.
-// Placement depends only on (shard count, vnodes, topic), never on
-// insertion order or clock, so a topic maps to the same shard across
-// restarts — which persistence requires: a shard's WAL must replay into
-// the shard that still owns the topic.
+// Placement depends only on (shard count, topic), never on insertion order
+// or clock, so a topic maps to the same shard across restarts — which
+// persistence requires: a shard's WAL must replay into the shard that still
+// owns the topic.
 //
 // Consistent hashing (rather than hash-mod-S) keeps the door open for
 // resharding: growing from S to S+1 shards moves only the topics whose
@@ -42,18 +43,15 @@ type ring struct {
 	owner  []int
 }
 
-// newRing builds the ring for shards × vnodes virtual nodes.
-func newRing(shards, vnodes int) *ring {
-	if vnodes <= 0 {
-		vnodes = defaultVNodes
-	}
+// newRing builds the ring for shards × defaultVNodes virtual nodes.
+func newRing(shards int) *ring {
 	type pt struct {
 		h     uint64
 		shard int
 	}
-	pts := make([]pt, 0, shards*vnodes)
+	pts := make([]pt, 0, shards*defaultVNodes)
 	for s := 0; s < shards; s++ {
-		for v := 0; v < vnodes; v++ {
+		for v := 0; v < defaultVNodes; v++ {
 			pts = append(pts, pt{hash64(fmt.Sprintf("shard-%d-vnode-%d", s, v)), s})
 		}
 	}

@@ -18,14 +18,13 @@ type Router struct {
 	ring   *ring
 }
 
-// NewRouter builds a router over the given shard queues with vnodes virtual
-// ring nodes per shard (<= 0 selects the default). The queues are owned by
-// the caller: the router never closes them.
-func NewRouter(shards []*klsm.Queue[string], vnodes int) *Router {
+// NewRouter builds a router over the given shard queues. The queues are
+// owned by the caller: the router never closes them.
+func NewRouter(shards []*klsm.Queue[string]) *Router {
 	if len(shards) == 0 {
 		panic("server: NewRouter needs at least one shard")
 	}
-	return &Router{shards: shards, ring: newRing(len(shards), vnodes)}
+	return &Router{shards: shards, ring: newRing(len(shards))}
 }
 
 // Shards returns the shard count S.

@@ -22,11 +22,9 @@ import (
 type Config struct {
 	// Shards is the number of queue shards S (default 4). Topics map to
 	// shards by consistent hashing; the composed relaxation bound is S·T·k.
+	// Placement depends on S, so a persistent deployment must reopen with
+	// the same S.
 	Shards int
-	// VNodes is the consistent-hash ring's virtual-node count per shard
-	// (<= 0 selects the default, 64). Must stay constant across restarts of
-	// a persistent deployment: placement is part of the on-disk contract.
-	VNodes int
 	// Dir, when non-empty, makes every shard persistent: shard i opens
 	// klsm.Open(Dir/shard-000i). Empty runs in memory.
 	Dir string
@@ -127,7 +125,7 @@ func New(cfg Config) (*Server, error) {
 		}
 		queues[i] = q
 	}
-	s := &Server{cfg: cfg, router: NewRouter(queues, cfg.VNodes)}
+	s := &Server{cfg: cfg, router: NewRouter(queues)}
 	s.gh = s.router.NewHandle()
 	s.shards = make([]*shardSrv, cfg.Shards)
 	for i, q := range queues {

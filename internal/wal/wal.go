@@ -12,32 +12,19 @@ import (
 // ErrClosed is returned by operations on a closed (or abandoned) log.
 var ErrClosed = errors.New("wal: closed")
 
-// Options tunes the group-commit policy. The zero value syncs only on
-// explicit Sync and Close — callers almost always want at least one of
-// SyncEvery or SyncInterval.
-type Options struct {
-	// SyncEvery fsyncs after this many appended records (0 = no
-	// count-based syncing). 1 syncs every write batch — still group
-	// commit, since one batch carries every record appended while the
-	// previous batch was on disk.
-	SyncEvery int
-	// SyncInterval fsyncs at most this long after an unsynced append
-	// (0 = no timer-based syncing). This is the knob that bounds the
-	// acknowledgement latency of group commit.
-	SyncInterval time.Duration
-	// BufferCap is the pending-byte high-water mark: Append blocks (in
+const (
+	// bufferCap is the pending-byte high-water mark: Append blocks (in
 	// memory, waiting for the writer goroutine — never on disk) once this
-	// many bytes are buffered. 0 means the default 4 MiB.
-	BufferCap int
-	// WriteCoalesceBytes is the writer's batch growth target: after
-	// swapping out the pending buffer, the writer keeps folding in bytes
-	// that mutators appended meanwhile until the batch reaches this size
-	// or the pending buffer runs dry, then issues one write() for the
-	// whole run. Coalescing never waits — it only gathers work that
-	// already exists — so it trades no latency for fewer syscalls.
-	// 0 means the default 256 KiB; negative disables (one write per swap).
-	WriteCoalesceBytes int
-}
+	// many bytes are buffered.
+	bufferCap = 4 << 20
+	// coalesceBytes is the writer's batch growth target: after swapping out
+	// the pending buffer, the writer keeps folding in bytes that mutators
+	// appended meanwhile until the batch reaches this size or the pending
+	// buffer runs dry, then issues one write() for the whole run.
+	// Coalescing never waits — it only gathers work that already exists —
+	// so it trades no latency for fewer syscalls.
+	coalesceBytes = 256 << 10
+)
 
 // Stats counts the log's I/O activity; all fields are cumulative.
 type Stats struct {
@@ -53,10 +40,10 @@ type Stats struct {
 	// SyncWaits is the number of explicit Sync calls that had to wait for
 	// the writer (a measure of how often callers outrun group commit).
 	SyncWaits int64
-	// TimerFires counts SyncInterval timers that fired and actually woke
-	// the writer for an fsync. A timer whose records an explicit Sync (or
-	// SyncEvery) already made durable is canceled — or, losing that race,
-	// detects staleness and does nothing — so it never shows up here.
+	// TimerFires counts sync-interval timers that fired and actually woke
+	// the writer for an fsync. A timer whose records an explicit Sync
+	// already made durable is canceled — or, losing that race, detects
+	// staleness and does nothing — so it never shows up here.
 	TimerFires int64
 	// Rotations counts completed Rotate calls.
 	Rotations int64
@@ -67,14 +54,16 @@ type Stats struct {
 // into an in-memory buffer under a short mutex and returns; a single
 // background goroutine seals the CRCs in one pass per batch, drains the
 // buffer to the file in coalesced write() calls, and decides when to fsync
-// per Options. Appends therefore never block on disk (only, briefly, on the
-// buffer mutex, or on BufferCap backpressure), pay no checksum on the
-// mutator's critical path, and one fsync acknowledges every record buffered
-// since the previous one — the group-commit batching that keeps WAL overhead
-// sublinear in the sync policy.
+// per its sync interval. Appends therefore never block on disk (only,
+// briefly, on the buffer mutex, or on bufferCap backpressure), pay no
+// checksum on the mutator's critical path, and one fsync acknowledges every
+// record buffered since the previous one — the group-commit batching that
+// keeps WAL overhead sublinear in the sync policy.
 type Log struct {
-	fs   walfault.FS
-	opts Options
+	fs walfault.FS
+	// syncInterval bounds how long after an unsynced append the writer
+	// fsyncs; 0 leaves fsyncs to Sync, Rotate and Close.
+	syncInterval time.Duration
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -121,18 +110,17 @@ type Log struct {
 // Open opens (creating or appending to) the named log file on fs and starts
 // the writer goroutine. The caller must have already truncated any torn
 // tail (see Scan) — Open itself does not read the file.
-func Open(fs walfault.FS, name string, opts Options) (*Log, error) {
+//
+// syncInterval is the group-commit policy: the writer fsyncs at most this
+// long after an unsynced append, which bounds the acknowledgement latency.
+// 0 disables timer-based syncing: the log then fsyncs only on explicit Sync,
+// Rotate and Close.
+func Open(fs walfault.FS, name string, syncInterval time.Duration) (*Log, error) {
 	f, err := fs.Append(name)
 	if err != nil {
 		return nil, err
 	}
-	if opts.BufferCap <= 0 {
-		opts.BufferCap = 4 << 20
-	}
-	if opts.WriteCoalesceBytes == 0 {
-		opts.WriteCoalesceBytes = 256 << 10
-	}
-	l := &Log{fs: fs, name: name, f: f, opts: opts, done: make(chan struct{})}
+	l := &Log{fs: fs, name: name, f: f, syncInterval: syncInterval, done: make(chan struct{})}
 	l.cond = sync.NewCond(&l.mu)
 	go l.writer()
 	return l, nil
@@ -142,12 +130,12 @@ func Open(fs walfault.FS, name string, opts Options) (*Log, error) {
 // 1-based position in the record stream). The record is durable once
 // Synced() reaches the returned LSN; Sync() blocks until everything
 // appended so far is. Append never touches the file and never checksums:
-// it blocks only on the buffer mutex and, above Options.BufferCap, on
+// it blocks only on the buffer mutex and, above bufferCap, on
 // writer backpressure; the CRC32C work happens on the writer goroutine.
 func (l *Log) Append(op Op) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for len(l.pending) >= l.opts.BufferCap && l.err == nil && !l.closed {
+	for len(l.pending) >= bufferCap && l.err == nil && !l.closed {
 		l.cond.Wait()
 	}
 	if l.err != nil {
@@ -444,7 +432,7 @@ func (l *Log) writer() {
 			// write once. This only gathers work that already exists — the
 			// writer never waits for a fuller batch — so it converts bursts
 			// of small swaps into one write() without adding latency.
-			for len(batch) < l.opts.WriteCoalesceBytes {
+			for len(batch) < coalesceBytes {
 				l.mu.Lock()
 				if len(l.pending) == 0 || l.rotateTo != nil {
 					l.mu.Unlock()
@@ -457,7 +445,7 @@ func (l *Log) writer() {
 				lsn = l.appended
 				doSync = doSync || l.syncReq
 				l.syncReq = false
-				l.cond.Broadcast() // release BufferCap backpressure
+				l.cond.Broadcast() // release bufferCap backpressure
 				l.mu.Unlock()
 			}
 			sealFrames(batch)
@@ -479,8 +467,7 @@ func (l *Log) writer() {
 		l.cond.Broadcast()
 		l.mu.Unlock()
 
-		if lastErr == nil && unsynced > 0 &&
-			(doSync || closing || (l.opts.SyncEvery > 0 && unsynced >= l.opts.SyncEvery)) {
+		if lastErr == nil && unsynced > 0 && (doSync || closing) {
 			if err := f.Sync(); err != nil {
 				fail(err)
 			} else {
@@ -498,7 +485,7 @@ func (l *Log) writer() {
 				l.cond.Broadcast()
 				l.mu.Unlock()
 			}
-		} else if lastErr == nil && unsynced > 0 && l.opts.SyncInterval > 0 {
+		} else if lastErr == nil && unsynced > 0 && l.syncInterval > 0 {
 			l.armTimer(wrote)
 		}
 		if lastErr != nil {
@@ -522,7 +509,7 @@ func (l *Log) writer() {
 	}
 }
 
-// armTimer schedules a deferred group-commit fsync SyncInterval from now
+// armTimer schedules a deferred group-commit fsync syncInterval from now
 // covering at least the given LSN, unless one is already armed (whose
 // earlier deadline then covers the new records too) or the target is
 // already durable.
@@ -540,16 +527,16 @@ func (l *Log) armTimer(target uint64) {
 	}
 	l.timerOn = true
 	if l.timer == nil {
-		l.timer = time.AfterFunc(l.opts.SyncInterval, l.timerFire)
+		l.timer = time.AfterFunc(l.syncInterval, l.timerFire)
 	} else {
-		l.timer.Reset(l.opts.SyncInterval)
+		l.timer.Reset(l.syncInterval)
 	}
 }
 
 // timerFire is the interval timer's callback: it wakes the writer for a
-// group-commit fsync — unless an explicit Sync (or SyncEvery) made the
-// covered records durable first, in which case the fire is stale and does
-// nothing (and is not counted).
+// group-commit fsync — unless an explicit Sync made the covered records
+// durable first, in which case the fire is stale and does nothing (and is
+// not counted).
 func (l *Log) timerFire() {
 	l.mu.Lock()
 	if !l.timerOn {

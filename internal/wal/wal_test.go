@@ -102,7 +102,7 @@ func TestScanGarbledTailTruncates(t *testing.T) {
 // that every synced record is present and in seq order per appender.
 func TestLogGroupCommitConcurrent(t *testing.T) {
 	fs := walfault.NewMemFS(walfault.Faults{Seed: 1})
-	l, err := Open(fs, "wal", Options{SyncEvery: 8, SyncInterval: time.Millisecond})
+	l, err := Open(fs, "wal", time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestLogGroupCommitConcurrent(t *testing.T) {
 // After a crash, everything up to the last successful Sync must replay.
 func TestLogCrashKeepsSyncedPrefix(t *testing.T) {
 	fs := walfault.NewMemFS(walfault.Faults{Seed: 7})
-	l, err := Open(fs, "wal", Options{})
+	l, err := Open(fs, "wal", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestLogCrashKeepsSyncedPrefix(t *testing.T) {
 // Injected fsync failures surface as sticky errors on Sync and Append.
 func TestLogSyncFailureSticky(t *testing.T) {
 	fs := walfault.NewMemFS(walfault.Faults{SyncFailRate: 1, Seed: 3})
-	l, err := Open(fs, "wal", Options{})
+	l, err := Open(fs, "wal", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestLogSyncFailureSticky(t *testing.T) {
 // Short writes surface as sticky errors too (the log never silently skips).
 func TestLogShortWriteFails(t *testing.T) {
 	fs := walfault.NewMemFS(walfault.Faults{ShortWriteRate: 1, Seed: 11})
-	l, err := Open(fs, "wal", Options{})
+	l, err := Open(fs, "wal", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func (f *gateFile) Write(p []byte) (int, error) {
 func TestWriteCoalescing(t *testing.T) {
 	gate := make(chan struct{})
 	fs := &gateFS{FS: walfault.NewMemFS(walfault.Faults{}), gate: gate}
-	l, err := Open(fs, "wal", Options{})
+	l, err := Open(fs, "wal", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +303,7 @@ func TestWriteCoalescing(t *testing.T) {
 func TestStaleTimerCanceled(t *testing.T) {
 	fs := walfault.NewMemFS(walfault.Faults{})
 	const interval = 100 * time.Millisecond
-	l, err := Open(fs, "wal", Options{SyncInterval: interval})
+	l, err := Open(fs, "wal", interval)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +361,7 @@ func createFile(t *testing.T, fs walfault.FS, name string) {
 // appends to the successor, and keep LSNs/durability working across the cut.
 func TestRotate(t *testing.T) {
 	fs := walfault.NewMemFS(walfault.Faults{})
-	l, err := Open(fs, "wal-a", Options{})
+	l, err := Open(fs, "wal-a", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,7 +427,7 @@ func TestRotate(t *testing.T) {
 func TestRotateConcurrentAppends(t *testing.T) {
 	fs := walfault.NewMemFS(walfault.Faults{})
 	files := []string{"wal-000001", "wal-000002", "wal-000003", "wal-000004"}
-	l, err := Open(fs, files[0], Options{SyncEvery: 16})
+	l, err := Open(fs, files[0], 100*time.Microsecond)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,16 +83,10 @@ type DropFunc[V any] func(key uint64, value V) bool
 // nothing. Obtain one from InsertRef.
 type Ref[V any] struct{ r core.Ref[V] }
 
-// resolveOptions applies opts to the defaults: the paper's recommended
-// general-purpose setting (combined k-LSM, k = 256, local ordering) and —
-// for persistent queues — 2ms timer-driven group commit.
+// resolveOptions applies opts to the defaults: k = 256 and — for
+// persistent queues — 2ms timer-driven group commit.
 func resolveOptions(opts []Option) options {
-	cfg := options{
-		k:             256,
-		mode:          core.Combined,
-		localOrdering: true,
-		syncInterval:  2 * time.Millisecond,
-	}
+	cfg := options{k: 256, syncInterval: 2 * time.Millisecond}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -102,47 +96,37 @@ func resolveOptions(opts []Option) options {
 	return cfg
 }
 
-// coreConfig translates resolved options into the engine configuration.
-func coreConfig[V any](cfg options) core.Config[V] {
-	return core.Config[V]{K: cfg.k, Mode: cfg.mode, LocalOrdering: cfg.localOrdering}
-}
-
-// newCoreQueue builds the engine queue for resolved options, wiring the
-// optional lazy-deletion callback.
+// newCoreQueue builds the engine queue for resolved options: the combined
+// k-LSM of §4.3 with local ordering, wired to the optional lazy-deletion
+// callback.
 func newCoreQueue[V any](cfg options, drop func(key uint64, value V) bool) *core.Queue[V] {
-	ccfg := coreConfig[V](cfg)
-	ccfg.Drop = drop
-	return core.NewQueue(ccfg)
+	return core.NewQueue(core.Config[V]{K: cfg.k, Mode: core.Combined, LocalOrdering: true, Drop: drop})
 }
 
-// New returns an empty queue configured by opts. The default configuration
-// is the paper's recommended general-purpose setting: the combined k-LSM
-// with k = 256 and local ordering enabled. Every queue recycles its memory
-// through §4.4 pooling with deterministic item reclamation, and caches
-// delete-min candidates. For a durable queue use Open — New panics if WithPersistence is
-// among opts, because persistence needs a ValueCodec that cannot travel
-// through the non-generic Option type.
+// New returns an empty queue configured by opts: the combined k-LSM of the
+// paper with local ordering, at k = 256 unless WithRelaxation says
+// otherwise. Every queue recycles its memory through §4.4 pooling with
+// deterministic item reclamation, and caches delete-min candidates. New
+// ignores the durability options; for a durable queue use Open, which takes
+// the ValueCodec that persistence needs.
 func New[V any](opts ...Option) *Queue[V] {
-	cfg := resolveOptions(opts)
-	if cfg.persistDir != "" {
-		panic("klsm: WithPersistence requires klsm.Open (New cannot take the value codec)")
-	}
-	return &Queue[V]{q: newCoreQueue[V](cfg, nil)}
+	return &Queue[V]{q: newCoreQueue[V](resolveOptions(opts), nil)}
 }
 
 // NewWithDrop is New with a lazy-deletion callback; the callback type is
 // generic, so it cannot be passed through Option.
 func NewWithDrop[V any](drop DropFunc[V], opts ...Option) *Queue[V] {
-	cfg := resolveOptions(opts)
-	if cfg.persistDir != "" {
-		panic("klsm: WithPersistence requires klsm.Open (New cannot take the value codec)")
-	}
-	return &Queue[V]{q: newCoreQueue[V](cfg, drop)}
+	return &Queue[V]{q: newCoreQueue[V](resolveOptions(opts), drop)}
 }
 
 // NewHandle registers a new handle. Handles count toward the relaxation
 // bound: with T handles, TryDeleteMin returns one of the T·k+1 smallest
-// keys.
+// keys. A handle costs the queue until its Close (see Close): its epoch
+// record stays in every horizon scan, and its cursor stamp, frozen at its
+// last shared operation, holds every later shared retirement back until
+// the limbo caps, where dropped obligations are counted in the engine's
+// ReclaimStats.LimboLeaked. Short-lived goroutines should use the
+// handle-free operations instead of opening a handle each.
 func (q *Queue[V]) NewHandle() *Handle[V] {
 	if q.closed.Load() {
 		panic(ErrClosed)
@@ -168,10 +152,9 @@ const MaxRelaxation = core.MaxRelaxation
 // effect promptly but not atomically: the shared structure adopts the new
 // bound on its next update, and each handle applies it on its next insert.
 // During the transition the effective per-handle bound is the larger of the
-// old and new k. No-op for queues created WithDistributedOnly.
+// old and new k.
 //
-// Validation matches New: k < 0 panics (also on WithDistributedOnly queues,
-// where the value is otherwise ignored), and k > MaxRelaxation is clamped.
+// Validation matches New: k < 0 panics, and k > MaxRelaxation is clamped.
 func (q *Queue[V]) SetRelaxation(k int) { q.q.SetRelaxation(k) }
 
 // Rho returns the current worst-case relaxation bound T·k, where T is the
@@ -232,9 +215,10 @@ func (q *Queue[V]) compactLent(h *Handle[V]) {
 
 // Quiesce drives every deferred §4.4 reclamation step to completion:
 // DistLSM consolidation, shared-structure maintenance, and the epoch-gated
-// limbo drains, including obligations handed over by closed handles. After Quiesce on a fully drained queue, every recyclable block
-// and item has returned to a free list. It must not run concurrently with
-// any handle operation; call it at shutdown or between test phases.
+// limbo drains, including obligations handed over by closed handles. After
+// Quiesce on a fully drained queue, every recyclable block and item has
+// returned to a free list. It must not run concurrently with any handle
+// operation; call it at shutdown or between test phases.
 func (q *Queue[V]) Quiesce() { q.q.Quiesce() }
 
 // Meld absorbs all items of other into q through handle h. Exactly-once
@@ -262,8 +246,18 @@ func (h *Handle[V]) Meld(other *Queue[V]) {
 // Close retires the handle: locally batched items move to the shared
 // structure (staying reachable without it) and the handle stops counting
 // toward ρ = T·k. Call it when a worker goroutine exits for good; the
-// handle must not be used afterwards. Closing is optional for short-lived
-// queues but prevents unbounded victim-list growth under handle churn.
+// handle must not be used afterwards.
+//
+// Only Close releases what a handle holds. An unclosed handle's epoch
+// record stays in every horizon scan of the queue's §4.4 reclamation, and
+// its DistLSM stays on every spy's victim list. Its cursor stamp, frozen at
+// its last shared operation, holds every later shared retirement back: the
+// shared limbo grows until its caps (2048 blocks, 2^20 obligations), and
+// the obligations dropped at those caps leak their items to the garbage
+// collector, counted in the engine's ReclaimStats.LimboLeaked. Short-lived
+// goroutines should use the handle-free operations (Queue.Insert,
+// Queue.TryDeleteMin and the rest), which reuse registry handles, rather
+// than open and abandon a handle each.
 func (h *Handle[V]) Close() {
 	h.persist()
 	h.h.Close()

@@ -23,7 +23,7 @@ func newShardedRouter(s, k int) *server.Router {
 	for i := range queues {
 		queues[i] = klsm.New[string](klsm.WithRelaxation(k))
 	}
-	return server.NewRouter(queues, 0)
+	return server.NewRouter(queues)
 }
 
 // TestKBoundShardedRouter is the zero-slack arm for the sharded service: a

@@ -2,7 +2,6 @@ package klsm
 
 import (
 	"reflect"
-	"sort"
 	"sync"
 	"testing"
 
@@ -24,8 +23,10 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	}
 }
 
+// TestOptionsCompose: options apply in order, so a later WithRelaxation
+// overrides an earlier one, and New ignores the durability options.
 func TestOptionsCompose(t *testing.T) {
-	q := New[int](WithRelaxation(16), WithoutLocalOrdering())
+	q := New[int](WithRelaxation(4), WithSyncInterval(0), WithRelaxation(16))
 	if q.K() != 16 {
 		t.Fatalf("K = %d", q.K())
 	}
@@ -43,35 +44,6 @@ func TestNegativeKPanics(t *testing.T) {
 		}
 	}()
 	New[int](WithRelaxation(-1))
-}
-
-func TestDistributedOnlyOption(t *testing.T) {
-	q := New[int](WithDistributedOnly())
-	h := q.NewHandle()
-	for i := uint64(0); i < 100; i++ {
-		h.Insert(100-i, 0)
-	}
-	var got []uint64
-	for {
-		k, _, ok := h.TryDeleteMin()
-		if !ok {
-			break
-		}
-		got = append(got, k)
-	}
-	if len(got) != 100 || !sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] }) {
-		t.Fatalf("DLSM drain incorrect: %d items", len(got))
-	}
-}
-
-func TestSharedOnlyOption(t *testing.T) {
-	q := New[int](WithSharedOnly(), WithRelaxation(0))
-	h := q.NewHandle()
-	h.Insert(2, 0)
-	h.Insert(1, 0)
-	if k, _, ok := h.TryDeleteMin(); !ok || k != 1 {
-		t.Fatalf("got %d (%v), want 1", k, ok)
-	}
 }
 
 func TestPeekMin(t *testing.T) {

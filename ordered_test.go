@@ -214,8 +214,8 @@ func TestNilCodecPanics(t *testing.T) {
 }
 
 // TestSetRelaxationValidation is the public-layer regression for the
-// SetRelaxation contract: negative k panics (on every mode), absurd k is
-// clamped to MaxRelaxation, and the queue remains usable afterwards.
+// SetRelaxation contract: negative k panics, absurd k is clamped to
+// MaxRelaxation, and the queue remains usable afterwards.
 func TestSetRelaxationValidation(t *testing.T) {
 	q := New[int]()
 	q.SetRelaxation(math.MaxInt)
@@ -242,14 +242,6 @@ func TestSetRelaxationValidation(t *testing.T) {
 	if qc := New[int](WithRelaxation(math.MaxInt)); qc.K() != MaxRelaxation {
 		t.Fatalf("New K = %d, want %d", qc.K(), MaxRelaxation)
 	}
-	// DistOnly queues validate too, though the value is otherwise ignored.
-	dq := New[int](WithDistributedOnly())
-	defer func() {
-		if recover() == nil {
-			t.Fatal("DistOnly SetRelaxation(-1) did not panic")
-		}
-	}()
-	dq.SetRelaxation(-1)
 }
 
 // TestDeleteByRef: Delete removes exactly the item its Ref names, once, and

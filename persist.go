@@ -117,7 +117,6 @@ type persister[V any] struct {
 	fs    walfault.FS
 	dir   string
 	codec ValueCodec[V]
-	wopts wal.Options
 
 	// log is the live WAL. The pointer never changes after openFS —
 	// Checkpoint rotates the Log's file in place — so the op path reads it
@@ -147,14 +146,14 @@ type persister[V any] struct {
 }
 
 // Open opens (or initializes) a persistent queue rooted at directory dir.
-// codec serializes the payloads; opts accepts every New option plus the
-// durability options (WithSyncEvery, WithSyncInterval, WithWALBuffer).
+// codec serializes the payloads; opts accepts WithRelaxation plus the
+// durability options (WithSyncInterval, WithAutoCheckpoint).
 //
 // On an existing directory Open recovers: it loads the checkpoint segments
 // named by the MANIFEST, replays the WAL tail (re-applying inserts whose
 // delete was never logged, cancelling the rest), truncates a torn final
 // record, and resumes appending to the same WAL. Acknowledged operations —
-// those covered by a Sync (or SyncEvery/SyncInterval group commit) that
+// those covered by a Sync (or a WithSyncInterval group commit) that
 // returned before the crash — survive exactly once. Unacknowledged ones may
 // or may not, exactly like any write-behind log. Provable mid-log damage
 // refuses with ErrCorruptWAL or ErrCorruptCheckpoint rather than silently
@@ -187,12 +186,6 @@ func openFS[V any](fsys walfault.FS, dir string, codec ValueCodec[V], opts ...Op
 		fs:    fsys,
 		dir:   dir,
 		codec: codec,
-		wopts: wal.Options{
-			SyncEvery:          o.syncEvery,
-			SyncInterval:       o.syncInterval,
-			BufferCap:          o.walBuffer,
-			WriteCoalesceBytes: o.walCoalesce,
-		},
 	}
 
 	m, err := segment.ReadManifest(fsys)
@@ -361,7 +354,7 @@ func openFS[V any](fsys walfault.FS, dir string, codec ValueCodec[V], opts ...Op
 	p.frozen = m.Frozen
 	p.segs = m.Segments
 
-	l, err := wal.Open(fsys, m.WAL, p.wopts)
+	l, err := wal.Open(fsys, m.WAL, o.syncInterval)
 	if err != nil {
 		return nil, err
 	}

@@ -351,15 +351,6 @@ func TestCloseNonPersistent(t *testing.T) {
 	q.Insert(2, 2)
 }
 
-func TestNewPanicsWithPersistence(t *testing.T) {
-	defer func() {
-		if r := recover(); r == nil {
-			t.Fatal("New(WithPersistence) did not panic")
-		}
-	}()
-	New[int](WithPersistence("/tmp/nope"))
-}
-
 func TestMeldPanicsOnPersistentQueue(t *testing.T) {
 	fs := walfault.NewMemFS(walfault.Faults{Seed: 6})
 	q, err := openFS(fs, "mem", StringValue{}, WithSyncInterval(0))

@@ -817,6 +817,81 @@ func TestDirectoryFollowsLiveSlabs(t *testing.T) {
 	checkDirectory(t, &r, next.Load()+1, 4*(perWave>>pageShift+1))
 }
 
+// busyWait is how long the busy-window tests give a registry call to return
+// early: a call that does not wait out a busy cell returns at once.
+const busyWait = 20 * time.Millisecond
+
+// TestCancelWaitsOutBusyCell: cancel meets the cell add left busy, as a
+// Cancel does while the Schedule that issued the ID is still enqueueing the
+// timer. It must not return until Schedule stores the entry's Ref and
+// releases the cell, and then it returns that Ref, the one entry there is
+// to delete.
+func TestCancelWaitsOutBusyCell(t *testing.T) {
+	var r registry[int]
+	r.init()
+	const id = TimerID(1)
+	s := r.add(id, 10, 7)
+	type result struct {
+		ref klsm.Ref[tref]
+		ok  bool
+	}
+	started, done := make(chan struct{}), make(chan result, 1)
+	go func() {
+		close(started)
+		ref, ok := r.cancel(id)
+		done <- result{ref, ok}
+	}()
+	<-started
+	select {
+	case res := <-done:
+		t.Fatalf("cancel returned (ok %v) while add held the cell busy", res.ok)
+	case <-time.After(busyWait):
+	}
+	// Schedule's enqueue, with a Ref from a queue of its own.
+	ref := klsm.New[tref]().NewHandle().InsertRef(10, tref{id: id, gen: genFirst})
+	s.ref[id%slabCells] = ref
+	s.gen[id%slabCells].Store(genFirst)
+	if res := <-done; !res.ok || res.ref != ref {
+		t.Fatalf("cancel = %v, %v; want the Ref stored before the release, true", res.ref, res.ok)
+	}
+}
+
+// TestDeadlineWaitsOutBusyCell: lookup meets a cell Reschedule holds busy,
+// between its claim and the release of the next generation. The cell is
+// already claimed for that generation, so lookup must not pair it with the
+// old deadline: it waits, and reports the deadline stored for the new
+// generation.
+func TestDeadlineWaitsOutBusyCell(t *testing.T) {
+	var r registry[int]
+	r.init()
+	const id = TimerID(1)
+	r.add(id, 10, 7).gen[id%slabCells].Store(genFirst)
+	for dl := int64(11); dl <= 14; dl++ {
+		s, g := r.claim(id, true)
+		started, done := make(chan struct{}), make(chan int64, 1)
+		go func() {
+			close(started)
+			d, ok := r.lookup(id)
+			if !ok {
+				d = -1
+			}
+			done <- d
+		}()
+		<-started
+		select {
+		case d := <-done:
+			t.Fatalf("lookup returned %d while Reschedule held the cell busy", d)
+		case <-time.After(busyWait):
+		}
+		// Reschedule's busy window, minus the queue.
+		s.deadline[id%slabCells].Store(dl)
+		s.gen[id%slabCells].Store(g + genStep)
+		if d := <-done; d != dl {
+			t.Fatalf("lookup across the claim of generation %d = %d, want its deadline %d", g+genStep, d, dl)
+		}
+	}
+}
+
 // TestUnissuedIDs: Cancel, Reschedule and Deadline of IDs never issued —
 // the zero TimerID, the next one, and one far beyond the directory — report
 // false and allocate nothing, whether or not the ID's slab exists.
