@@ -10,8 +10,10 @@
 // Concurrency contract: a Block is mutable only while it is private to the
 // thread constructing it (Append and the copy and merge fills). Once published — stored into a
 // DistLSM slot or referenced from a shared BlockArray — its item slots are
-// immutable; only the filled counter may still shrink (ShrinkInPlace), which
-// is why filled is atomic. Items beyond filled are intentionally not nil'ed:
+// immutable. Two fields stay mutable, both atomic: the filled counter, which
+// may only shrink (ShrinkInPlace), and the reservation word, which a shared
+// k-LSM attempt sets by CAS before it consumes the block and which Pool.Put
+// clears (Reserve). Items beyond filled are intentionally not nil'ed:
 // a concurrent spy may have read a larger filled moments earlier and must
 // still find valid (if logically deleted) pointers there. The garbage-
 // collection delay this causes is bounded, because every copy or merge drops
@@ -46,6 +48,9 @@ type DropFunc[V any] func(key uint64, value V) bool
 type Block[V any] struct {
 	level  int
 	filled atomic.Int64
+	// res is the reservation word: 0, or the token of the shared k-LSM
+	// attempt that may consume the block (Reserve).
+	res    atomic.Uint64
 	items  []*item.Item[V]
 	filter bloom.Filter
 	// §4.4 reference counts: a reffed block holds one reference per slot
@@ -111,6 +116,25 @@ func (b *Block[V]) Item(i int) *item.Item[V] { return b.items[i] }
 
 // Items returns the occupied prefix of the slot array as a read-only view.
 func (b *Block[V]) Items() []*item.Item[V] { return b.items[:b.filled.Load()] }
+
+// Reserve sets b's reservation word from 0 to token (nonzero) and reports
+// whether it did. A shared k-LSM attempt reserves a published block before
+// it merges, copies or drops it, and every other attempt then leaves the
+// block whole, so each published block is consumed at most once. The
+// reservation lasts until its holder calls Unreserve or, for a block its
+// winning publication consumed, until Pool.Put recycles the shell.
+func (b *Block[V]) Reserve(token uint64) bool { return b.res.CompareAndSwap(0, token) }
+
+// Reserver returns the token b is reserved by, or 0.
+func (b *Block[V]) Reserver() uint64 { return b.res.Load() }
+
+// Unreserve clears b's reservation if token holds it. Only the holder moves
+// the word off its own token, so the check and the store need no CAS.
+func (b *Block[V]) Unreserve(token uint64) {
+	if b.res.Load() == token {
+		b.res.Store(0)
+	}
+}
 
 // Bloom returns the filter of handle IDs that contributed items to b.
 func (b *Block[V]) Bloom() bloom.Filter { return b.filter }

@@ -157,13 +157,16 @@ func (p *Pool[V]) releaseItems(b *Block[V]) {
 // reach it (limbo releases). The block's item references are released
 // first (reclaiming taken items whose last reference died), even when the
 // caps below make the block itself fall to the garbage collector; the
-// bookkeeping is cleared with them, so a block never releases twice.
+// bookkeeping is cleared with them, so a block never releases twice. The
+// reservation word is cleared too: a recycled shell republished later is a
+// new block, which no earlier reservation covers.
 func (p *Pool[V]) Put(b *Block[V]) {
 	if b == nil {
 		return
 	}
 	p.releaseItems(b)
 	b.reffed, b.donated, b.refHi = false, false, 0
+	b.res.Store(0)
 	level := b.level
 	if level > maxPoolLevel || len(p.free[level]) >= p.freeCap(level) {
 		p.stats.Dropped++

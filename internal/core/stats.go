@@ -32,8 +32,17 @@ type QueueStats struct {
 	// of the shared k-LSM.
 	SharedConsolidatePushes int64
 	// SharedInsertRetries counts failed shared-insert CAS attempts (the
-	// contention measure of paper §4.1).
+	// contention measure of paper §4.1). Each lost CAS is followed by a
+	// splice of the finished merges onto the winning array or, when a
+	// donor left it, by a redo of the cascade.
 	SharedInsertRetries int64
+	// SharedMergeSlots counts the item slots the shared k-LSM's merges and
+	// copies read.
+	SharedMergeSlots int64
+	// SharedDiscardedSlots counts the part of SharedMergeSlots read by
+	// attempts whose results were thrown away: an insert whose splice was
+	// void, and a consolidation or Purge pass that lost its push.
+	SharedDiscardedSlots int64
 	// WindowBuilds counts full candidate-window materializations.
 	// WindowItems/Deleted is the per-delete window cost the incremental
 	// window keeps bounded at large k (the E14/E15 metric).
@@ -145,6 +154,8 @@ func (h *Handle[V]) addStats(s *QueueStats) {
 	s.SpyCalls += h.SpyCalls.Load()
 	s.SharedConsolidatePushes += h.cursor.ConsolidatePushes.Load()
 	s.SharedInsertRetries += h.cursor.InsertRetries.Load()
+	s.SharedMergeSlots += h.cursor.MergeSlots.Load()
+	s.SharedDiscardedSlots += h.cursor.DiscardedSlots.Load()
 	s.WindowBuilds += h.cursor.WindowBuilds.Load()
 	s.WindowRepairs += h.cursor.WindowRepairs.Load()
 	s.WindowItems += h.cursor.WindowItems.Load()

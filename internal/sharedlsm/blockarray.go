@@ -7,7 +7,23 @@
 // with a single compare-and-swap. Blocks themselves are shared between
 // snapshots; they are never mutated after publication except for their
 // filled counter, which may only shrink (trimming logically deleted tails),
-// so every snapshot remains internally consistent.
+// and their reservation word, so every snapshot remains internally
+// consistent.
+//
+// No two attempts consume the same published block. An attempt reserves a
+// published block (block.Reserve, CAS 0 → its cursor's token) immediately
+// before it merges, copies or drops it, and every other attempt treats a
+// block reserved by someone else as a barrier: it trims the block's tail in
+// place and keeps it whole, merging nothing into it, so a published array
+// holds non-increasing levels, with equal levels only next to a block that
+// was reserved when the array was published. An Insert whose CAS loses
+// does not throw its merges away: while all of its donors are still
+// published and still reserved by it, it splices its finished merges into
+// the array that beat it and publishes that. Reservations never outlive
+// the operation that took them: a winning push clears those on the blocks
+// it kept, every discarded attempt clears all of its own, and the blocks a
+// win consumed keep theirs until Pool.Put recycles them. See DESIGN.md,
+// "Merge each shared block once".
 //
 // Delete-min relaxation: each BlockArray carries pivot offsets separating,
 // per block, the keys guaranteed to be among the k+1 smallest of the whole
@@ -33,9 +49,10 @@
 // transfer, as in the DistLSM: every block an attempt merges, copies,
 // shrinks or drops is a donor, whose references pass to the attempt's
 // results slot by slot, and whatever no result takes over (skipped items,
-// trimmed tails) becomes an obligation. Nothing is written to a donor
-// during the attempt, so a failed CAS discards the results and obligations
-// and leaves every count as it was, while a winning CAS commits them: the
+// trimmed tails) becomes an obligation. Nothing but its reservation word is
+// written to a donor during the attempt, so a discarded attempt drops the
+// results and obligations and leaves every count as it was (a spliced one
+// keeps them for its next push), while a winning CAS commits them: the
 // results are published already owning their references, the donors
 // retire releasing nothing, and the obligations park in the same epoch
 // limbo and release under the same proof, returning taken items whose last
@@ -45,6 +62,7 @@
 package sharedlsm
 
 import (
+	"slices"
 	"sort"
 
 	"klsm/internal/block"
@@ -56,7 +74,10 @@ import (
 // Mutating methods must only be called while the instance is private to one
 // thread.
 type BlockArray[V any] struct {
-	// blocks is sorted by strictly decreasing level.
+	// blocks is sorted by non-increasing level. Two blocks share a level
+	// only when a consolidation met one of them reserved by another
+	// attempt (a barrier); a pass with no reservation in flight leaves
+	// strictly decreasing levels.
 	blocks []*block.Block[V]
 	// pivots[i] is the first index in blocks[i] whose key is <= the pivot
 	// key; the suffix [pivots[i], filled) is the block's slice of the global
@@ -103,24 +124,67 @@ func (a *BlockArray[V]) copyInto(dst *BlockArray[V]) {
 // alloc is the §4.4 recycling context a cursor threads through snapshot
 // mutations: the owning handle's block pool, the blocks created during the
 // current attempt (private until the snapshot wins its CAS, so recyclable
-// if it does not), the attempt's transfer obligations, and scratch buffers
-// for the hot consolidate/pivot paths.
+// if it does not), the attempt's transfer obligations and reservations, and
+// scratch buffers for the hot consolidate/pivot paths.
 //
 // Every block an attempt takes out of the array moves its references by
 // transfer: a merge, copy or shrink result takes over one reference per
 // slot it copies, and everything else the donors held — the items the
 // fills skipped and each donor's trimmed tail — collects in owed, as does
 // the whole remainder of a block dropped empty. Nothing is written to a
-// donor, so a failed attempt simply forgets owed and recycles its fresh
-// blocks without releasing; a winning CAS makes the transfer definitive.
+// donor but its reservation word, so a discarded attempt simply forgets
+// owed, clears its reservations and recycles its fresh blocks without
+// releasing; a winning CAS makes the transfer definitive.
 type alloc[V any] struct {
-	pool  *block.Pool[V]
+	pool *block.Pool[V]
+	// token is the cursor's reservation identity: its id, nonzero and
+	// unique among the cursors of one Shared.
+	token uint64
 	fresh []*block.Block[V]
 	owed  []*item.Item[V]
+	// held lists the blocks this attempt reserved (a private block entering
+	// a merge is reserved too, harmlessly: no one else can see it, and the
+	// winning push or Pool.Put clears it); slots counts the item slots its
+	// merges and copies read.
+	held  []*block.Block[V]
+	slots int64
 
 	runScratch  []*block.Block[V]
+	barScratch  []*block.Block[V]
 	pivotHeap   []pivotCur
 	pivotFilled []int
+}
+
+// reserve reports whether the attempt may consume b: b is reserved by this
+// attempt already, or the CAS that reserves it wins. A false result makes b
+// a barrier for the attempt (rule 1 of DESIGN.md's "Merge each shared block
+// once").
+func (al *alloc[V]) reserve(b *block.Block[V]) bool {
+	switch b.Reserver() {
+	case al.token:
+		return true
+	case 0:
+		if b.Reserve(al.token) {
+			al.held = append(al.held, b)
+			return true
+		}
+	}
+	return false
+}
+
+// barrier reports whether another attempt holds b's reservation.
+func (al *alloc[V]) barrier(b *block.Block[V]) bool {
+	r := b.Reserver()
+	return r != 0 && r != al.token
+}
+
+// unreserve clears every reservation the attempt holds.
+func (al *alloc[V]) unreserve() {
+	for i, b := range al.held {
+		b.Unreserve(al.token)
+		al.held[i] = nil
+	}
+	al.held = al.held[:0]
 }
 
 // note records a block created during the current attempt.
@@ -160,17 +224,34 @@ func (al *alloc[V]) dropEmpty(b *block.Block[V]) {
 	al.replaced(b)
 }
 
-// commitFresh forgets the fresh list after a winning push (the blocks are
-// now shared and must not be recycled from here).
-func (al *alloc[V]) commitFresh() {
+// commit settles the attempt after its push of won won the CAS: the fresh
+// list is forgotten (the blocks are shared now and must not be recycled
+// from here) and the reservations on the blocks won kept are cleared, while
+// the donors it consumed stay reserved until Pool.Put recycles them. The
+// obligations are left for retireDropped. Returns the slots the attempt
+// read.
+func (al *alloc[V]) commit(won *BlockArray[V]) int64 {
+	if won != nil {
+		for _, b := range won.blocks {
+			b.Unreserve(al.token)
+		}
+	}
+	clear(al.held)
+	al.held = al.held[:0]
 	clear(al.fresh)
 	al.fresh = al.fresh[:0]
+	n := al.slots
+	al.slots = 0
+	return n
 }
 
-// discard abandons the current attempt's work: fresh blocks recycle without
-// releasing (their references never left the donors) and the obligations
-// are forgotten. A no-op after a winning push, which commits both.
-func (al *alloc[V]) discard() {
+// discard abandons the current attempt's work: its reservations are
+// cleared, fresh blocks recycle without releasing (their references never
+// left the donors) and the obligations are forgotten. Returns the slots the
+// attempt read, which were wasted. A no-op after a winning push, which
+// commits everything.
+func (al *alloc[V]) discard() int64 {
+	al.unreserve()
 	for i, b := range al.fresh {
 		al.fresh[i] = nil
 		b.Donate()
@@ -178,6 +259,9 @@ func (al *alloc[V]) discard() {
 	}
 	al.fresh = al.fresh[:0]
 	al.owed = block.Reuse(al.owed)
+	n := al.slots
+	al.slots = 0
+	return n
 }
 
 // empty reports whether the array holds no blocks.
@@ -198,23 +282,44 @@ func (a *BlockArray[V]) BlockAt(i int) *block.Block[V] {
 // insert adds nb at its level position and consolidates (Listing 2: "insert
 // adds a block to the BlockArray at its correct level position, and calls
 // consolidate to ensure that the levels of blocks in the array are strictly
-// decreasing"). nb itself is never recycled here: until the snapshot wins
-// its CAS the caller retries with the same block.
+// decreasing" — non-increasing here, around reserved blocks). nb itself is
+// never recycled here: until the snapshot wins its CAS the caller keeps the
+// same block.
 func (a *BlockArray[V]) insert(nb *block.Block[V], drop block.DropFunc[V], al *alloc[V]) {
-	pos := len(a.blocks)
-	for pos > 0 && a.blocks[pos-1].Level() <= nb.Level() {
+	a.place(nb, nb.Filled())
+	a.consolidate(drop, true, al)
+}
+
+// place inserts b in front of the blocks of its level or below, with
+// candidate offset p (its filled count: no candidates until the next pivot
+// calculation).
+func (a *BlockArray[V]) place(b *block.Block[V], p int) {
+	pos := levelPos(a.blocks, b.Level())
+	a.blocks = slices.Insert(a.blocks, pos, b)
+	a.pivots = slices.Insert(a.pivots, pos, p)
+}
+
+// levelPos returns the position in front of the blocks of level l or below
+// in blocks, which is sorted by non-increasing level.
+func levelPos[V any](blocks []*block.Block[V], l int) int {
+	pos := len(blocks)
+	for pos > 0 && blocks[pos-1].Level() <= l {
 		pos--
 	}
-	a.blocks = append(a.blocks, nil)
-	copy(a.blocks[pos+1:], a.blocks[pos:])
-	a.blocks[pos] = nb
-	a.consolidate(drop, true, al)
+	return pos
 }
 
 // consolidate shrinks blocks, merges level collisions, and compacts the
 // array (Listing 2's two passes, expressed as one merge-stack pass). It
 // reports whether the array changed structurally — the signal that
 // publishing the snapshot is worthwhile.
+//
+// The pass reserves each published block right before it consumes it:
+// drops it empty, compaction-copies or shrink-copies it, or merges it. A
+// block another attempt has reserved is a barrier: its tail is trimmed in
+// place and it is kept whole, out of the merge stack, and the blocks the
+// pass keeps or produces are placed beside the barriers by non-increasing
+// level.
 //
 // Pivots are recalculated only when the structure changed or the caller
 // demands it (needPivots; used when the candidate window is exhausted):
@@ -223,11 +328,22 @@ func (a *BlockArray[V]) consolidate(drop block.DropFunc[V], needPivots bool, al 
 	changed := false
 	pool := al.pool
 	runs := al.runScratch[:0]
+	bars := al.barScratch[:0]
+	keep := func(b *block.Block[V]) {
+		b.ShrinkInPlace()
+		bars = append(bars, b)
+	}
 	for idx, b := range a.blocks {
-		if b == nil || b.Filled() == 0 {
-			if b != nil {
-				al.dropEmpty(b)
+		if al.barrier(b) {
+			keep(b)
+			continue
+		}
+		if b.Filled() == 0 {
+			if !al.reserve(b) {
+				keep(b)
+				continue
 			}
+			al.dropEmpty(b)
 			changed = true
 			continue
 		}
@@ -264,7 +380,12 @@ func (a *BlockArray[V]) consolidate(drop block.DropFunc[V], needPivots bool, al 
 					}
 				}
 				if dead*2 >= f {
+					if !al.reserve(b) {
+						keep(b)
+						continue
+					}
 					nb := b.CopyTransferIn(pool, b.Level(), nil, &al.owed)
+					al.slots += int64(f)
 					al.note(nb)
 					al.replaced(b)
 					b = nb
@@ -272,40 +393,75 @@ func (a *BlockArray[V]) consolidate(drop block.DropFunc[V], needPivots bool, al 
 				}
 			}
 		}
-		s := b.ShrinkTransferIn(pool, &al.owed)
-		if s != b {
-			// A compaction copy: fresh this attempt.
-			al.note(s)
-			al.replaced(b)
-			changed = true
+		s := b
+		if f := b.ShrinkInPlace(); f == 0 || b.Underfull() {
+			// Dropped or shrink-copied below: both consume b.
+			if !al.reserve(b) {
+				keep(b)
+				continue
+			}
+			if s = b.ShrinkTransferIn(pool, &al.owed); s != b {
+				// A compaction copy: fresh this attempt.
+				al.slots += int64(f)
+				al.note(s)
+				al.replaced(b)
+				changed = true
+			}
 		}
-		for !s.Empty() && len(runs) > 0 && runs[len(runs)-1].Level() <= s.Level() {
+		if collides(runs, s) && !al.reserve(s) {
+			keep(s) // reserved by another attempt since the check above
+			continue
+		}
+		for collides(runs, s) {
 			top := runs[len(runs)-1]
+			runs = runs[:len(runs)-1]
+			if !al.reserve(top) {
+				keep(top)
+				continue
+			}
+			al.slots += int64(top.Filled() + s.Filled())
 			m := block.MergeTransferIn(pool, top, s, drop, &al.owed)
 			al.note(m)
 			al.replaced(top)
 			al.replaced(s)
 			s = m
-			runs = runs[:len(runs)-1]
 			changed = true
 		}
 		if s.Empty() {
-			al.dropEmpty(s)
-			changed = true
+			if al.reserve(s) {
+				al.dropEmpty(s)
+				changed = true
+			} else {
+				keep(s)
+			}
 			continue
 		}
 		runs = append(runs, s)
 	}
-	if len(runs) != len(a.blocks) {
-		changed = true
-	}
-	// Keep the superseded backing array as scratch for the next pass.
-	al.runScratch = a.blocks
-	a.blocks = runs
-	if changed || needPivots {
+	if changed {
+		for _, b := range bars {
+			runs = slices.Insert(runs, levelPos(runs, b.Level()), b)
+		}
+		// Keep the superseded backing array as scratch for the next pass.
+		al.runScratch = a.blocks
+		a.blocks = runs
 		a.calculatePivots(al)
+	} else {
+		// Every block was kept as it was: runs and barriers are a.blocks,
+		// in order.
+		al.runScratch = runs
+		if needPivots {
+			a.calculatePivots(al)
+		}
 	}
+	clear(bars)
+	al.barScratch = bars[:0]
 	return changed
+}
+
+// collides reports whether s must merge with the top of the run stack.
+func collides[V any](runs []*block.Block[V], s *block.Block[V]) bool {
+	return !s.Empty() && len(runs) > 0 && runs[len(runs)-1].Level() <= s.Level()
 }
 
 // pivotCur is calculatePivots' per-block tail cursor.
@@ -740,16 +896,37 @@ func (a *BlockArray[V]) LiveCount() int {
 	return n
 }
 
-// CheckInvariants validates structure for tests: strictly decreasing levels,
-// sorted blocks, pivot offsets within bounds.
-func (a *BlockArray[V]) CheckInvariants() bool {
-	prev := block.MaxLevel + 2
-	for i, b := range a.blocks {
-		if b == nil || b.Empty() {
+// drained reports whether every block is empty. Blocks left empty in a
+// consolidated snapshot are barriers another attempt reserved, which this
+// cursor may not drop: the structure holds nothing for it to find.
+func (a *BlockArray[V]) drained() bool {
+	for _, b := range a.blocks {
+		if !b.Empty() {
 			return false
 		}
-		if b.Level() >= prev {
+	}
+	return true
+}
+
+// CheckInvariants validates structure for tests: non-increasing levels
+// with at most one unreserved block per level, sorted blocks, pivot offsets
+// within bounds, and no empty block but a reserved one (a barrier whose
+// tail was trimmed away). They hold when the array is published. An
+// attempt discarded afterwards unreserves its donors in place, which can
+// leave two unreserved blocks of one level until the next consolidation
+// merges them.
+func (a *BlockArray[V]) CheckInvariants() bool {
+	prev, free := block.MaxLevel+1, -1
+	for i, b := range a.blocks {
+		reserved := b.Reserver() != 0
+		if b.Level() > prev || (b.Empty() && !reserved) {
 			return false
+		}
+		if !reserved {
+			if b.Level() == free {
+				return false
+			}
+			free = b.Level()
 		}
 		if !b.SortedDesc() {
 			return false

@@ -104,3 +104,46 @@ func TestWindowExhaustionRecovers(t *testing.T) {
 		}
 	}
 }
+
+// TestInsertShiftsPivotOffsets: insert moves the pivot offsets along with
+// the blocks it shifts. A block whose candidate suffix is dead but for its
+// last item is compaction-copied by the consolidation of the next insert,
+// also when the new block lands in front of it. With the offsets left in
+// place the block would read its neighbour's offset, or none when it is
+// the last block, and the copy would not run.
+func TestInsertShiftsPivotOffsets(t *testing.T) {
+	s := New[int](1024, false)
+	c := newCursor(s, 1)
+	keys := make([]uint64, 128)
+	for i := range keys {
+		keys[i] = uint64(i + 1)
+	}
+	s.Insert(c, blockOf(keys...))
+	a := s.Snapshot()
+	if len(a.blocks) != 1 || a.pivots[0] != 0 {
+		t.Fatalf("setup: %d blocks, pivots %v; want one block, all of it candidates", len(a.blocks), a.pivots)
+	}
+	x := a.blocks[0]
+	// Take every item but the smallest key, in the last slot: the tail
+	// stays live, so only the compaction copy reclaims the dead items.
+	for i := 0; i < x.Filled()-1; i++ {
+		if !x.Item(i).TryTake() {
+			t.Fatalf("take slot %d failed", i)
+		}
+	}
+	big := make([]uint64, 200)
+	for i := range big {
+		big[i] = uint64(1000 + i)
+	}
+	s.Insert(c, blockOf(big...)) // one level above x: placed in front of it
+	slots := 0
+	for _, b := range s.Snapshot().blocks {
+		if b == x {
+			t.Fatal("the insert kept the mostly dead block without compacting it")
+		}
+		slots += b.Filled()
+	}
+	if slots != len(big)+1 {
+		t.Fatalf("published array holds %d slots, want %d live ones", slots, len(big)+1)
+	}
+}

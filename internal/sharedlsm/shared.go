@@ -147,8 +147,15 @@ type Cursor[V any] struct {
 	// ConsolidatePushes counts published consolidations, for the ablation
 	// benchmarks. Atomic so diagnostics can read counters concurrently.
 	ConsolidatePushes atomic.Int64
-	// InsertRetries counts failed insert CAS attempts.
+	// InsertRetries counts failed insert CAS attempts; each is followed by
+	// a splice or, when the splice is void (VoidSplices), a redo.
 	InsertRetries atomic.Int64
+	VoidSplices   atomic.Int64
+	// MergeSlots counts the item slots this cursor's merges and copies
+	// read, and DiscardedSlots the part of them read by attempts whose
+	// results were thrown away. Added once per attempt.
+	MergeSlots     atomic.Int64
+	DiscardedSlots atomic.Int64
 	// WindowBuilds counts full candidate-window materializations,
 	// WindowRepairs incremental ones, and WindowItems the total candidate
 	// entries materialized by either — the per-delete window cost the E14
@@ -166,21 +173,47 @@ type Cursor[V any] struct {
 }
 
 // NewCursor returns a cursor for handle id, drawing its blocks from the
-// owning handle's pool (§4.4) and stamping the pool's record. The records
-// of every cursor of s, and of every reader of its blocks, must belong to
-// one epoch domain, which the owner registers and withdraws them in; a
-// closing cursor hands its parked entries over with DrainRetired first.
+// owning handle's pool (§4.4) and stamping the pool's record. id must be
+// nonzero and unique among the cursors of s: it is the cursor's Bloom
+// ownership mark and its reservation token. The records of every cursor of
+// s, and of every reader of its blocks, must belong to one epoch domain,
+// which the owner registers and withdraws them in; a closing cursor hands
+// its parked entries over with DrainRetired first.
 func (s *Shared[V]) NewCursor(id uint64, rng *xrand.Source, pool *block.Pool[V]) *Cursor[V] {
-	return &Cursor[V]{id: id, rng: rng, rec: pool.Record(), al: alloc[V]{pool: pool}}
+	return &Cursor[V]{id: id, rng: rng, rec: pool.Record(), al: alloc[V]{pool: pool, token: id}}
+}
+
+// discard abandons c's current attempt (alloc.discard) and counts the
+// slots it read as wasted.
+func (c *Cursor[V]) discard() {
+	if n := c.al.discard(); n > 0 {
+		c.MergeSlots.Add(n)
+		c.DiscardedSlots.Add(n)
+	}
+}
+
+// unwind runs deferred by every operation that reserves blocks. On a normal
+// return the attempt was committed or discarded already; if a Drop callback
+// panicked mid-attempt, it discards the attempt, so no reservation outlives
+// the operation, and makes c's next operation refresh, since its snapshot
+// may reference blocks the discard recycled.
+func (s *Shared[V]) unwind(c *Cursor[V]) {
+	if len(c.al.held)+len(c.al.fresh) == 0 {
+		return
+	}
+	c.discard()
+	c.observed, c.snapshot = nil, nil
+	c.gen++
 }
 
 // refresh re-reads the shared pointer and takes a private snapshot
 // (Listing 3's refresh_snapshot). The epoch stamp is advanced first —
 // before the pointer load, so the pin provably covers everything the new
-// snapshot can reach — and the blocks and obligations of a failed previous
-// attempt are discarded here, since the retry abandons them.
+// snapshot can reach — and the blocks, obligations and reservations of a
+// failed previous attempt are discarded here, since the retry abandons
+// them.
 func (s *Shared[V]) refresh(c *Cursor[V]) {
-	c.al.discard()
+	c.discard()
 	if prev := c.snapshot; prev != nil && !prev.published {
 		c.spare = prev
 	}
@@ -235,9 +268,11 @@ func (c *Cursor[V]) takeShell() *BlockArray[V] {
 // blocks it published already own one reference per slot — their
 // bookkeeping was final before the CAS, since another cursor may merge
 // them the moment it lands — so the win costs no refcount traffic. The
-// blocks the transition dropped and the attempt's obligations are handed to
-// the reclamation scheme (retireDropped). A failed CAS leaves everything
-// for refresh to discard: no donor was written, so nothing needs undoing.
+// reservations on the blocks the new array kept are cleared; the blocks
+// the transition dropped, still reserved, and the attempt's obligations are
+// handed to the reclamation scheme (retireDropped). A failed CAS leaves the
+// attempt whole, for the caller to splice or discard: no donor was written
+// but its reservation word, so nothing needs undoing.
 func (s *Shared[V]) push(c *Cursor[V]) bool {
 	if c.snapshot != nil {
 		c.snapshot.published = true
@@ -248,7 +283,9 @@ func (s *Shared[V]) push(c *Cursor[V]) bool {
 		}
 		return false
 	}
-	c.al.commitFresh()
+	if n := c.al.commit(c.snapshot); n > 0 {
+		c.MergeSlots.Add(n)
+	}
 	s.retireDropped(c)
 	return true
 }
@@ -313,50 +350,130 @@ func containsBlock[V any](blocks []*block.Block[V], b *block.Block[V]) bool {
 	return false
 }
 
-// Insert publishes a block of items. It loops refresh → mutate snapshot →
-// CAS until it wins; failure implies another thread published first
-// (lock-freedom: someone always progresses). Ownership of nb, and of any
-// item references it holds, transfers to the shared structure on entry;
-// the references it lacks are acquired here (§4.4 proper). A caller that
-// still reaches nb's items through a structure of its own — the DistLSM,
-// whose merged-away blocks stay published until its size store — keeps its
-// references and hands nb over bare (block.Disown), so the shared k-LSM
-// only ever releases references of its own. If the winning attempt merged
-// nb away, nb's references moved on like any donor's and its shell, which
-// never left this cursor, recycles here.
+// Insert publishes a block of items: refresh, insert nb into the snapshot
+// (its merge cascade reserving every published block it consumes), then
+// CAS. A lost CAS means another thread published first (lock-freedom:
+// someone always progresses); Insert then splices its finished merges onto
+// the array that won and retries the CAS, and only when the splice is void
+// does it discard the cascade and redo it from a fresh snapshot.
+//
+// Ownership of nb, and of any item references it holds, transfers to the
+// shared structure on entry; the references it lacks are acquired here
+// (§4.4 proper). A caller that still reaches nb's items through a structure
+// of its own — the DistLSM, whose merged-away blocks stay published until
+// its size store — keeps its references and hands nb over bare
+// (block.Disown), so the shared k-LSM only ever releases references of its
+// own. If the winning attempt merged nb away, nb's references moved on like
+// any donor's and its shell, which never left this cursor, recycles here.
 func (s *Shared[V]) Insert(c *Cursor[V], nb *block.Block[V]) {
 	if nb == nil || nb.Empty() {
 		return
 	}
 	nb.AcquireRefs()
-	for {
-		s.refresh(c)
-		if c.snapshot == nil {
-			shell := c.takeShell()
-			shell.blocks = shell.blocks[:0]
-			shell.pivots = shell.pivots[:0]
-			shell.published = false
-			shell.k = s.K()
-			c.snapshot = shell
-		}
-		c.snapshot.insert(nb, s.drop, &c.al)
-		if c.snapshot.empty() {
-			// Everything (including nb) was consumed by the drop callback
-			// or concurrent deletion; publish the empty state as nil.
-			if !c.snapshot.published {
-				c.spare = c.snapshot
-			}
-			c.snapshot = nil
-		}
-		if s.push(c) {
-			if c.snapshot == nil || !containsBlock(c.snapshot.blocks, nb) {
-				nb.Donate()
-				c.al.pool.Put(nb)
-			}
-			return
-		}
-		c.InsertRetries.Add(1)
+	defer s.unwind(c)
+	s.refresh(c)
+	s.build(c, nb)
+	s.publish(c, nb)
+}
+
+// build inserts nb into c's fresh snapshot (an empty one when the shared
+// structure is empty). Everything, nb included, may be consumed by the drop
+// callback or concurrent deletion; the empty state publishes as nil.
+func (s *Shared[V]) build(c *Cursor[V], nb *block.Block[V]) {
+	if c.snapshot == nil {
+		c.snapshot = c.emptyShell(s.K())
 	}
+	c.snapshot.insert(nb, s.drop, &c.al)
+	c.settleEmpty()
+}
+
+// publish pushes c's Insert attempt for nb until a CAS wins, splicing
+// after each lost one and redoing the attempt when the splice is void, then
+// recycles nb's shell if the winning array merged it away.
+func (s *Shared[V]) publish(c *Cursor[V], nb *block.Block[V]) {
+	for !s.push(c) {
+		c.InsertRetries.Add(1)
+		if !s.splice(c) {
+			s.refresh(c)
+			s.build(c, nb)
+		}
+	}
+	if c.snapshot == nil || !containsBlock(c.snapshot.blocks, nb) {
+		nb.Donate()
+		c.al.pool.Put(nb)
+	}
+}
+
+// emptyShell returns a private snapshot shell holding no block.
+func (c *Cursor[V]) emptyShell(k int) *BlockArray[V] {
+	shell := c.takeShell()
+	shell.blocks = shell.blocks[:0]
+	shell.pivots = shell.pivots[:0]
+	shell.published = false
+	shell.k = k
+	return shell
+}
+
+// settleEmpty replaces an emptied snapshot with nil, the published form of
+// the empty structure, keeping its shell for reuse.
+func (c *Cursor[V]) settleEmpty() {
+	if c.snapshot == nil || !c.snapshot.empty() {
+		return
+	}
+	if !c.snapshot.published {
+		c.spare = c.snapshot
+	}
+	c.snapshot = nil
+}
+
+// splice re-bases c's Insert attempt, whose push just lost, onto the array
+// that beat it, instead of redoing its merges. Its donors D are the blocks
+// of the observed array the lost snapshot no longer holds, its results R
+// the blocks the lost snapshot added. If every donor is still published,
+// and still reserved by c, the new snapshot is the published array without
+// D, plus R at their level positions, consolidated with fresh pivots: the
+// pass merges only what the winner's publication newly collides with, and
+// the attempt's fresh blocks, obligations and reservations carry over to
+// the next push. The reservation check is the ABA guard: Pool.Put clears
+// the word, so a donor recycled and republished fails it. Reports false,
+// with nothing changed, when the splice is void.
+func (s *Shared[V]) splice(c *Cursor[V]) bool {
+	old, lost := c.observed, c.snapshot
+	c.rec.Stamp()
+	cur := s.ptr.Load()
+	donor := func(b *block.Block[V]) bool {
+		return old != nil && containsBlock(old.blocks, b) && (lost == nil || !containsBlock(lost.blocks, b))
+	}
+	if old != nil {
+		for _, b := range old.blocks {
+			if donor(b) && (cur == nil || !containsBlock(cur.blocks, b) || b.Reserver() != c.al.token) {
+				c.VoidSplices.Add(1)
+				return false
+			}
+		}
+	}
+	next := c.emptyShell(s.K())
+	if cur != nil {
+		for i, b := range cur.blocks {
+			if !donor(b) {
+				next.blocks = append(next.blocks, b)
+				next.pivots = append(next.pivots, cur.pivots[i])
+			}
+		}
+	}
+	if lost != nil {
+		for _, b := range lost.blocks {
+			if old == nil || !containsBlock(old.blocks, b) {
+				next.place(b, b.Filled())
+			}
+		}
+		c.spare = lost
+	}
+	c.gen++ // the snapshot is replaced: invalidate the window
+	c.observed, c.snapshot = cur, next
+	next.consolidate(s.drop, true, &c.al)
+	c.settleEmpty()
+	return true
 }
 
 // FindMin returns a live item that is one of the k+1 smallest keys in the
@@ -458,30 +575,43 @@ func (s *Shared[V]) FindMinSnap(c *Cursor[V]) (item.Snap[V], bool) {
 		// Candidate stale (or no candidates): clean up. When the candidate
 		// set is exhausted (dry), pivots must be recalculated to extend it;
 		// for a merely-stale candidate the recalculation is only worth it
-		// if the pass changes the structure (consolidate decides).
-		s.consolidate(c, dry)
+		// if the pass changes the structure (consolidate decides). A dry
+		// pass that leaves only empty blocks other attempts reserved finds
+		// the structure empty.
+		if s.consolidate(c, dry) && dry {
+			return item.Snap[V]{}, false
+		}
 	}
 }
 
 // consolidate runs Listing 3's cleanup pass on c's private snapshot,
 // recalculating the pivots when repivot is set, and publishes the result
-// when the pass changed the structure or emptied it. Whatever the CAS
-// outcome, c's next use refreshes: either c published (its observed pointer
-// is stale now) or another cursor did (the shared pointer moved). Caller
-// guarantees c.snapshot != nil.
-func (s *Shared[V]) consolidate(c *Cursor[V], repivot bool) {
+// when the pass changed the structure or emptied it. A pass that changed
+// nothing keeps the snapshot and clears the reservations it took; a pass
+// whose push loses is discarded, reservations and all. Whatever the CAS
+// outcome, c's next use refreshes: either c published (its observed
+// pointer is stale now) or another cursor did (the shared pointer moved).
+// It reports whether the snapshot is left holding nothing but empty blocks
+// another attempt reserved, which c may not drop. Caller guarantees
+// c.snapshot != nil.
+func (s *Shared[V]) consolidate(c *Cursor[V], repivot bool) (drained bool) {
+	defer s.unwind(c)
 	c.gen++ // the pass mutates the snapshot in place: invalidate the window
 	push := c.snapshot.consolidate(s.drop, repivot, &c.al)
 	if c.snapshot.empty() {
-		if !c.snapshot.published {
-			c.spare = c.snapshot
-		}
-		c.snapshot = nil
+		c.settleEmpty()
 		push = true
 	}
-	if push && s.push(c) {
+	switch {
+	case !push:
+		c.al.unreserve()
+		return c.snapshot.drained()
+	case s.push(c):
 		c.ConsolidatePushes.Add(1)
+	default:
+		c.discard()
 	}
+	return false
 }
 
 // Purge physically removes drop-filtered items from the shared structure:
@@ -500,8 +630,10 @@ func (s *Shared[V]) consolidate(c *Cursor[V], repivot bool) {
 // references by transfer, the items the filter claims becoming the winning
 // push's obligations. Items claimed during a failed CAS attempt stay
 // claimed; they are filter-positive garbage either way and remain owned by
-// the still-published originals.
+// the still-published originals. Blocks another attempt has reserved are
+// skipped: that attempt consumes them.
 func (s *Shared[V]) Purge(c *Cursor[V]) {
+	defer s.unwind(c)
 	for {
 		s.refresh(c)
 		if c.snapshot == nil {
@@ -510,10 +642,11 @@ func (s *Shared[V]) Purge(c *Cursor[V]) {
 		a := c.snapshot
 		pool := c.al.pool
 		for i, b := range a.blocks {
-			if b == nil || b.Empty() {
+			if b.Empty() || !c.al.reserve(b) {
 				continue
 			}
 			owed := len(c.al.owed)
+			c.al.slots += int64(b.Filled())
 			nb := b.CopyTransferIn(pool, b.Level(), s.drop, &c.al.owed)
 			if nb.Filled() == b.Filled() {
 				// Nothing dropped or dead in this block: keep the original,
@@ -530,12 +663,7 @@ func (s *Shared[V]) Purge(c *Cursor[V]) {
 		}
 		c.gen++ // the snapshot was mutated in place: invalidate the window
 		a.consolidate(s.drop, true, &c.al)
-		if a.empty() {
-			if !a.published {
-				c.spare = a
-			}
-			c.snapshot = nil
-		}
+		c.settleEmpty()
 		if s.push(c) {
 			return
 		}
@@ -649,7 +777,11 @@ func (s *Shared[V]) FillCandidates(c *Cursor[V], dst []item.Snap[V], max int) (_
 			c.WindowItems.Add(int64(mat))
 			continue
 		}
-		s.consolidate(c, true)
+		if s.consolidate(c, true) {
+			// Only empty blocks other attempts reserved are left: zero
+			// live shared keys while the pointer holds.
+			return dst, c.observed, ^uint64(0)
+		}
 	}
 }
 
